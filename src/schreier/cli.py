@@ -28,7 +28,7 @@ from .families import (
     is_maximal,
     parse_finset,
 )
-from .norms import NormParams, norm, norm_value
+from .norms import NormError, NormParams, norm, norm_value
 from .functionals import dual_norm as dual_norm_fn
 from .norms import domination_search
 from .estimates import equivalence_sample
@@ -280,7 +280,11 @@ def dualnorm_cmd(fine, schreier, explicit, c_, vec, bound, depth):
     """Exact dual gauge against the generated functional set."""
     params = NormParams(family_from_opts(fine, schreier, explicit), _parse_c(c_))
     g = _parse_vector(vec)
-    click.echo(str(dual_norm_fn(params, g, bound, depth)))
+    try:
+        value = dual_norm_fn(params, g, bound, depth)
+    except NormError as exc:
+        _fail(str(exc), 2)
+    click.echo(str(value))
 
 
 @main.command("dominate")

@@ -8,10 +8,17 @@ generated from the coordinate functionals by
 where the supports of the f_j are successive and their minima form a member
 of F.  Generation is graded by depth; at depth >= |supp(x)| the supremum
 over the set equals the norm (tested, not assumed).
+
+The best functional against a given vector is found without generating the
+set, by a dynamic program over (min, max) support signatures.  It evaluates
+the functional norm and prices the columns of the dual gauge, which is
+computed by exact column generation: a rational simplex over the columns
+found so far, extended by the functional its duals rate highest.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 
 from . import simplex
@@ -26,11 +33,8 @@ class FunctionalSet:
     which it first appeared.
     """
 
-    def __init__(self, params, indices, depths, signed):
-        self.params = params
-        self.indices = tuple(indices)
+    def __init__(self, depths):
         self.depths = depths
-        self.signed = signed
 
     def __iter__(self):
         return iter(self.depths)
@@ -50,7 +54,12 @@ def _generate(family, c, indices, depth, signed, budget):
     depths = {f: 0 for f in base}
     current = set(depths)
     for level in range(1, depth + 1):
-        pool = sorted(current, key=lambda f: (f.support, f.entries))
+        # admissibility sees only the support minima, so the pool is
+        # grouped by minimum and each minimum is tested once per chain
+        groups = {}
+        for f in sorted(current, key=lambda f: (f.support, f.entries)):
+            groups.setdefault(f.support[0], []).append(f)
+        minima = sorted(groups)
         new = set()
 
         def combine(chosen, mins, last_max):
@@ -61,14 +70,12 @@ def _generate(family, c, indices, depth, signed, budget):
                 for f in chosen[1:]:
                     total = total.add(f)
                 new.add(total.scale(c))
-            for f in pool:
-                supp = f.support
-                if supp[0] <= last_max:
-                    continue
-                if family.contains(tuple(mins) + (supp[0],)):
-                    combine(chosen + [f], mins + [supp[0]], supp[-1])
+            for m in minima[bisect_right(minima, last_max):]:
+                if family.contains(mins + (m,)):
+                    for f in groups[m]:
+                        combine(chosen + [f], mins + (m,), f.support[-1])
 
-        combine([], [], 0)
+        combine([], (), 0)
         fresh = new - current
         for f in fresh:
             depths[f] = level
@@ -80,75 +87,117 @@ def _generate(family, c, indices, depth, signed, budget):
 
 def norming_set(params, bound, depth, signed=True, budget=2_000_000):
     """The functional set K_depth over indices [1..bound]."""
-    indices = range(1, bound + 1)
-    depths = _generate(params.family, params.c, indices, depth, signed, budget)
-    return FunctionalSet(params, indices, depths, signed)
+    depths = _generate(params.family, params.c, range(1, bound + 1), depth, signed, budget)
+    return FunctionalSet(depths)
 
 
-def norm_via_functionals(params, x, depth=None):
-    """Norm of x as the supremum of <f, x> over the generated functional set.
+def _best_functional(params, x, depth):
+    """Maximum of <f, x> over the signed functional set K_depth, and a
+    functional attaining it.
 
     Uses sign symmetry of the generated set: the supremum over all signed
-    functionals equals the supremum of <f, |x|> over positive ones.  Two
-    exact reductions keep the evaluation finite at scale.  The pairing is
-    linear in the summands of f = c(f_1 + ... + f_k), and the combination
-    constraints (successive supports, minima in the family) see only the
-    minimum and maximum of each summand's support, so among functionals
-    sharing a (min, max) signature only the best pairing value can ever
-    appear in an optimal combination.  The levelwise state is therefore one
-    value per signature, iterated to its fixed point, which is reached by
-    level |supp(x)| at the latest.
+    functionals equals the supremum of <f, |x|> over positive ones, and the
+    positive maximiser takes the signs of x.  Two exact reductions keep the
+    evaluation finite at scale.  The pairing is linear in the summands of
+    f = c(f_1 + ... + f_k), and the combination constraints (successive
+    supports, minima in the family) see only the minimum and maximum of
+    each summand's support, so among functionals sharing a (min, max)
+    signature only the best pairing value can ever appear in an optimal
+    combination.  The levelwise state is therefore one value per signature,
+    iterated to its fixed point, which is reached by level |supp(x)| at the
+    latest.  Each value carries the tree of its combination: a coordinate
+    index at a leaf, a tuple of subtrees at a combination.  Trees are
+    immutable, so a later improvement of a signature leaves the trees built
+    from its earlier value, and their depths, unchanged.
     """
     if not x:
-        return Fraction(0)
+        return Fraction(0), SparseVec([])
     fam = params.family
     c = params.c
     ax = x.abs()
-    supp = x.support
-    if depth is None:
-        depth = len(supp)
-    pool = {(i, i): ax[i] for i in supp}
+    pool = {(i, i): (ax[i], i) for i in x.support}
 
     for _ in range(depth):
         new = {}
         sigs = sorted(pool)
 
-        def combine(mins, last_max, total):
+        def combine(mins, last_max, total, parts):
             if len(mins) >= 2:
                 sig = (mins[0], last_max)
                 val = c * total
-                if val > new.get(sig, Fraction(-1)):
-                    new[sig] = val
+                if sig not in new or val > new[sig][0]:
+                    new[sig] = (val, parts)
             for (m, mx) in sigs:
-                if m > last_max and fam.contains(tuple(mins) + (m,)):
-                    combine(mins + [m], mx, total + pool[(m, mx)])
+                if m > last_max and fam.contains(mins + (m,)):
+                    val, tree = pool[(m, mx)]
+                    combine(mins + (m,), mx, total + val, parts + (tree,))
 
-        combine([], 0, Fraction(0))
+        combine((), 0, Fraction(0), ())
         improved = False
-        for sig, val in new.items():
-            if val > pool.get(sig, Fraction(-1)):
-                pool[sig] = val
+        for sig, entry in new.items():
+            if sig not in pool or entry[0] > pool[sig][0]:
+                pool[sig] = entry
                 improved = True
         if not improved:
             break
-    return max(pool.values())
+    value, tree = max(pool.values(), key=lambda entry: entry[0])
+
+    entries = []
+
+    def unfold(node, coeff):
+        if isinstance(node, int):
+            entries.append((node, coeff if x[node] > 0 else -coeff))
+        else:
+            for child in node:
+                unfold(child, coeff * c)
+
+    unfold(tree, Fraction(1))
+    return value, SparseVec(entries)
+
+
+def norm_via_functionals(params, x, depth=None):
+    """Norm of x as the supremum of <f, x> over the generated functional set
+    K_depth (by default depth |supp(x)|, where the supremum is the norm)."""
+    if depth is None:
+        depth = len(x)
+    return _best_functional(params, x, depth)[0]
 
 
 def dual_norm(params, g, bound, depth, functionals=None):
     """Gauge of the convex hull of the generated signed functional set.
 
-    Exact minimum of sum |lam_j| over decompositions g = sum lam_j f_j with
-    f_j in norming_set(params, bound, depth); at sufficient depth this is
-    the dual norm restricted to the span.
+    Exact minimum of sum lam_j over decompositions g = sum lam_j f_j with
+    lam_j >= 0 and f_j in norming_set(params, bound, depth); at sufficient
+    depth this is the dual norm restricted to the span.
+
+    Solved by column generation: a restricted master LP over the columns
+    found so far, starting from the coordinate functionals +-e_i (so it is
+    always feasible), returns its value and row duals y.  The signature
+    dynamic program prices the whole set at once, finding the f in K_depth
+    that maximises <f, y>.  While that maximum exceeds 1 the maximiser is a
+    violated column and joins the master; otherwise y is dual feasible for
+    the full LP, <g, y> equals the master value, and that value is exact.
+    Each added column is new, as every master column pairs with y to at
+    most 1, and the set is finite, so the loop terminates.
+
+    `functionals` is accepted for compatibility and unused: pricing never
+    materialises the set.
     """
+    if bound < 1:
+        raise NormError("functional bound must be at least 1, got %d" % bound)
+    if depth < 0:
+        raise NormError("generation depth must be nonnegative, got %d" % depth)
     if not g:
         return Fraction(0)
     if g.support[-1] > bound:
         raise NormError("support of g exceeds the functional bound")
-    if functionals is None:
-        functionals = norming_set(params, bound, depth, signed=True)
-    cols = list(functionals)
-    matrix = [[f[i] for i in range(1, bound + 1)] for f in cols]
-    target = [g[i] for i in range(1, bound + 1)]
-    value, _ = simplex.min_l1_combination(matrix, target, bound)
-    return value
+    rows = range(1, bound + 1)
+    columns = [[Fraction(s) if j == i else Fraction(0) for j in rows]
+               for i in rows for s in (1, -1)]
+    target = [g[i] for i in rows]
+    while True:
+        value, _, duals = simplex.min_l1_combination(columns, target, bound)
+        price, f = _best_functional(params, SparseVec(zip(rows, duals)), depth)
+        if price <= 1:
+            return value
+        columns.append([f[i] for i in rows])

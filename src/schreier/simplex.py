@@ -1,8 +1,10 @@
 """Exact rational linear programming (two-phase primal simplex).
 
-Solves   min sum(lam)  s.t.  A lam = b,  lam >= 0   over Fractions.
-Bland's rule guarantees termination.  Problem sizes here are small in the
-row dimension (one row per coordinate) with possibly many columns.
+Solves   min sum(lam)  s.t.  A lam = b,  lam >= 0   over Fractions, and
+returns an optimal solution of the dual   max <b, y>  s.t.  A^T y <= 1
+with it.  Bland's rule guarantees termination.  Problem sizes here are
+small in the row dimension (one row per coordinate) with possibly many
+columns.
 """
 
 from __future__ import annotations
@@ -48,7 +50,11 @@ def _run_simplex(tableau, basis, ncols):
 def min_l1_combination(columns, target, m):
     """Minimal sum of nonnegative weights writing `target` as a combination
     of `columns` (each a length-m list of Fractions).  Returns (value,
-    weights) or raises Infeasible."""
+    weights, duals) or raises Infeasible.
+
+    `duals` is an optimal dual solution y, one entry per row: <target, y>
+    equals value and <column, y> <= 1 for every column.
+    """
     n = len(columns)
     b = list(target)
     # normalize rows so that b >= 0 for the phase-1 start
@@ -101,4 +107,7 @@ def min_l1_combination(columns, target, m):
         if basis[r] < n:
             weights[basis[r]] = tableau[r][-1]
     value = sum(weights, ZERO)
-    return (value, weights)
+    # the artificial columns hold B^-1 and cost 0 in phase 2, so their
+    # reduced costs are -y of the sign-normalised rows
+    duals = [-tableau[-1][n + i] * signs[i] for i in range(m)]
+    return (value, weights, duals)

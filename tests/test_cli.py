@@ -1,8 +1,17 @@
 import json
+from fractions import Fraction
 
+import pytest
 from click.testing import CliRunner
 
 from schreier.cli import main
+from schreier.families import Schreier
+from schreier.functionals import norm_via_functionals
+from schreier.norms import NormParams
+from schreier.ordinals import ONE
+from schreier.vectors import parse_vec
+
+S1 = NormParams(Schreier(ONE), Fraction(1, 2))
 
 
 def run(*args, **kwargs):
@@ -105,6 +114,28 @@ class TestNorm:
         result = run("dualnorm", "--schreier", "1", "--c", "1/2",
                      "--vec", "2:1/2,3:1/2", "--bound", "6", "--depth", "3")
         assert result.output.strip() == "1"
+
+    def test_dualnorm_bound_8(self):
+        vec = "1:3,2:-1/2,3:2,4:1,5:-5/3,6:1/2,7:4,8:-1"
+        result = run("dualnorm", "--schreier", "1", "--c", "1/2",
+                     "--vec", vec, "--bound", "8", "--depth", "3")
+        assert result.exit_code == 0
+        g = parse_vec(vec)
+        gauge = Fraction(result.output.strip())
+        assert g.inner(g) <= gauge * norm_via_functionals(S1, g, depth=3)
+
+    @pytest.mark.parametrize("vec, bound, depth", [
+        ("1:1,9:1", "4", "2"),  # support beyond the bound
+        ("1:1", "0", "2"),
+        ("1:1", "4", "-1"),
+    ])
+    def test_dualnorm_bad_input(self, vec, bound, depth):
+        result = run("dualnorm", "--schreier", "1", "--c", "1/2",
+                     "--vec", vec, "--bound", bound, "--depth", depth)
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
 
     def test_dominate_trivial(self):
         result = run("dominate", "--u-schreier", "1", "--u-c", "1/2",
