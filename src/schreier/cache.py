@@ -38,14 +38,14 @@ def _load(path):
         if os.path.exists(path):
             with open(path) as fh:
                 for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    rec = json.loads(line)
-                    table[(rec["family"], rec["c"], rec["vec"])] = (
-                        rec["value"],
-                        rec["cert_digest"],
-                    )
+                    try:
+                        rec = json.loads(line)
+                        table[(rec["family"], rec["c"], rec["vec"])] = (
+                            rec["value"],
+                            rec["cert_digest"],
+                        )
+                    except (ValueError, KeyError, TypeError):
+                        continue  # a blank, truncated or foreign line is no record
         _loaded[path] = table
         return table
 
@@ -71,16 +71,13 @@ def store(path, family, c, vec, value, digest):
         if key in table:
             return
         table[key] = (value, digest)
-        with open(path, "a") as fh:
-            fh.write(
-                json.dumps(
-                    {
-                        "family": family,
-                        "c": c,
-                        "vec": vec,
-                        "value": value,
-                        "cert_digest": digest,
-                    }
-                )
-                + "\n"
-            )
+        line = json.dumps(
+            {"family": family, "c": c, "vec": vec, "value": value, "cert_digest": digest}
+        ).encode() + b"\n"
+        with open(path, "a+b") as fh:
+            # start a fresh line after a truncated last record
+            if fh.seek(0, os.SEEK_END):
+                fh.seek(-1, os.SEEK_END)
+                if fh.read(1) != b"\n":
+                    line = b"\n" + line
+            fh.write(line)

@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 success (and all requested checks pass), 1 a check failed,
-2 usage error (click's default), 3 a search or enumeration budget ran out.
+2 usage error (click's default, and any invalid input the library rejects),
+3 a search or enumeration budget ran out.  Errors print one `error:` line.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from fractions import Fraction
 import click
 
 from . import ordinals
-from .ordinals import OrdinalParseError, parse_ordinal, format_ordinal
+from .ordinals import OrdinalError, parse_ordinal, format_ordinal
 from .families import (
     BudgetExceeded,
     Explicit,
@@ -40,7 +41,7 @@ from .trees import (
     order as tree_order,
     prop43_verify,
 )
-from .vectors import parse_vec, format_vec
+from .vectors import VectorError, parse_vec, format_vec
 from .suites import run_suite, SUITES
 
 EXIT_CHECK_FAILED = 1
@@ -52,7 +53,22 @@ def _fail(message, code=1):
     sys.exit(code)
 
 
-@click.group()
+class _Main(click.Group):
+    """The error boundary of every command: library errors become one
+    `error:` line and exit 2, an exhausted budget exits 3."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except BudgetExceeded as exc:
+            _fail(str(exc), EXIT_BUDGET)
+        except json.JSONDecodeError as exc:
+            _fail("invalid JSON: %s" % exc, 2)
+        except (FamilyError, NormError, OrdinalError, VectorError) as exc:
+            _fail(str(exc), 2)
+
+
+@click.group(cls=_Main)
 def main():
     """Exact Schreier families, Tsirelson-type norms, and tree indices."""
 
@@ -64,39 +80,32 @@ def ord_group():
     """Cantor Normal Form ordinal arithmetic."""
 
 
-def _parse_ord(text):
-    try:
-        return parse_ordinal(text)
-    except OrdinalParseError as exc:
-        _fail(str(exc), 2)
-
-
 @ord_group.command("cmp")
 @click.argument("a")
 @click.argument("b")
 def ord_cmp(a, b):
-    click.echo(ordinals.compare(_parse_ord(a), _parse_ord(b)))
+    click.echo(ordinals.compare(parse_ordinal(a), parse_ordinal(b)))
 
 
 @ord_group.command("add")
 @click.argument("a")
 @click.argument("b")
 def ord_add(a, b):
-    click.echo(format_ordinal(ordinals.add(_parse_ord(a), _parse_ord(b))))
+    click.echo(format_ordinal(ordinals.add(parse_ordinal(a), parse_ordinal(b))))
 
 
 @ord_group.command("mul")
 @click.argument("a")
 @click.argument("b")
 def ord_mul(a, b):
-    click.echo(format_ordinal(ordinals.mul(_parse_ord(a), _parse_ord(b))))
+    click.echo(format_ordinal(ordinals.mul(parse_ordinal(a), parse_ordinal(b))))
 
 
 @ord_group.command("nsum")
 @click.argument("a")
 @click.argument("b")
 def ord_nsum(a, b):
-    click.echo(format_ordinal(ordinals.natural_sum(_parse_ord(a), _parse_ord(b))))
+    click.echo(format_ordinal(ordinals.natural_sum(parse_ordinal(a), parse_ordinal(b))))
 
 
 @ord_group.command("fs")
@@ -104,17 +113,13 @@ def ord_nsum(a, b):
 @click.argument("n", type=int)
 def ord_fs(a, n):
     """N-th element of the fundamental sequence of a limit ordinal."""
-    lam = _parse_ord(a)
-    try:
-        click.echo(format_ordinal(ordinals.fundamental_seq(lam, n)))
-    except ValueError as exc:
-        _fail(str(exc), 2)
+    click.echo(format_ordinal(ordinals.fundamental_seq(parse_ordinal(a), n)))
 
 
 @ord_group.command("classify")
 @click.argument("a")
 def ord_classify(a):
-    kind, pred = ordinals.classify(_parse_ord(a))
+    kind, pred = ordinals.classify(parse_ordinal(a))
     if kind == "successor":
         click.echo("successor of %s" % format_ordinal(pred))
     else:
@@ -140,19 +145,10 @@ def family_from_opts(fine, schreier, explicit):
     if len(given) != 1:
         _fail("give exactly one of --fine, --schreier, --explicit", 2)
     if fine is not None:
-        return FineSchreier(_parse_ord(fine))
+        return FineSchreier(parse_ordinal(fine))
     if schreier is not None:
-        return Schreier(_parse_ord(schreier))
-    with open(explicit) as fh:
-        data = json.load(fh)
-    return Explicit([tuple(a) for a in data])
-
-
-def _parse_set(text):
-    try:
-        return parse_finset(text)
-    except (FamilyError, ValueError) as exc:
-        _fail(str(exc), 2)
+        return Schreier(parse_ordinal(schreier))
+    return Explicit.from_json_file(explicit)
 
 
 @main.group("family")
@@ -165,7 +161,7 @@ def family_group():
 @click.option("--set", "set_", required=True, metavar="FINSET")
 def family_member(fine, schreier, explicit, set_):
     fam = family_from_opts(fine, schreier, explicit)
-    click.echo("yes" if fam.contains(_parse_set(set_)) else "no")
+    click.echo("yes" if fam.contains(parse_finset(set_)) else "no")
 
 
 @family_group.command("maximal")
@@ -173,11 +169,7 @@ def family_member(fine, schreier, explicit, set_):
 @click.option("--set", "set_", required=True, metavar="FINSET")
 def family_maximal(fine, schreier, explicit, set_):
     fam = family_from_opts(fine, schreier, explicit)
-    a = _parse_set(set_)
-    try:
-        click.echo("yes" if is_maximal(fam, a) else "no")
-    except FamilyError as exc:
-        _fail(str(exc), 2)
+    click.echo("yes" if is_maximal(fam, parse_finset(set_)) else "no")
 
 
 @family_group.command("enumerate")
@@ -187,11 +179,8 @@ def family_maximal(fine, schreier, explicit, set_):
 @click.option("--budget", type=int, default=1_000_000)
 def family_enumerate(fine, schreier, explicit, bound, maximal_only, budget):
     fam = family_from_opts(fine, schreier, explicit)
-    try:
-        for a in enumerate_family(fam, bound, maximal_only=maximal_only, budget=budget):
-            click.echo(format_finset(a))
-    except BudgetExceeded as exc:
-        _fail(str(exc), EXIT_BUDGET)
+    for a in enumerate_family(fam, bound, maximal_only=maximal_only, budget=budget):
+        click.echo(format_finset(a))
 
 
 @family_group.command("admissible")
@@ -200,7 +189,7 @@ def family_enumerate(fine, schreier, explicit, bound, maximal_only, budget):
               help="semicolon-separated FinSets, e.g. '1,2;4,5'")
 def family_admissible(fine, schreier, explicit, blocks):
     fam = family_from_opts(fine, schreier, explicit)
-    parts = [_parse_set(b) for b in blocks.split(";") if b]
+    parts = [parse_finset(b) for b in blocks.split(";") if b]
     click.echo("yes" if is_admissible(fam, parts) else "no")
 
 
@@ -210,10 +199,7 @@ def family_admissible(fine, schreier, explicit, blocks):
 @click.option("--budget", type=int, default=2_000_000)
 def family_structure(fine, schreier, explicit, bound, budget):
     fam = family_from_opts(fine, schreier, explicit)
-    try:
-        report = check_structure(fam, bound, budget=budget)
-    except BudgetExceeded as exc:
-        _fail(str(exc), EXIT_BUDGET)
+    report = check_structure(fam, bound, budget=budget)
     for key, value in report.items():
         click.echo("%s: %s" % (key, "yes" if value else "no"))
     if not all(report.values()):
@@ -241,13 +227,6 @@ def _parse_c(text):
         _fail("cannot parse constant %r" % text, 2)
 
 
-def _parse_vector(text):
-    try:
-        return parse_vec(text)
-    except ValueError as exc:
-        _fail(str(exc), 2)
-
-
 @main.command("norm")
 @family_options
 @click.option("--c", "c_", required=True, metavar="NUM/DEN")
@@ -259,7 +238,7 @@ def _parse_vector(text):
 def norm_cmd(fine, schreier, explicit, c_, vec, cert_path, cache_dir):
     """Exact Tsirelson-type norm of a rational vector."""
     params = NormParams(family_from_opts(fine, schreier, explicit), _parse_c(c_))
-    x = _parse_vector(vec)
+    x = parse_vec(vec)
     if cert_path is None and cache_dir is not None:
         click.echo(str(norm_value(params, x, cache_dir=cache_dir)))
         return
@@ -279,12 +258,8 @@ def norm_cmd(fine, schreier, explicit, c_, vec, cert_path, cache_dir):
 def dualnorm_cmd(fine, schreier, explicit, c_, vec, bound, depth):
     """Exact dual gauge against the generated functional set."""
     params = NormParams(family_from_opts(fine, schreier, explicit), _parse_c(c_))
-    g = _parse_vector(vec)
-    try:
-        value = dual_norm_fn(params, g, bound, depth)
-    except NormError as exc:
-        _fail(str(exc), 2)
-    click.echo(str(value))
+    g = parse_vec(vec)
+    click.echo(str(dual_norm_fn(params, g, bound, depth)))
 
 
 @main.command("dominate")
@@ -323,7 +298,7 @@ def equiv_sample_cmd(alpha, n_, bound, samples, seed):
         x = random_vector(rng, bound=bound, max_size=min(6, bound))
         if x:
             vectors.append(x)
-    report = equivalence_sample(_parse_ord(alpha), n_, bound, vectors)
+    report = equivalence_sample(parse_ordinal(alpha), n_, bound, vectors)
     click.echo("c = %s" % report.c)
     click.echo("samples = %d" % report.samples)
     click.echo("max ratio up = %s at %s" % (report.max_ratio_up, format_vec(report.witness_up)))
@@ -412,7 +387,7 @@ def indices_witness(alpha, tree_path, witness_path, bound, pred):
         "distinct": lambda tail: len(set(tail)) == len(tail),
         "none": lambda tail: True,
     }
-    ok, violation = prop43_verify(_parse_ord(alpha), witness, bt, preds[pred], bound)
+    ok, violation = prop43_verify(parse_ordinal(alpha), witness, bt, preds[pred], bound)
     if ok:
         click.echo("verified")
     else:
@@ -430,10 +405,7 @@ def indices_witness(alpha, tree_path, witness_path, bound, pred):
               help="also write the JSON summary to this file")
 def check_cmd(suite_name, seed, json_path):
     """Run a property-check suite; exit 0 iff every check passes."""
-    try:
-        report = run_suite(suite_name, seed=seed)
-    except BudgetExceeded as exc:
-        _fail(str(exc), EXIT_BUDGET)
+    report = run_suite(suite_name, seed=seed)
     for c in sorted(report.checks, key=lambda c: c.id):
         line = "%s %s: %s" % ("pass" if c.ok else "FAIL", c.id, c.claim)
         if c.witness:

@@ -12,14 +12,16 @@ Schreier families are S_alpha = F_(w^alpha); S_1 is the classical family
 
 Finite sets are plain tuples of strictly increasing positive integers.
 Family handles are immutable and answer membership queries; a shared memo
-table backs the fine Schreier recursion.
+table backs the fine Schreier recursion.  Handles also read a set one
+element at a time through a residual state (`initial_state`, `step`), which
+the norm DP uses to merge prefixes with the same completions.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
-import threading
 
 from . import ordinals
 from .ordinals import Ordinal, ZERO, omega_pow
@@ -81,7 +83,6 @@ def is_successive(blocks):
 # -- fine Schreier membership ----------------------------------------------
 
 _fs_cache = {}
-_fs_lock = threading.Lock()
 
 
 def fs_member(alpha, a):
@@ -106,9 +107,30 @@ def fs_member(alpha, a):
         result = any(
             fs_member(ordinals.fundamental_seq(alpha, n), a) for n in range(1, a[0] + 1)
         )
-    with _fs_lock:
-        _fs_cache[key] = result
+    _fs_cache[key] = result
     return result
+
+
+# Residual states of F_alpha for alpha < w^w.  Every F_beta is hereditary,
+# so F_beta is contained in F_(beta+1): drop the minimum of a member.  Hence,
+# by induction on e, F_beta lies in F_(beta + w^e) whenever no CNF term of
+# beta is absorbed (beta's last exponent is >= e): for e >= 1 the first term
+# of the fundamental sequence of beta + w^e is beta + w^(e-1), and every
+# nonempty set has minimum >= 1.  Below w^w a limit lam = d + w^e has
+# lam[m] = d + w^(e-1)*m, so F_(lam[m]) lies in F_(lam[m+1]), and a set with
+# minimum n lies in F_lam iff it lies in F_(lam[n]).  Reading n therefore
+# descends through lam[n] while the ordinal is a limit, then steps to the
+# predecessor: the rest of the set must lie in F of that single ordinal.
+
+@functools.lru_cache(maxsize=1 << 14)
+def _fine_step(beta, n):
+    """The ordinal gamma with {n} u B in F_beta iff B in F_gamma, for every
+    B above n (beta < w^w); None if no such B exists."""
+    while beta.is_limit:
+        beta = ordinals.fundamental_seq(beta, n)
+    if beta.is_zero:
+        return None
+    return ordinals.classify(beta)[1]
 
 
 def schreier_member(alpha, a):
@@ -134,6 +156,20 @@ class FamilyHandle:
 
     def contains(self, a):
         raise NotImplementedError
+
+    def initial_state(self):
+        """Residual state of the empty prefix; see `step`."""
+        return ()
+
+    def step(self, state, n):
+        """The state after reading n, or None when the prefix read so far
+        plus n is not a member.  n must exceed every element read so far.
+
+        Prefixes with equal states have the same completions in the family.
+        The default state is the prefix itself.
+        """
+        prefix = state + (n,)
+        return prefix if self.contains(prefix) else None
 
     def descriptor(self):
         raise NotImplementedError
@@ -163,9 +199,21 @@ class FineSchreier(FamilyHandle):
         if not isinstance(alpha, Ordinal):
             raise FamilyError("index must be an Ordinal")
         self.alpha = alpha
+        # Below w^w the residual state is one ordinal (see `_fine_step`).
+        # From w^w on the fundamental sequences take limit exponents, the
+        # inclusion behind it is not established, and the prefix state stays.
+        self._ordinal_states = alpha.is_zero or alpha.terms[0][0].is_finite
 
     def contains(self, a):
         return fs_member(self.alpha, a)
+
+    def initial_state(self):
+        return self.alpha if self._ordinal_states else ()
+
+    def step(self, state, n):
+        if self._ordinal_states:
+            return _fine_step(state, n)
+        return super().step(state, n)
 
     def descriptor(self):
         return "fine:%s" % self.alpha
@@ -207,8 +255,10 @@ class Explicit(FamilyHandle):
     def from_json_file(cls, path):
         with open(path) as fh:
             data = json.load(fh)
-        if not isinstance(data, list):
-            raise FamilyError("explicit family file must be a JSON array of arrays")
+        if not isinstance(data, list) or not all(
+            isinstance(row, list) and all(isinstance(x, int) for x in row) for row in data
+        ):
+            raise FamilyError("explicit family file must be a JSON array of integer arrays")
         return cls(tuple(sorted(set(row))) for row in data)
 
     def contains(self, a):
@@ -249,20 +299,6 @@ class Residual(FamilyHandle):
             if self.contains((n,)):
                 return n
         return None
-
-
-class Restriction(FamilyHandle):
-    """Members of the base family contained in [1..bound]."""
-
-    def __init__(self, base, bound):
-        self.base = base
-        self.bound = bound
-
-    def contains(self, a):
-        return (not a or a[-1] <= self.bound) and self.base.contains(a)
-
-    def descriptor(self):
-        return "restrict(%s;%d)" % (self.base.descriptor(), self.bound)
 
 
 class Union(FamilyHandle):

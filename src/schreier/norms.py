@@ -96,6 +96,18 @@ def norm(params, x, support_cap=DEFAULT_SUPPORT_CAP):
     reaching the next minimum (enlarging blocks never lowers the sum, by
     projection contraction), and coordinates before the first minimum are
     dropped.
+
+    Chains of minima are not enumerated but merged.  For each start `lo`
+    (right to left) a chain whose first minimum is `lo` is summarised, at
+    the position of its last minimum, by the family's residual state after
+    its minima: chains with equal states have the same completions, so only
+    the best sum of their closed blocks is kept, with a back-pointer.  While
+    `hi` sweeps upward, the value of the interval [lo, hi) is the best of
+    its sup norm, the interval [lo + 1, hi) (a later first minimum) and
+    c * (sum + value of [p, hi)) over the chains of two or more minima,
+    their last at p; then the chains are extended by a minimum at `hi`.
+    Certificates are rebuilt from the back-pointers of the intervals the
+    root decomposition reaches.
     """
     if not x:
         return (Fraction(0), Leaf(0, 0))
@@ -104,47 +116,64 @@ def norm(params, x, support_cap=DEFAULT_SUPPORT_CAP):
         raise NormError("support size %d exceeds cap %d" % (len(supp), support_cap))
     fam = params.family
     c = params.c
-    coeff = dict(x.entries)
-    memo = {}
+    size = len(supp)
+    mags = [abs(v) for _, v in x.entries]
+    start = fam.initial_state()
+    # val[lo][hi]: norm of x on supp[lo:hi].  back[lo][hi]: a leaf position,
+    # None for "as [lo + 1, hi)", or the linked minima (p, (p', ...)).
+    val = [[None] * (size + 1) for _ in range(size)]
+    back = [[None] * (size + 1) for _ in range(size)]
+    for lo in range(size - 1, -1, -1):
+        first = fam.step(start, supp[lo])
+        # chains[p]: {state: (sum of closed blocks, linked minima)}
+        chains = {lo: {first: (Fraction(0), (lo, None))}} if first is not None else {}
+        best = {}  # p > lo: of the chains ending at p (two or more minima), the best
+        top = lo
+        for hi in range(lo + 1, size + 1):
+            if mags[hi - 1] > mags[top]:
+                top = hi - 1
+            value, how = mags[top], top
+            if hi - lo > 1 and val[lo + 1][hi] > value:
+                value, how = val[lo + 1][hi], None
+            for p, (total, links) in best.items():
+                total = c * (total + val[p][hi])
+                if total > value:
+                    value, how = total, links
+            val[lo][hi] = value
+            back[lo][hi] = how
+            if hi == size:
+                break
+            grown = {}
+            for p, table in chains.items():
+                closed = val[p][hi]
+                for state, (total, links) in table.items():
+                    after = fam.step(state, supp[hi])
+                    if after is None:
+                        continue
+                    total += closed
+                    kept = grown.get(after)
+                    if kept is None or total > kept[0]:
+                        grown[after] = (total, (hi, links))
+            if grown:
+                chains[hi] = grown
+                best[hi] = max(grown.values(), key=lambda entry: entry[0])
 
-    def solve(lo, hi):
-        """Norm of x restricted to supp[lo:hi]; returns (value, cert)."""
-        key = (lo, hi)
-        if key in memo:
-            return memo[key]
-        best_pos = max(range(lo, hi), key=lambda p: abs(coeff[supp[p]]))
-        best = (abs(coeff[supp[best_pos]]), Leaf(supp[best_pos], abs(coeff[supp[best_pos]])))
-        # memoize the sup-norm answer first: recursive splits only touch
-        # strictly shorter intervals, so no cycle arises.
-        memo[key] = best
+    def certificate(lo, hi):
+        while back[lo][hi] is None:
+            lo += 1
+        how = back[lo][hi]
+        if isinstance(how, int):
+            return Leaf(supp[how], mags[how])
+        cuts = [hi]
+        while how is not None:
+            cuts.append(how[0])
+            how = how[1]
+        cuts.reverse()
+        spans = list(zip(cuts, cuts[1:]))
+        return Node([supp[a:b] for a, b in spans], [certificate(a, b) for a, b in spans],
+                    val[lo][hi])
 
-        def extend(mins):
-            nonlocal best
-            last = mins[-1]
-            if len(mins) >= 2:
-                cuts = list(mins) + [hi]
-                total = Fraction(0)
-                children = []
-                blocks = []
-                for a, b in zip(cuts, cuts[1:]):
-                    val, cert = solve(a, b)
-                    total += val
-                    children.append(cert)
-                    blocks.append(supp[a:b])
-                if c * total > best[0]:
-                    best = (c * total, Node(blocks, children, c * total))
-            for nxt in range(last + 1, hi):
-                if fam.contains(tuple(supp[p] for p in mins) + (supp[nxt],)):
-                    extend(mins + (nxt,))
-
-        for first in range(lo, hi):
-            if fam.contains((supp[first],)):
-                extend((first,))
-        memo[key] = best
-        return best
-
-    value, cert = solve(0, len(supp))
-    return (value, cert)
+    return (val[0][size], certificate(0, size))
 
 
 def verify_certificate(params, x, cert):

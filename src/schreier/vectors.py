@@ -111,7 +111,7 @@ def parse_vec(text):
         try:
             idx, coeff = part.split(":")
             entries.append((int(idx), Fraction(coeff)))
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             raise VectorError("bad vector component %r" % part)
     return SparseVec(entries)
 

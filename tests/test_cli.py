@@ -86,6 +86,25 @@ class TestFamily:
         assert result.exit_code == 1
         assert "spreading: no" in result.output
 
+    @pytest.mark.parametrize("args", [
+        ["family", "enumerate", "--schreier", "1", "--bound", "0"],
+        ["family", "member", "--schreier", "0", "--set", "1,2"],
+        ["norm", "--schreier", "1", "--c", "3/2", "--vec", "1:1,2:1"],
+        ["norm", "--schreier", "1", "--c", "1/2", "--vec", "1:1/0"],
+        ["family", "member", "--explicit", "{bad}", "--set", "1"],
+        ["family", "member", "--explicit", "{ill_typed}", "--set", "1"],
+    ])
+    def test_bad_input_is_usage_error(self, tmp_path, args):
+        (tmp_path / "bad.json").write_text("[[1, 2]")
+        (tmp_path / "ill_typed.json").write_text("[1, 2]")
+        args = [a.format(bad=tmp_path / "bad.json", ill_typed=tmp_path / "ill_typed.json")
+                for a in args]
+        result = run(*args)
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
     def test_cb_index(self):
         assert run("family", "cb-index", "--fine", "3").output.strip() == "4"
 

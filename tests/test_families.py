@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from schreier.ordinals import OMEGA, ONE, from_int, omega_pow
+from schreier.ordinals import OMEGA, ONE, add, from_int, fundamental_seq, mul, omega_pow
 from schreier.families import (
     BudgetExceeded,
     Explicit,
@@ -81,6 +81,60 @@ class TestClosedForms:
         assert fw.contains((3, 7, 9))
         assert not fw.contains((1, 2))
         assert fw.contains((2, 5))
+
+
+def read_states(fam, a):
+    """Membership of `a` by reading it through the family's residual states."""
+    state = fam.initial_state()
+    for n in a:
+        state = fam.step(state, n)
+        if state is None:
+            return False
+    return True
+
+
+OMEGA_SQ = omega_pow(from_int(2))
+
+
+class TestResidualStates:
+    FAMILIES = [
+        FineSchreier(from_int(5)),
+        FineSchreier(OMEGA),
+        Schreier(ONE),
+        Schreier(from_int(2)),
+        FineSchreier(add(OMEGA_SQ, ONE)),
+        FineSchreier(add(mul(OMEGA, from_int(2)), from_int(3))),
+    ]
+
+    @pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.descriptor())
+    def test_states_accept_exactly_the_members(self, fam):
+        for a in subsets(12, 6):
+            assert read_states(fam, a) == fs_member(fam.alpha, a), a
+
+    def test_fundamental_sequences_grow_by_inclusion(self):
+        # the inclusion F_(lam[m]) <= F_(lam[m+1]) below w^w that lets a
+        # fine state be one ordinal
+        for lam in (OMEGA, mul(OMEGA, from_int(2)), OMEGA_SQ, add(OMEGA_SQ, OMEGA),
+                    omega_pow(from_int(3))):
+            for m in range(1, 5):
+                low, high = fundamental_seq(lam, m), fundamental_seq(lam, m + 1)
+                for a in subsets(10, 5):
+                    assert not fs_member(low, a) or fs_member(high, a), (lam, m, a)
+
+    def test_omega_omega_and_explicit_keep_prefix_states(self):
+        for fam in (Schreier(OMEGA), Explicit([(2, 5), (3,)])):
+            assert fam.initial_state() == ()
+            assert fam.step((), 2) == (2,)
+        assert Schreier(OMEGA).step((1,), 2) is None
+        assert Explicit([(2, 5)]).step((2,), 4) is None
+        for a in subsets(10, 5):
+            assert read_states(Schreier(OMEGA), a) == Schreier(OMEGA).contains(a)
+
+    def test_large_indices(self):
+        # an eager set-valued state would hold about a million ordinals here
+        s3 = Schreier(from_int(3))
+        a = tuple(range(1000, 1000 + 7 * 40, 7))
+        assert read_states(s3, a) == fs_member(s3.alpha, a)
 
 
 class TestHandles:

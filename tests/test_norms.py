@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from schreier.ordinals import ONE, OMEGA, from_int
-from schreier.families import FineSchreier, Schreier
+from schreier import cache
+from schreier.ordinals import ONE, OMEGA, add, from_int, mul, omega_pow
+from schreier.families import Explicit, FineSchreier, Schreier
 from schreier.norms import (
     CertificateError,
     Leaf,
@@ -114,14 +115,38 @@ class TestCertificates:
 class TestOracleAgreement:
     def test_small_grid(self):
         rng = random.Random(11)
-        families = [Schreier(ONE), FineSchreier(from_int(5)), FineSchreier(OMEGA)]
-        for _ in range(25):
+        families = [
+            Schreier(ONE),
+            FineSchreier(from_int(5)),
+            FineSchreier(OMEGA),
+            Schreier(from_int(2)),
+            FineSchreier(add(omega_pow(from_int(2)), ONE)),
+            FineSchreier(add(mul(OMEGA, from_int(2)), from_int(3))),
+            Schreier(OMEGA),  # prefix states
+            Explicit([(2, 4, 6), (3, 5), (1, 7, 8)]),  # prefix states
+        ]
+        for _ in range(80):
             fam = rng.choice(families)
             params = NormParams(fam, rng.choice([Fraction(1, 2), Fraction(2, 3)]))
-            supp = sorted(rng.sample(range(1, 9), rng.randint(1, 5)))
+            supp = sorted(rng.sample(range(1, 9), rng.randint(1, 6)))
             x = SparseVec([(i, Fraction(rng.choice([-2, -1, 1, 2, 3]))) for i in supp])
             value = norm(params, x)[0]
             assert norm_exhaustive(params, x) == value
+            # functionals are admitted by their support minima, which matches
+            # block admissibility only in spreading families
+            if fam.spreading:
+                assert norm_via_functionals(params, x) == value
+
+    @pytest.mark.parametrize("fam", [Schreier(ONE), FineSchreier(from_int(5)),
+                                     Schreier(from_int(2))], ids=lambda f: f.descriptor())
+    def test_support_16_certificates(self, fam):
+        rng = random.Random(16)
+        params = NormParams(fam, Fraction(1, 2))
+        x = SparseVec([(i, Fraction(rng.choice([-3, -1, 1, 2, 4]), rng.choice([1, 2, 3])))
+                       for i in range(1, 17)])
+        value, cert = norm(params, x)
+        assert verify_certificate(params, x, cert) == value
+        if fam == Schreier(ONE):  # the functional route takes seconds here
             assert norm_via_functionals(params, x) == value
 
 
@@ -172,3 +197,16 @@ class TestCache:
     def test_no_cache_dir(self, monkeypatch):
         monkeypatch.delenv("SCHREIER_CACHE_DIR", raising=False)
         assert norm_value(S1, vec("3:1")) == 1
+
+    def test_truncated_line_is_skipped(self, tmp_path, monkeypatch):
+        x, y = vec("3:1,4:1,5:1"), vec("2:1,3:1")
+        norm_value(S1, x, cache_dir=str(tmp_path))
+        path = tmp_path / "norms.jsonl"
+        with open(path, "a") as fh:
+            fh.write('{"family": "schreier:1", "c": "1/')  # cut off mid-record
+        monkeypatch.setattr(cache, "_loaded", {})
+        assert norm_value(S1, y, cache_dir=str(tmp_path)) == norm(S1, y)[0]
+        monkeypatch.setattr(cache, "_loaded", {})
+        table = cache._load(str(path))
+        assert len(table) == 2
+        assert table[("schreier:1", "1/2", "2:1,3:1")][0] == str(norm(S1, y)[0])
