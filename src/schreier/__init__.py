@@ -64,7 +64,6 @@ from .trees import (
     ExplicitTree,
     block_derivative,
     block_index_finite,
-    compression,
     lemma47_check,
     min_set,
     order,

@@ -36,8 +36,10 @@ from .estimates import equivalence_sample
 from .trees import (
     BlockTree,
     ExplicitTree,
+    TreeError,
     block_derivative,
     lemma47_check,
+    min_set,
     order as tree_order,
     prop43_verify,
 )
@@ -64,7 +66,7 @@ class _Main(click.Group):
             _fail(str(exc), EXIT_BUDGET)
         except json.JSONDecodeError as exc:
             _fail("invalid JSON: %s" % exc, 2)
-        except (FamilyError, NormError, OrdinalError, VectorError) as exc:
+        except (FamilyError, NormError, OrdinalError, TreeError, VectorError) as exc:
             _fail(str(exc), 2)
 
 
@@ -312,43 +314,26 @@ def indices_group():
     """Tree orders, block derivatives, compression."""
 
 
-def _load_block_tree(path):
-    try:
-        return BlockTree.from_json_file(path)
-    except (ValueError, KeyError) as exc:
-        _fail("bad tree file: %s" % exc, 2)
-
-
 @indices_group.command("order")
 @click.option("--tree", "tree_path", required=True, type=click.Path(exists=True),
               help="JSON array of label sequences")
 def indices_order(tree_path):
     with open(tree_path) as fh:
-        data = json.load(fh)
-    if isinstance(data, dict):
-        _fail("order expects a plain JSON array of sequences", 2)
-    click.echo(str(tree_order(ExplicitTree([tuple(s) for s in data]))))
+        click.echo(str(tree_order(ExplicitTree.from_json(json.load(fh)))))
 
 
 @indices_group.command("derive")
 @click.option("--tree", "tree_path", required=True, type=click.Path(exists=True))
 def indices_derive(tree_path):
-    bt = _load_block_tree(tree_path)
-    try:
-        click.echo(json.dumps(block_derivative(bt).to_json()))
-    except ValueError as exc:
-        _fail(str(exc), 2)
+    bt = BlockTree.from_json_file(tree_path)
+    click.echo(json.dumps(block_derivative(bt).to_json()))
 
 
 @indices_group.command("compress")
 @click.option("--tree", "tree_path", required=True, type=click.Path(exists=True))
 @click.option("--bound", type=int, required=True)
 def indices_compress(tree_path, bound):
-    from .trees import min_set
-
-    bt = _load_block_tree(tree_path)
-    fam = min_set(bt)
-    for a in enumerate_family(fam, bound):
+    for a in enumerate_family(min_set(BlockTree.from_json_file(tree_path)), bound):
         click.echo(format_finset(a))
 
 
@@ -357,11 +342,7 @@ def indices_compress(tree_path, bound):
 @click.option("--n", "n_", type=int, required=True)
 @click.option("--bound", type=int, required=True)
 def indices_lemma47(tree_path, n_, bound):
-    bt = _load_block_tree(tree_path)
-    try:
-        ok = lemma47_check(bt, n_, bound)
-    except ValueError as exc:
-        _fail(str(exc), 2)
+    ok = lemma47_check(BlockTree.from_json_file(tree_path), n_, bound)
     click.echo("holds" if ok else "fails")
     if not ok:
         sys.exit(EXIT_CHECK_FAILED)
@@ -378,9 +359,13 @@ def indices_lemma47(tree_path, n_, bound):
               help="finite surrogate applied to each extension tail")
 def indices_witness(alpha, tree_path, witness_path, bound, pred):
     """Verify a witness family against a target tree."""
-    bt = _load_block_tree(tree_path)
+    bt = BlockTree.from_json_file(tree_path)
     with open(witness_path) as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict) or not all(
+        isinstance(v, list) and all(isinstance(x, int) for x in v) for v in raw.values()
+    ):
+        raise TreeError("a witness file is a JSON object mapping sets to integer arrays")
     witness = {parse_finset(k): tuple(v) for k, v in raw.items()}
     preds = {
         "increasing": lambda tail: all(a[0] < b[0] for a, b in zip(tail, tail[1:])),

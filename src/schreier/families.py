@@ -11,10 +11,11 @@ Schreier families are S_alpha = F_(w^alpha); S_1 is the classical family
 { A : |A| <= min A }.
 
 Finite sets are plain tuples of strictly increasing positive integers.
-Family handles are immutable and answer membership queries; a shared memo
-table backs the fine Schreier recursion.  Handles also read a set one
-element at a time through a residual state (`initial_state`, `step`), which
-the norm DP uses to merge prefixes with the same completions.
+Family handles are immutable and answer membership queries.  Membership in
+F_alpha reads the set one element at a time; below w^w the state is one
+ordinal, and only limits from w^w on search their fundamental sequences.
+Handles expose that reading as a residual state (`initial_state`, `step`),
+which the norm DP uses to merge prefixes with the same completions.
 """
 
 from __future__ import annotations
@@ -82,55 +83,56 @@ def is_successive(blocks):
 
 # -- fine Schreier membership ----------------------------------------------
 
-_fs_cache = {}
+# Every F_beta is hereditary, so F_beta is contained in F_(beta+1): drop the
+# minimum of a member.  Hence, by induction on e, F_beta lies in
+# F_(beta + w^e) whenever no CNF term of beta is absorbed (beta's last
+# exponent is >= e): for e >= 1 the first term of the fundamental sequence of
+# beta + w^e is beta + w^(e-1), and every nonempty set has minimum >= 1.
+# Below w^w a limit lam = d + w^e has lam[m] = d + w^(e-1)*m, so F_(lam[m])
+# lies in F_(lam[m+1]), and a set with minimum n lies in F_lam iff it lies in
+# F_(lam[n]).  Reading n therefore descends through lam[n] while the ordinal
+# is a limit, then steps to the predecessor: the rest of the set must lie in
+# F of that single ordinal.  From w^w on, a limit's last exponent may itself
+# be a limit (w^w[m] = w^m), and the inclusion is not established there.
 
+def _below_omega_omega(alpha):
+    """True iff alpha < w^w, where a fine state is one ordinal."""
+    return alpha.is_zero or alpha.terms[0][0].is_finite
 
-def fs_member(alpha, a):
-    """Membership of the finite set `a` in the fine Schreier family F_alpha."""
-    a = tuple(a)
-    if not a:
-        return True
-    key = (alpha, a)
-    try:
-        return _fs_cache[key]
-    except KeyError:
-        pass
-    if alpha.is_zero:
-        result = False  # nonempty a
-    elif alpha.is_successor:
-        pred = ordinals.classify(alpha)[1]
-        result = fs_member(pred, a[1:])
-    else:
-        # Limit case: check every n <= min a, not just n = min a, so that
-        # correctness does not lean on monotonicity of the chosen
-        # fundamental sequences.
-        result = any(
-            fs_member(ordinals.fundamental_seq(alpha, n), a) for n in range(1, a[0] + 1)
-        )
-    _fs_cache[key] = result
-    return result
-
-
-# Residual states of F_alpha for alpha < w^w.  Every F_beta is hereditary,
-# so F_beta is contained in F_(beta+1): drop the minimum of a member.  Hence,
-# by induction on e, F_beta lies in F_(beta + w^e) whenever no CNF term of
-# beta is absorbed (beta's last exponent is >= e): for e >= 1 the first term
-# of the fundamental sequence of beta + w^e is beta + w^(e-1), and every
-# nonempty set has minimum >= 1.  Below w^w a limit lam = d + w^e has
-# lam[m] = d + w^(e-1)*m, so F_(lam[m]) lies in F_(lam[m+1]), and a set with
-# minimum n lies in F_lam iff it lies in F_(lam[n]).  Reading n therefore
-# descends through lam[n] while the ordinal is a limit, then steps to the
-# predecessor: the rest of the set must lie in F of that single ordinal.
 
 @functools.lru_cache(maxsize=1 << 14)
 def _fine_step(beta, n):
     """The ordinal gamma with {n} u B in F_beta iff B in F_gamma, for every
-    B above n (beta < w^w); None if no such B exists."""
+    B above n; None if no such B exists.  beta is below w^w or a successor."""
     while beta.is_limit:
         beta = ordinals.fundamental_seq(beta, n)
     if beta.is_zero:
         return None
     return ordinals.classify(beta)[1]
+
+
+# Memo of the search at limits lam >= w^w, keyed by (lam, rest of the set).
+_fs_cache = {}
+
+
+def fs_member(alpha, a):
+    """Membership of the finite set `a` in the fine Schreier family F_alpha.
+
+    Reads `a` one element at a time through `_fine_step`.  Only at a limit
+    lam >= w^w does it try every lam[m] with m <= min of the rest.
+    """
+    a = tuple(a)
+    for i, n in enumerate(a):
+        if alpha.is_limit and not _below_omega_omega(alpha):
+            key = (alpha, a[i:])
+            if key not in _fs_cache:
+                _fs_cache[key] = any(fs_member(ordinals.fundamental_seq(alpha, m), a[i:])
+                                     for m in range(1, n + 1))
+            return _fs_cache[key]
+        alpha = _fine_step(alpha, n)
+        if alpha is None:
+            return False
+    return True
 
 
 def schreier_member(alpha, a):
@@ -199,10 +201,9 @@ class FineSchreier(FamilyHandle):
         if not isinstance(alpha, Ordinal):
             raise FamilyError("index must be an Ordinal")
         self.alpha = alpha
-        # Below w^w the residual state is one ordinal (see `_fine_step`).
-        # From w^w on the fundamental sequences take limit exponents, the
-        # inclusion behind it is not established, and the prefix state stays.
-        self._ordinal_states = alpha.is_zero or alpha.terms[0][0].is_finite
+        # Below w^w the residual state is one ordinal (see `_fine_step`);
+        # from w^w on the prefix state stays.
+        self._ordinal_states = _below_omega_omega(alpha)
 
     def contains(self, a):
         return fs_member(self.alpha, a)
@@ -281,7 +282,7 @@ class Residual(FamilyHandle):
             raise FamilyError("residual prefix %s is not a member" % format_finset(prefix))
         self.base = base
         self.prefix = prefix
-        self.spreading = False  # members live strictly above the prefix
+        self.spreading = base.spreading and not prefix  # members lie above the prefix
 
     def contains(self, a):
         if not a:
@@ -299,26 +300,6 @@ class Residual(FamilyHandle):
             if self.contains((n,)):
                 return n
         return None
-
-
-class Union(FamilyHandle):
-    def __init__(self, parts):
-        self.parts = tuple(parts)
-        self.spreading = all(p.spreading for p in self.parts)
-        gaps = [p.right_stable_gap for p in self.parts]
-        self.right_stable_gap = max(gaps) if gaps and all(g is not None for g in gaps) else None
-
-    def contains(self, a):
-        if not a:
-            return True
-        return any(p.contains(a) for p in self.parts)
-
-    def descriptor(self):
-        return "union(%s)" % ",".join(p.descriptor() for p in self.parts)
-
-    def singleton_witness(self, horizon=DEFAULT_HORIZON):
-        hits = [w for w in (p.singleton_witness(horizon) for p in self.parts) if w]
-        return min(hits) if hits else None
 
 
 class Oracle(FamilyHandle):
@@ -447,55 +428,8 @@ def is_admissible(fam, blocks):
 
 
 def residual(fam, prefix):
-    """The family {B : prefix < B, prefix u B in fam}, reduced symbolically
-    for fine Schreier handles where the recursion allows it."""
-    prefix = finset(prefix)
-    if not fam.contains(prefix):
-        raise FamilyError("residual prefix %s is not a member" % format_finset(prefix))
-    if not prefix:
-        return fam
-    if isinstance(fam, FineSchreier):
-        head, rest = prefix[0], prefix[1:]
-        reduced = _fine_residual_step(fam.alpha, head)
-        if rest:
-            return residual(reduced, rest)
-        return reduced
+    """The family {B : prefix < B, prefix u B in fam}."""
     return Residual(fam, prefix)
-
-
-def _fine_residual_step(alpha, n):
-    """Residual of F_alpha by the singleton {n}, as a symbolic handle."""
-    if alpha.is_successor:
-        pred = ordinals.classify(alpha)[1]
-        return Restriction_gt(FineSchreier(pred), n)
-    # Limit: union over m <= n of the residuals along the fundamental sequence,
-    # keeping only those branches where {n} is a member.
-    parts = []
-    for m in range(1, n + 1):
-        sub = ordinals.fundamental_seq(alpha, m)
-        if fs_member(sub, (n,)):
-            parts.append(_fine_residual_step(sub, n))
-    return Union(parts) if parts else Explicit([()])
-
-
-class Restriction_gt(FamilyHandle):
-    """Members of the base family whose elements all exceed a threshold."""
-
-    def __init__(self, base, threshold):
-        self.base = base
-        self.threshold = threshold
-
-    def contains(self, a):
-        return (not a or a[0] > self.threshold) and self.base.contains(a)
-
-    def descriptor(self):
-        return "above(%s;%d)" % (self.base.descriptor(), self.threshold)
-
-    def singleton_witness(self, horizon=DEFAULT_HORIZON):
-        for n in range(self.threshold + 1, self.threshold + 1 + horizon):
-            if self.contains((n,)):
-                return n
-        return None
 
 
 def check_structure(fam, bound, budget=2_000_000):

@@ -6,8 +6,12 @@ generated from the coordinate functionals by
     f  =  c * (f_1 + ... + f_k),   k >= 2,
 
 where the supports of the f_j are successive and their minima form a member
-of F.  Generation is graded by depth; at depth >= |supp(x)| the supremum
-over the set equals the norm (tested, not assumed).
+of F.  Generation is graded by depth.  For a spreading family F, at depth
+>= |supp(x)| the supremum over the set equals the norm (tested, not
+assumed).  Without spreading it can fall short: a block's norm need not use
+the block's minimum, so the matching functional's support minima can lie to
+the right of the block minima, and only spreading keeps them admissible.
+`norm_via_functionals` therefore rejects non-spreading families.
 
 The best functional against a given vector is found without generating the
 set, by a dynamic program over (min, max) support signatures.  It evaluates
@@ -157,7 +161,11 @@ def _best_functional(params, x, depth):
 
 def norm_via_functionals(params, x, depth=None):
     """Norm of x as the supremum of <f, x> over the generated functional set
-    K_depth (by default depth |supp(x)|, where the supremum is the norm)."""
+    K_depth (by default depth |supp(x)|, where the supremum is the norm).
+    The family must be spreading."""
+    if not params.family.spreading:
+        raise NormError("the functional route needs a spreading family, not %s"
+                        % params.family.descriptor())
     if depth is None:
         depth = len(x)
     return _best_functional(params, x, depth)[0]

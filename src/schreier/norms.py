@@ -110,7 +110,7 @@ def norm(params, x, support_cap=DEFAULT_SUPPORT_CAP):
     root decomposition reaches.
     """
     if not x:
-        return (Fraction(0), Leaf(0, 0))
+        return (Fraction(0), Node([], [], 0))
     supp = x.support
     if len(supp) > support_cap:
         raise NormError("support size %d exceeds cap %d" % (len(supp), support_cap))
@@ -180,10 +180,15 @@ def verify_certificate(params, x, cert):
     """Recompute a certificate bottom-up and check admissibility at each node.
 
     Returns the certified value, a lower bound for the norm; raises
-    CertificateError at the first invalid node.
+    CertificateError at the first invalid node.  The zero vector is
+    certified by the empty decomposition, valued 0.
     """
     coeff = dict(x.entries)
     c = params.c
+    if not coeff:
+        if not isinstance(cert, Node) or cert.blocks or cert.children or cert.value:
+            raise CertificateError("the zero vector takes the empty certificate")
+        return cert.value
 
     def check(node, allowed):
         if isinstance(node, Leaf):

@@ -273,7 +273,7 @@ def check_almost_increasing(bound=14):
 
 
 def check_residual_coherence(bound=9):
-    """Symbolic residuals agree with direct membership of {n} u B."""
+    """Residuals by {n} agree with direct membership of {n} u B."""
     for alpha in GRID_ORDINALS:
         fam = FineSchreier(alpha)
         for n in (1, 2, 4):
@@ -592,7 +592,7 @@ def _family_checks():
          lambda rng: check_hereditary_spreading()),
         ("fam-almost-increasing", "tails of F_alpha embed into F_beta for alpha <= beta",
          lambda rng: check_almost_increasing()),
-        ("fam-residual", "symbolic residuals match direct membership",
+        ("fam-residual", "residuals by {n} match direct membership of {n} u B",
          lambda rng: check_residual_coherence()),
         ("fam-cb-index", "cb_index(F_3) = 4 and cb_index(F_k) = k+1 for k <= 6",
          lambda rng: check_cb_index()),

@@ -39,6 +39,16 @@ class ExplicitTree:
         closed.add(())
         self.members = frozenset(closed)
 
+    @classmethod
+    def from_json(cls, data):
+        """A tree from a JSON array of label sequences (labels are scalars)."""
+        if not isinstance(data, list) or not all(
+            isinstance(seq, list) and not any(isinstance(x, (list, dict)) for x in seq)
+            for seq in data
+        ):
+            raise TreeError("a tree is a JSON array of arrays of scalar labels")
+        return cls(data)
+
     def __contains__(self, seq):
         return tuple(seq) in self.members
 
@@ -97,10 +107,17 @@ class BlockTree:
 
     @classmethod
     def from_json(cls, data):
-        return cls(
-            [[tuple(block) for block in gen] for gen in data["generators"]],
-            data.get("closure", "spreading"),
-        )
+        gens = data.get("generators") if isinstance(data, dict) else None
+        if not isinstance(gens, list) or not all(
+            isinstance(gen, list) and all(
+                isinstance(block, list) and all(isinstance(x, int) for x in block)
+                for block in gen)
+            for gen in gens
+        ):
+            raise TreeError('a block tree is a JSON object whose "generators" is an '
+                            'array of arrays of integer arrays')
+        return cls([[tuple(block) for block in gen] for gen in gens],
+                   data.get("closure", "spreading"))
 
     @classmethod
     def from_json_file(cls, path):
@@ -214,7 +231,7 @@ def _minset_member(bt, f_set):
     return False
 
 
-def min_set(bt, bound=None):
+def min_set(bt):
     """The family { {min A_i} : (A_i) in bt } as a queryable handle.
 
     For spreading-closure trees the family is spreading and hereditary (the
@@ -240,15 +257,6 @@ def min_set(bt, bound=None):
         default=1,
     )
     return Oracle(lambda a: _minset_member(bt, a), name, right_stable_gap=gap)
-
-
-def compression(bt, bound=None):
-    """The compression of a block tree: its family of min-sets.
-
-    Identical to min_set; both names are kept because the two constructions
-    coincide for trees of finite sets.
-    """
-    return min_set(bt, bound)
 
 
 def _cb_iterate_members(fam, steps, bound):

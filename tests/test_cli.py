@@ -7,7 +7,7 @@ from click.testing import CliRunner
 from schreier.cli import main
 from schreier.families import Schreier
 from schreier.functionals import norm_via_functionals
-from schreier.norms import NormParams
+from schreier.norms import NormParams, cert_from_json, verify_certificate
 from schreier.ordinals import ONE
 from schreier.vectors import parse_vec
 
@@ -105,6 +105,13 @@ class TestFamily:
         lines = result.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
 
+    def test_member_past_omega_omega_long_set(self):
+        # 2000 successor steps down to w^w, then 99 more elements
+        result = run("family", "member", "--fine", "w^(w)+2000",
+                     "--set", ",".join(str(n) for n in range(1, 2100)))
+        assert result.exit_code == 0
+        assert result.output.strip() == "yes"
+
     def test_cb_index(self):
         assert run("family", "cb-index", "--fine", "3").output.strip() == "4"
 
@@ -121,6 +128,13 @@ class TestNorm:
         assert result.output.strip() == "3/2"
         data = json.loads(cert.read_text())
         assert data["value"] == "3/2"
+
+    def test_zero_vector_cert_verifies(self, tmp_path):
+        cert = tmp_path / "cert.json"
+        result = run("norm", "--schreier", "1", "--c", "1/2", "--vec", "", "--cert", str(cert))
+        assert result.exit_code == 0 and result.output.strip() == "0"
+        data = json.loads(cert.read_text())
+        assert verify_certificate(S1, parse_vec(""), cert_from_json(data)) == 0
 
     def test_cache_round_trip(self, tmp_path):
         args = ("norm", "--schreier", "1", "--c", "1/2", "--vec", "3:1,4:1,5:1",
@@ -202,6 +216,36 @@ class TestIndices:
                      "--bound", "10")
         assert result.exit_code == 0
         assert result.output.strip() == "holds"
+
+    @pytest.mark.parametrize("args, text", [
+        ("order", "[1, 2]"),
+        ("order", '{"generators": []}'),
+        ("order", "[[[1], [2]]]"),
+        ("derive", "[1, 2]"),
+        ("derive", '{"closure": "spreading"}'),
+        ("derive", '{"generators": [[1, 2]]}'),
+        ("derive", '{"generators": [[["a"]]]}'),
+        ("derive", '{"generators": [[[2], [1]]]}'),
+        ("derive", '{"generators": [[[1]]], "closure": "explicit"}'),
+        ("derive", '{"generators": [[[1]]], "closure": "other"}'),
+        ("compress --bound 4", '{"generators": [[[0]]]}'),
+        ("lemma47 --n 1 --bound 4", '{"generators": 3}'),
+        ("lemma47 --n 1 --bound 4", '{"generators": [[[1]]], "closure": "explicit"}'),
+        ("witness --alpha 1 --bound 3 --witness {good}", "[[[1]]]"),
+        ("witness --alpha 1 --bound 3 --tree {good} --witness {bad}", "[1]"),
+        ("witness --alpha 1 --bound 3 --tree {good} --witness {bad}", '{"1": 1}'),
+    ])
+    def test_bad_tree_is_usage_error(self, tmp_path, args, text):
+        bad, good = tmp_path / "bad.json", tmp_path / "good.json"
+        bad.write_text(text)
+        good.write_text(json.dumps({"generators": [[[1]]]}))
+        if "--tree" not in args:
+            args += " --tree {bad}"
+        result = run("indices", *args.format(bad=bad, good=good).split())
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
 
     def test_witness(self, tmp_path):
         tree = tmp_path / "tree.json"

@@ -1,8 +1,13 @@
+import functools
+import gc
 import itertools
+import time
 
 import pytest
 
-from schreier.ordinals import OMEGA, ONE, add, from_int, fundamental_seq, mul, omega_pow
+from schreier.ordinals import (
+    OMEGA, ONE, add, classify, from_int, fundamental_seq, mul, omega_pow,
+)
 from schreier.families import (
     BudgetExceeded,
     Explicit,
@@ -83,6 +88,19 @@ class TestClosedForms:
         assert fw.contains((2, 5))
 
 
+@functools.lru_cache(maxsize=None)
+def oracle_member(alpha, a):
+    """Membership in F_alpha by the defining recursion: a reference that
+    shares no code with `fs_member` or the residual states."""
+    if not a:
+        return True
+    if alpha.is_zero:
+        return False
+    if alpha.is_successor:
+        return oracle_member(classify(alpha)[1], a[1:])
+    return any(oracle_member(fundamental_seq(alpha, n), a) for n in range(1, a[0] + 1))
+
+
 def read_states(fam, a):
     """Membership of `a` by reading it through the family's residual states."""
     state = fam.initial_state()
@@ -94,6 +112,7 @@ def read_states(fam, a):
 
 
 OMEGA_SQ = omega_pow(from_int(2))
+OMEGA_OMEGA = omega_pow(OMEGA)
 
 
 class TestResidualStates:
@@ -104,12 +123,19 @@ class TestResidualStates:
         Schreier(from_int(2)),
         FineSchreier(add(OMEGA_SQ, ONE)),
         FineSchreier(add(mul(OMEGA, from_int(2)), from_int(3))),
+        # prefix states, and the search at limits from w^w on
+        FineSchreier(OMEGA_OMEGA),
+        FineSchreier(add(OMEGA_OMEGA, from_int(2))),
+        FineSchreier(add(OMEGA_OMEGA, OMEGA)),
+        FineSchreier(mul(OMEGA_OMEGA, from_int(2))),
     ]
 
     @pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.descriptor())
     def test_states_accept_exactly_the_members(self, fam):
         for a in subsets(12, 6):
-            assert read_states(fam, a) == fs_member(fam.alpha, a), a
+            expected = oracle_member(fam.alpha, a)
+            assert fs_member(fam.alpha, a) == expected, a
+            assert read_states(fam, a) == expected, a
 
     def test_fundamental_sequences_grow_by_inclusion(self):
         # the inclusion F_(lam[m]) <= F_(lam[m+1]) below w^w that lets a
@@ -119,7 +145,7 @@ class TestResidualStates:
             for m in range(1, 5):
                 low, high = fundamental_seq(lam, m), fundamental_seq(lam, m + 1)
                 for a in subsets(10, 5):
-                    assert not fs_member(low, a) or fs_member(high, a), (lam, m, a)
+                    assert not oracle_member(low, a) or oracle_member(high, a), (lam, m, a)
 
     def test_omega_omega_and_explicit_keep_prefix_states(self):
         for fam in (Schreier(OMEGA), Explicit([(2, 5), (3,)])):
@@ -134,7 +160,20 @@ class TestResidualStates:
         # an eager set-valued state would hold about a million ordinals here
         s3 = Schreier(from_int(3))
         a = tuple(range(1000, 1000 + 7 * 40, 7))
-        assert read_states(s3, a) == fs_member(s3.alpha, a)
+        assert read_states(s3, a) == fs_member(s3.alpha, a) == oracle_member(s3.alpha, a)
+
+    @pytest.mark.parametrize("fam", [FineSchreier(OMEGA), Schreier(ONE)],
+                             ids=lambda f: f.descriptor())
+    def test_long_sets_without_recursion(self, fam):
+        # F_w = S_1 is {A : |A| <= min A}; a recursion per element would
+        # overflow the stack long before 5000 elements.  Collect first, so
+        # that the garbage of earlier tests is not timed with the call.
+        for start, expected in ((5000, True), (4999, False)):
+            a = tuple(range(start, start + 5000))
+            gc.collect()
+            t0 = time.perf_counter()
+            assert fam.contains(a) is expected
+            assert time.perf_counter() - t0 < 0.1
 
 
 class TestHandles:
@@ -217,7 +256,7 @@ class TestResidual:
         for b in subsets(9, 3):
             if b and b[0] <= 3:
                 continue
-            assert res.contains(b) == fs_member(OMEGA, (3,) + b)
+            assert res.contains(b) == oracle_member(OMEGA, (3,) + b)
 
     def test_rejects_non_member_prefix(self):
         with pytest.raises(FamilyError):

@@ -76,6 +76,16 @@ class TestNormValues:
     def test_empty_vector(self):
         assert norm(S1, SparseVec([]))[0] == 0
 
+    def test_empty_vector_certificate_verifies(self):
+        zero = SparseVec([])
+        _, cert = norm(S1, zero)
+        again = cert_from_json(json.loads(json.dumps(cert.to_json())))
+        assert verify_certificate(S1, zero, again) == 0
+        with pytest.raises(CertificateError):
+            verify_certificate(S1, zero, Leaf(0, 0))
+        with pytest.raises(CertificateError):
+            verify_certificate(S1, vec("2:1"), cert)
+
     def test_support_cap(self):
         x = SparseVec([(i, Fraction(1)) for i in range(1, 20)])
         with pytest.raises(NormError):
@@ -136,6 +146,16 @@ class TestOracleAgreement:
             # block admissibility only in spreading families
             if fam.spreading:
                 assert norm_via_functionals(params, x) == value
+
+    def test_functional_route_rejects_non_spreading(self):
+        # norm's blocks {2} and {4,5,8} have minima {2,4}, a member, but the
+        # block {4,5,8} is normed without 4, and neither {2,5} nor {2,8},
+        # the minima a functional would need, is a member
+        params = NormParams(Explicit([(2, 4, 6), (3, 5), (1, 7, 8)]), Fraction(2, 3))
+        x = vec("2:3,4:-1,5:-2,8:2")
+        assert norm(params, x)[0] == norm_exhaustive(params, x) == Fraction(10, 3)
+        with pytest.raises(NormError):
+            norm_via_functionals(params, x)
 
     @pytest.mark.parametrize("fam", [Schreier(ONE), FineSchreier(from_int(5)),
                                      Schreier(from_int(2))], ids=lambda f: f.descriptor())

@@ -10,7 +10,6 @@ from schreier.trees import (
     TreeError,
     block_derivative,
     block_index_finite,
-    compression,
     lemma47_check,
     min_set,
     order,
@@ -102,12 +101,6 @@ class TestMinSet:
         assert fam.contains((1, 5))
         assert not fam.contains((4, 5))
         assert fam.contains((4, 6))
-
-    def test_compression_alias(self):
-        bt = BlockTree([[(1,), (2, 3)]])
-        a = sorted(enumerate_family(min_set(bt), 5))
-        b = sorted(enumerate_family(compression(bt), 5))
-        assert a == b
 
 
 class TestLemma47:
