@@ -1,13 +1,14 @@
 """Persistent norm cache: one JSON record per line.
 
-Records have the shape {family, c, vec, value, cert_digest}.  The cache is
-an optimization only: a hit must equal recomputation, and recomputed values
-are checked against cached ones when both are available.
+Records have the shape {family, c, vec, value, cert_digest}, keyed by the
+first three.  A lookup returns the stored value without recomputing it, and
+a store appends a record only for a key not yet in the file.  Lines that do
+not decode are skipped.  The certificate digest is written with each record
+but nothing reads it back, and no hit is compared with recomputation.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import threading
@@ -51,6 +52,8 @@ def _load(path):
 
 
 def cert_digest(cert):
+    import hashlib  # only a miss pays for it
+
     return hashlib.sha256(
         json.dumps(cert.to_json(), sort_keys=True).encode()
     ).hexdigest()

@@ -1,366 +1,269 @@
 """Command line front end.
 
 Exit codes: 0 success (and all requested checks pass), 1 a check failed,
-2 usage error (click's default, and any invalid input the library rejects),
+2 usage error (bad options) and any invalid input the library rejects,
 3 a search or enumeration budget ran out.  Errors print one `error:` line.
+
+Each command imports the layers it runs inside its own body, so a call
+loads only the modules it uses.
 """
 
-from __future__ import annotations
-
+import argparse
 import json
 import sys
-from fractions import Fraction
 
-import click
-
-from . import ordinals
-from .ordinals import OrdinalError, parse_ordinal, format_ordinal
-from .families import (
-    BudgetExceeded,
-    Explicit,
-    FamilyError,
-    FineSchreier,
-    Schreier,
-    cb_index_finite,
-    check_structure,
-    enumerate_family,
-    format_finset,
-    is_admissible,
-    is_maximal,
-    parse_finset,
-)
-from .norms import NormError, NormParams, norm, norm_value
-from .functionals import dual_norm as dual_norm_fn
-from .norms import domination_search
-from .estimates import equivalence_sample
-from .trees import (
-    BlockTree,
-    ExplicitTree,
-    TreeError,
-    block_derivative,
-    lemma47_check,
-    min_set,
-    order as tree_order,
-    prop43_verify,
-)
-from .vectors import VectorError, parse_vec, format_vec
-from .suites import run_suite, SUITES
+from . import SchreierError
 
 EXIT_CHECK_FAILED = 1
 EXIT_BUDGET = 3
+# sorted(suites.SUITES) + ["all"], spelled out so that only `check` imports suites
+SUITE_CHOICES = ("families", "indices", "norms", "ordinals", "all")
 
 
-def _fail(message, code=1):
-    click.echo("error: %s" % message, err=True)
+def _fail(message, code=2):
+    print("error: %s" % message, file=sys.stderr)
     sys.exit(code)
 
 
-class _Main(click.Group):
-    """The error boundary of every command: library errors become one
-    `error:` line and exit 2, an exhausted budget exits 3."""
+def main(args=None, prog_name=None):
+    """Exact Schreier families, Tsirelson-type norms, and tree indices.
 
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except BudgetExceeded as exc:
-            _fail(str(exc), EXIT_BUDGET)
-        except json.JSONDecodeError as exc:
-            _fail("invalid JSON: %s" % exc, 2)
-        except (FamilyError, NormError, OrdinalError, TreeError, VectorError) as exc:
-            _fail(str(exc), 2)
-
-
-@click.group(cls=_Main)
-def main():
-    """Exact Schreier families, Tsirelson-type norms, and tree indices."""
+    Runs one command and always ends in SystemExit with the exit status.
+    The error boundary: library errors print one `error:` line and exit 2,
+    an exhausted budget exits 3.
+    """
+    parsed = _parser(prog_name or "schreier").parse_args(args)
+    try:
+        code = parsed.run(parsed)
+    except SchreierError as exc:
+        _fail(exc, exc.exit_code)
+    except json.JSONDecodeError as exc:
+        _fail("invalid JSON: %s" % exc)
+    except OSError as exc:
+        _fail(exc)
+    sys.exit(code)
 
 
 # -- ordinal commands -------------------------------------------------------
 
-@main.group("ord")
-def ord_group():
-    """Cantor Normal Form ordinal arithmetic."""
+def _ord_binary(name):
+    def run(args):
+        from . import ordinals
+
+        result = getattr(ordinals, name)(ordinals.parse_ordinal(args.a),
+                                         ordinals.parse_ordinal(args.b))
+        print(result if name == "compare" else ordinals.format_ordinal(result))
+
+    return run
 
 
-@ord_group.command("cmp")
-@click.argument("a")
-@click.argument("b")
-def ord_cmp(a, b):
-    click.echo(ordinals.compare(parse_ordinal(a), parse_ordinal(b)))
-
-
-@ord_group.command("add")
-@click.argument("a")
-@click.argument("b")
-def ord_add(a, b):
-    click.echo(format_ordinal(ordinals.add(parse_ordinal(a), parse_ordinal(b))))
-
-
-@ord_group.command("mul")
-@click.argument("a")
-@click.argument("b")
-def ord_mul(a, b):
-    click.echo(format_ordinal(ordinals.mul(parse_ordinal(a), parse_ordinal(b))))
-
-
-@ord_group.command("nsum")
-@click.argument("a")
-@click.argument("b")
-def ord_nsum(a, b):
-    click.echo(format_ordinal(ordinals.natural_sum(parse_ordinal(a), parse_ordinal(b))))
-
-
-@ord_group.command("fs")
-@click.argument("a")
-@click.argument("n", type=int)
-def ord_fs(a, n):
+def ord_fs(args):
     """N-th element of the fundamental sequence of a limit ordinal."""
-    click.echo(format_ordinal(ordinals.fundamental_seq(parse_ordinal(a), n)))
+    from .ordinals import format_ordinal, fundamental_seq, parse_ordinal
+
+    print(format_ordinal(fundamental_seq(parse_ordinal(args.a), args.n)))
 
 
-@ord_group.command("classify")
-@click.argument("a")
-def ord_classify(a):
-    kind, pred = ordinals.classify(parse_ordinal(a))
-    if kind == "successor":
-        click.echo("successor of %s" % format_ordinal(pred))
-    else:
-        click.echo(kind)
+def ord_classify(args):
+    from .ordinals import classify, format_ordinal, parse_ordinal
+
+    kind, pred = classify(parse_ordinal(args.a))
+    print("successor of %s" % format_ordinal(pred) if kind == "successor" else kind)
 
 
 # -- family commands --------------------------------------------------------
 
-def family_options(fn):
-    fn = click.option("--fine", "fine", default=None, metavar="EXPR",
-                      help="fine family F_EXPR, EXPR an ordinal term")(fn)
-    fn = click.option("--schreier", "schreier", default=None, metavar="EXPR",
-                      help="family S_EXPR = F_(w^EXPR)")(fn)
-    fn = click.option("--explicit", "explicit", default=None, metavar="FILE",
-                      type=click.Path(exists=True),
-                      help="explicit family: JSON array of integer arrays; "
-                           "downward closure applied on load")(fn)
-    return fn
+def _family_options(parser, prefix=""):
+    """Exactly one family; `dominate` prefixes its two with `u-` and `v-`."""
+    one = parser.add_mutually_exclusive_group(required=True)
+    one.add_argument("--%sfine" % prefix, metavar="EXPR",
+                     help="fine family F_EXPR, EXPR an ordinal term")
+    one.add_argument("--%sschreier" % prefix, metavar="EXPR",
+                     help="family S_EXPR = F_(w^EXPR)")
+    if not prefix:
+        one.add_argument("--explicit", metavar="FILE",
+                         help="explicit family: JSON array of integer arrays; "
+                              "downward closure applied on load")
 
 
-def family_from_opts(fine, schreier, explicit):
-    given = [x for x in (fine, schreier, explicit) if x is not None]
-    if len(given) != 1:
-        _fail("give exactly one of --fine, --schreier, --explicit", 2)
+def _family(args, prefix=""):
+    from .families import Explicit, FineSchreier, Schreier
+    from .ordinals import parse_ordinal
+
+    fine, schreier = getattr(args, prefix + "fine"), getattr(args, prefix + "schreier")
     if fine is not None:
         return FineSchreier(parse_ordinal(fine))
     if schreier is not None:
         return Schreier(parse_ordinal(schreier))
-    return Explicit.from_json_file(explicit)
+    return Explicit.from_json_file(args.explicit)
 
 
-@main.group("family")
-def family_group():
-    """Queries against compact hereditary families."""
+def family_member(args):
+    from .families import parse_finset
+
+    fam = _family(args)
+    print("yes" if fam.contains(parse_finset(args.set)) else "no")
 
 
-@family_group.command("member")
-@family_options
-@click.option("--set", "set_", required=True, metavar="FINSET")
-def family_member(fine, schreier, explicit, set_):
-    fam = family_from_opts(fine, schreier, explicit)
-    click.echo("yes" if fam.contains(parse_finset(set_)) else "no")
+def family_maximal(args):
+    from .families import is_maximal, parse_finset
+
+    fam = _family(args)
+    print("yes" if is_maximal(fam, parse_finset(args.set)) else "no")
 
 
-@family_group.command("maximal")
-@family_options
-@click.option("--set", "set_", required=True, metavar="FINSET")
-def family_maximal(fine, schreier, explicit, set_):
-    fam = family_from_opts(fine, schreier, explicit)
-    click.echo("yes" if is_maximal(fam, parse_finset(set_)) else "no")
+def family_enumerate(args):
+    from .families import enumerate_family, format_finset
+
+    fam = _family(args)
+    for a in enumerate_family(fam, args.bound, maximal_only=args.maximal_only,
+                              budget=args.budget):
+        print(format_finset(a))
 
 
-@family_group.command("enumerate")
-@family_options
-@click.option("--bound", type=int, required=True)
-@click.option("--maximal-only", is_flag=True, default=False)
-@click.option("--budget", type=int, default=1_000_000)
-def family_enumerate(fine, schreier, explicit, bound, maximal_only, budget):
-    fam = family_from_opts(fine, schreier, explicit)
-    for a in enumerate_family(fam, bound, maximal_only=maximal_only, budget=budget):
-        click.echo(format_finset(a))
+def family_admissible(args):
+    from .families import is_admissible, parse_finset
+
+    fam = _family(args)
+    parts = [parse_finset(b) for b in args.blocks.split(";") if b]
+    print("yes" if is_admissible(fam, parts) else "no")
 
 
-@family_group.command("admissible")
-@family_options
-@click.option("--blocks", required=True, metavar="B1;B2;...",
-              help="semicolon-separated FinSets, e.g. '1,2;4,5'")
-def family_admissible(fine, schreier, explicit, blocks):
-    fam = family_from_opts(fine, schreier, explicit)
-    parts = [parse_finset(b) for b in blocks.split(";") if b]
-    click.echo("yes" if is_admissible(fam, parts) else "no")
+def family_structure(args):
+    from .families import check_structure
 
-
-@family_group.command("structure")
-@family_options
-@click.option("--bound", type=int, required=True)
-@click.option("--budget", type=int, default=2_000_000)
-def family_structure(fine, schreier, explicit, bound, budget):
-    fam = family_from_opts(fine, schreier, explicit)
-    report = check_structure(fam, bound, budget=budget)
+    report = check_structure(_family(args), args.bound, budget=args.budget)
     for key, value in report.items():
-        click.echo("%s: %s" % (key, "yes" if value else "no"))
+        print("%s: %s" % (key, "yes" if value else "no"))
     if not all(report.values()):
-        sys.exit(EXIT_CHECK_FAILED)
+        return EXIT_CHECK_FAILED
 
 
-@family_group.command("cb-index")
-@family_options
-@click.option("--budget", type=int, default=32)
-def family_cb_index(fine, schreier, explicit, budget):
-    fam = family_from_opts(fine, schreier, explicit)
-    index, exact = cb_index_finite(fam, budget=budget)
+def family_cb_index(args):
+    from .families import cb_index_finite
+
+    index, exact = cb_index_finite(_family(args), budget=args.budget)
     if not exact:
-        click.echo(">= %d (budget reached)" % index)
-        sys.exit(EXIT_BUDGET)
-    click.echo(str(index))
+        print(">= %d (budget reached)" % index)
+        return EXIT_BUDGET
+    print(index)
 
 
 # -- norm commands ----------------------------------------------------------
 
-def _parse_c(text):
+def _params(args, prefix=""):
+    from fractions import Fraction
+
+    from .norms import NormParams
+
+    fam = _family(args, prefix)
+    text = getattr(args, prefix + "c")
     try:
-        return Fraction(text)
+        c = Fraction(text)
     except (ValueError, ZeroDivisionError):
-        _fail("cannot parse constant %r" % text, 2)
+        _fail("cannot parse constant %r" % text)
+    return NormParams(fam, c)
 
 
-@main.command("norm")
-@family_options
-@click.option("--c", "c_", required=True, metavar="NUM/DEN")
-@click.option("--vec", required=True, metavar="IDX:COEF,...")
-@click.option("--cert", "cert_path", default=None, type=click.Path(),
-              help="write the witnessing certificate as JSON")
-@click.option("--cache-dir", default=None, type=click.Path(),
-              help="persistent norm cache directory (overrides the environment)")
-def norm_cmd(fine, schreier, explicit, c_, vec, cert_path, cache_dir):
+def norm_cmd(args):
     """Exact Tsirelson-type norm of a rational vector."""
-    params = NormParams(family_from_opts(fine, schreier, explicit), _parse_c(c_))
-    x = parse_vec(vec)
-    if cert_path is None and cache_dir is not None:
-        click.echo(str(norm_value(params, x, cache_dir=cache_dir)))
+    from .norms import norm, norm_value
+    from .vectors import parse_vec
+
+    params = _params(args)
+    x = parse_vec(args.vec)
+    if args.cert is None and args.cache_dir is not None:
+        print(norm_value(params, x, cache_dir=args.cache_dir))
         return
     value, cert = norm(params, x)
-    if cert_path is not None:
-        with open(cert_path, "w") as fh:
+    if args.cert is not None:
+        with open(args.cert, "w") as fh:
             json.dump(cert.to_json(), fh, indent=2)
-    click.echo(str(value))
+    print(value)
 
 
-@main.command("dualnorm")
-@family_options
-@click.option("--c", "c_", required=True, metavar="NUM/DEN")
-@click.option("--vec", required=True, metavar="IDX:COEF,...")
-@click.option("--bound", type=int, required=True)
-@click.option("--depth", type=int, required=True)
-def dualnorm_cmd(fine, schreier, explicit, c_, vec, bound, depth):
+def dualnorm_cmd(args):
     """Exact dual gauge against the generated functional set."""
-    params = NormParams(family_from_opts(fine, schreier, explicit), _parse_c(c_))
-    g = parse_vec(vec)
-    click.echo(str(dual_norm_fn(params, g, bound, depth)))
+    from .functionals import dual_norm
+    from .vectors import parse_vec
+
+    params = _params(args)
+    print(dual_norm(params, parse_vec(args.vec), args.bound, args.depth))
 
 
-@main.command("dominate")
-@click.option("--u-fine", default=None, metavar="EXPR")
-@click.option("--u-schreier", default=None, metavar="EXPR")
-@click.option("--u-c", required=True, metavar="NUM/DEN")
-@click.option("--v-fine", default=None, metavar="EXPR")
-@click.option("--v-schreier", default=None, metavar="EXPR")
-@click.option("--v-c", required=True, metavar="NUM/DEN")
-@click.option("--bound", type=int, default=8)
-@click.option("--budget", type=int, default=10_000)
-def dominate_cmd(u_fine, u_schreier, u_c, v_fine, v_schreier, v_c, bound, budget):
+def dominate_cmd(args):
     """Certified lower bound for the domination constant between two norms."""
-    params_u = NormParams(family_from_opts(u_fine, u_schreier, None), _parse_c(u_c))
-    params_v = NormParams(family_from_opts(v_fine, v_schreier, None), _parse_c(v_c))
-    ratio, witness = domination_search(params_u, params_v, bound, budget=budget)
-    click.echo("C >= %s" % ratio)
-    click.echo("witness: %s" % format_vec(witness))
+    from .norms import domination_search
+    from .vectors import format_vec
+
+    params_u, params_v = _params(args, "u_"), _params(args, "v_")
+    ratio, witness = domination_search(params_u, params_v, args.bound, budget=args.budget)
+    print("C >= %s" % ratio)
+    print("witness: %s" % format_vec(witness))
 
 
-@main.command("equiv-sample")
-@click.option("--alpha", required=True, metavar="EXPR")
-@click.option("--n", "n_", type=int, required=True)
-@click.option("--bound", type=int, default=8)
-@click.option("--samples", type=int, default=100)
-@click.option("--seed", type=int, default=0)
-def equiv_sample_cmd(alpha, n_, bound, samples, seed):
+def equiv_sample_cmd(args):
     """Exact ratio report between the product-family and scaled-c norms."""
     import random
 
-    from .suites import random_vector
+    from .estimates import equivalence_sample, random_vector
+    from .ordinals import parse_ordinal
+    from .vectors import format_vec
 
-    rng = random.Random("equiv:%d" % seed)
+    rng = random.Random("equiv:%d" % args.seed)
     vectors = []
-    while len(vectors) < samples:
-        x = random_vector(rng, bound=bound, max_size=min(6, bound))
+    while len(vectors) < args.samples:
+        x = random_vector(rng, bound=args.bound, max_size=min(6, args.bound))
         if x:
             vectors.append(x)
-    report = equivalence_sample(parse_ordinal(alpha), n_, bound, vectors)
-    click.echo("c = %s" % report.c)
-    click.echo("samples = %d" % report.samples)
-    click.echo("max ratio up = %s at %s" % (report.max_ratio_up, format_vec(report.witness_up)))
-    click.echo("max ratio down = %s at %s" % (report.max_ratio_down, format_vec(report.witness_down)))
+    report = equivalence_sample(parse_ordinal(args.alpha), args.n, args.bound, vectors)
+    print("c = %s" % report.c)
+    print("samples = %d" % report.samples)
+    print("max ratio up = %s at %s" % (report.max_ratio_up, format_vec(report.witness_up)))
+    print("max ratio down = %s at %s"
+          % (report.max_ratio_down, format_vec(report.witness_down)))
 
 
 # -- index commands ---------------------------------------------------------
 
-@main.group("indices")
-def indices_group():
-    """Tree orders, block derivatives, compression."""
+def indices_order(args):
+    from .trees import ExplicitTree, order
+
+    with open(args.tree) as fh:
+        print(order(ExplicitTree.from_json(json.load(fh))))
 
 
-@indices_group.command("order")
-@click.option("--tree", "tree_path", required=True, type=click.Path(exists=True),
-              help="JSON array of label sequences")
-def indices_order(tree_path):
-    with open(tree_path) as fh:
-        click.echo(str(tree_order(ExplicitTree.from_json(json.load(fh)))))
+def indices_derive(args):
+    from .trees import BlockTree, block_derivative
+
+    print(json.dumps(block_derivative(BlockTree.from_json_file(args.tree)).to_json()))
 
 
-@indices_group.command("derive")
-@click.option("--tree", "tree_path", required=True, type=click.Path(exists=True))
-def indices_derive(tree_path):
-    bt = BlockTree.from_json_file(tree_path)
-    click.echo(json.dumps(block_derivative(bt).to_json()))
+def indices_compress(args):
+    from .families import enumerate_family, format_finset
+    from .trees import BlockTree, min_set
+
+    for a in enumerate_family(min_set(BlockTree.from_json_file(args.tree)), args.bound):
+        print(format_finset(a))
 
 
-@indices_group.command("compress")
-@click.option("--tree", "tree_path", required=True, type=click.Path(exists=True))
-@click.option("--bound", type=int, required=True)
-def indices_compress(tree_path, bound):
-    for a in enumerate_family(min_set(BlockTree.from_json_file(tree_path)), bound):
-        click.echo(format_finset(a))
+def indices_lemma47(args):
+    from .trees import BlockTree, lemma47_check
 
-
-@indices_group.command("lemma47")
-@click.option("--tree", "tree_path", required=True, type=click.Path(exists=True))
-@click.option("--n", "n_", type=int, required=True)
-@click.option("--bound", type=int, required=True)
-def indices_lemma47(tree_path, n_, bound):
-    ok = lemma47_check(BlockTree.from_json_file(tree_path), n_, bound)
-    click.echo("holds" if ok else "fails")
+    ok = lemma47_check(BlockTree.from_json_file(args.tree), args.n, args.bound)
+    print("holds" if ok else "fails")
     if not ok:
-        sys.exit(EXIT_CHECK_FAILED)
+        return EXIT_CHECK_FAILED
 
 
-@indices_group.command("witness")
-@click.option("--alpha", required=True, metavar="EXPR")
-@click.option("--tree", "tree_path", required=True, type=click.Path(exists=True))
-@click.option("--witness", "witness_path", required=True, type=click.Path(exists=True),
-              help="JSON object mapping FinSet text to a node label (integer array)")
-@click.option("--bound", type=int, required=True)
-@click.option("--pred", type=click.Choice(["increasing", "distinct", "none"]),
-              default="increasing",
-              help="finite surrogate applied to each extension tail")
-def indices_witness(alpha, tree_path, witness_path, bound, pred):
+def indices_witness(args):
     """Verify a witness family against a target tree."""
-    bt = BlockTree.from_json_file(tree_path)
-    with open(witness_path) as fh:
+    from .families import parse_finset
+    from .ordinals import parse_ordinal
+    from .trees import BlockTree, TreeError, prop43_verify
+
+    bt = BlockTree.from_json_file(args.tree)
+    with open(args.witness) as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict) or not all(
         isinstance(v, list) and all(isinstance(x, int) for x in v) for v in raw.values()
@@ -372,37 +275,140 @@ def indices_witness(alpha, tree_path, witness_path, bound, pred):
         "distinct": lambda tail: len(set(tail)) == len(tail),
         "none": lambda tail: True,
     }
-    ok, violation = prop43_verify(parse_ordinal(alpha), witness, bt, preds[pred], bound)
+    ok, violation = prop43_verify(parse_ordinal(args.alpha), witness, bt, preds[args.pred],
+                                  args.bound)
     if ok:
-        click.echo("verified")
+        print("verified")
     else:
-        click.echo("violation: %s" % (violation,))
-        sys.exit(EXIT_CHECK_FAILED)
+        print("violation: %s" % (violation,))
+        return EXIT_CHECK_FAILED
 
 
 # -- suite command ----------------------------------------------------------
 
-@main.command("check")
-@click.option("--suite", "suite_name", required=True,
-              type=click.Choice(sorted(SUITES) + ["all"]))
-@click.option("--seed", type=int, default=0)
-@click.option("--json", "json_path", default=None, type=click.Path(),
-              help="also write the JSON summary to this file")
-def check_cmd(suite_name, seed, json_path):
+def check_cmd(args):
     """Run a property-check suite; exit 0 iff every check passes."""
-    report = run_suite(suite_name, seed=seed)
+    from .suites import run_suite
+
+    report = run_suite(args.suite, seed=args.seed)
     for c in sorted(report.checks, key=lambda c: c.id):
         line = "%s %s: %s" % ("pass" if c.ok else "FAIL", c.id, c.claim)
         if c.witness:
             line += " [%s]" % c.witness
-        click.echo(line)
+        print(line)
     summary = report.to_json()
-    click.echo(json.dumps(summary))
-    if json_path:
-        with open(json_path, "w") as fh:
+    print(json.dumps(summary))
+    if args.json:
+        with open(args.json, "w") as fh:
             json.dump(summary, fh, indent=2)
     if not report.ok:
-        sys.exit(EXIT_CHECK_FAILED)
+        return EXIT_CHECK_FAILED
+
+
+# -- the parser -------------------------------------------------------------
+
+def _parser(prog):
+    parser = argparse.ArgumentParser(prog=prog, description=main.__doc__.splitlines()[0],
+                                     allow_abbrev=False)
+    top = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def group(name, doc):
+        sub = top.add_parser(name, help=doc, description=doc, allow_abbrev=False)
+        return sub.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(parent, name, run):
+        sub = parent.add_parser(name, help=run.__doc__, description=run.__doc__,
+                                allow_abbrev=False)
+        sub.set_defaults(run=run)
+        return sub
+
+    ords = group("ord", "Cantor Normal Form ordinal arithmetic.")
+    for name, fn in (("cmp", "compare"), ("add", "add"), ("mul", "mul"),
+                     ("nsum", "natural_sum")):
+        sub = command(ords, name, _ord_binary(fn))
+        sub.add_argument("a")
+        sub.add_argument("b")
+    sub = command(ords, "fs", ord_fs)
+    sub.add_argument("a")
+    sub.add_argument("n", type=int)
+    command(ords, "classify", ord_classify).add_argument("a")
+
+    fams = group("family", "Queries against compact hereditary families.")
+    for name, run in (("member", family_member), ("maximal", family_maximal)):
+        sub = command(fams, name, run)
+        _family_options(sub)
+        sub.add_argument("--set", required=True, metavar="FINSET")
+    sub = command(fams, "enumerate", family_enumerate)
+    _family_options(sub)
+    sub.add_argument("--bound", type=int, required=True)
+    sub.add_argument("--maximal-only", action="store_true")
+    sub.add_argument("--budget", type=int, default=1_000_000)
+    sub = command(fams, "admissible", family_admissible)
+    _family_options(sub)
+    sub.add_argument("--blocks", required=True, metavar="B1;B2;...",
+                     help="semicolon-separated FinSets, e.g. '1,2;4,5'")
+    sub = command(fams, "structure", family_structure)
+    _family_options(sub)
+    sub.add_argument("--bound", type=int, required=True)
+    sub.add_argument("--budget", type=int, default=2_000_000)
+    sub = command(fams, "cb-index", family_cb_index)
+    _family_options(sub)
+    sub.add_argument("--budget", type=int, default=32)
+
+    sub = command(top, "norm", norm_cmd)
+    _family_options(sub)
+    sub.add_argument("--c", required=True, metavar="NUM/DEN")
+    sub.add_argument("--vec", required=True, metavar="IDX:COEF,...")
+    sub.add_argument("--cert", metavar="PATH",
+                     help="write the witnessing certificate as JSON")
+    sub.add_argument("--cache-dir", metavar="PATH",
+                     help="persistent norm cache directory (overrides the environment)")
+    sub = command(top, "dualnorm", dualnorm_cmd)
+    _family_options(sub)
+    sub.add_argument("--c", required=True, metavar="NUM/DEN")
+    sub.add_argument("--vec", required=True, metavar="IDX:COEF,...")
+    sub.add_argument("--bound", type=int, required=True)
+    sub.add_argument("--depth", type=int, required=True)
+    sub = command(top, "dominate", dominate_cmd)
+    for side in ("u", "v"):
+        _family_options(sub, side + "-")
+        sub.add_argument("--%s-c" % side, required=True, metavar="NUM/DEN")
+    sub.add_argument("--bound", type=int, default=8)
+    sub.add_argument("--budget", type=int, default=10_000)
+    sub = command(top, "equiv-sample", equiv_sample_cmd)
+    sub.add_argument("--alpha", required=True, metavar="EXPR")
+    sub.add_argument("--n", type=int, required=True)
+    sub.add_argument("--bound", type=int, default=8)
+    sub.add_argument("--samples", type=int, default=100)
+    sub.add_argument("--seed", type=int, default=0)
+
+    idx = group("indices", "Tree orders, block derivatives, compression.")
+    command(idx, "order", indices_order).add_argument(
+        "--tree", required=True, metavar="FILE", help="JSON array of label sequences")
+    command(idx, "derive", indices_derive).add_argument("--tree", required=True, metavar="FILE")
+    sub = command(idx, "compress", indices_compress)
+    sub.add_argument("--tree", required=True, metavar="FILE")
+    sub.add_argument("--bound", type=int, required=True)
+    sub = command(idx, "lemma47", indices_lemma47)
+    sub.add_argument("--tree", required=True, metavar="FILE")
+    sub.add_argument("--n", type=int, required=True)
+    sub.add_argument("--bound", type=int, required=True)
+    sub = command(idx, "witness", indices_witness)
+    sub.add_argument("--alpha", required=True, metavar="EXPR")
+    sub.add_argument("--tree", required=True, metavar="FILE")
+    sub.add_argument("--witness", required=True, metavar="FILE",
+                     help="JSON object mapping FinSet text to a node label (integer array)")
+    sub.add_argument("--bound", type=int, required=True)
+    sub.add_argument("--pred", choices=("increasing", "distinct", "none"),
+                     default="increasing",
+                     help="finite surrogate applied to each extension tail")
+
+    sub = command(top, "check", check_cmd)
+    sub.add_argument("--suite", required=True, choices=SUITE_CHOICES)
+    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--json", metavar="PATH",
+                     help="also write the JSON summary to this file")
+    return parser
 
 
 if __name__ == "__main__":

@@ -5,13 +5,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import ordinals
+from . import SchreierError, ordinals
 from .families import Schreier, format_finset
 from .norms import NormParams, norm
 from .vectors import SparseVec
 
 
-class EstimateError(ValueError):
+class EstimateError(SchreierError, ValueError):
     pass
 
 
@@ -61,6 +61,23 @@ def rational_root_half(n, tolerance=Fraction(1, 10**9)):
     return (lo + hi) / 2
 
 
+def random_vector(rng, bound=10, max_size=None, dense_bias=False):
+    """A random vector with support in [1..bound] and small rational entries."""
+    if bound < 1:
+        raise EstimateError("a random vector needs bound >= 1")
+    sizes = [1, 2, 2, 3, 3, 3, 4, 4, 5, 5, 6, 7]
+    if dense_bias:
+        sizes += [8, 9, 10]
+    size = rng.choice([s for s in sizes if s <= (max_size or bound)])
+    supp = sorted(rng.sample(range(1, bound + 1), size))
+    entries = []
+    for i in supp:
+        num = rng.choice([-3, -2, -1, 1, 1, 2, 2, 3, 4])
+        den = rng.choice([1, 1, 1, 2, 3])
+        entries.append((i, Fraction(num, den)))
+    return SparseVec(entries)
+
+
 @dataclass
 class EquivalenceReport:
     """Extreme exact ratios between ||.||_(T_(alpha*n)) and ||.||_(T_(alpha,c))."""
@@ -79,6 +96,8 @@ def equivalence_sample(alpha, n, bound, samples):
 
     `samples` is a sequence of vectors with support inside [1..bound].
     """
+    if bound < 1:
+        raise EstimateError("bound must be >= 1")
     c = rational_root_half(n)
     report = EquivalenceReport(c=c)
     params_prod = NormParams(schreier_product_family(alpha, n), Fraction(1, 2))
@@ -99,4 +118,6 @@ def equivalence_sample(alpha, n, bound, samples):
         if report.max_ratio_down is None or 1 / ratio > report.max_ratio_down:
             report.max_ratio_down = 1 / ratio
             report.witness_down = x
+    if not report.samples:
+        raise EstimateError("no nonzero sample to compare")
     return report

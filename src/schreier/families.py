@@ -24,7 +24,7 @@ import functools
 import itertools
 import json
 
-from . import ordinals
+from . import SchreierError, ordinals
 from .ordinals import Ordinal, ZERO, omega_pow
 
 
@@ -34,12 +34,14 @@ from .ordinals import Ordinal, ZERO, omega_pow
 DEFAULT_HORIZON = 64
 
 
-class FamilyError(ValueError):
+class FamilyError(SchreierError, ValueError):
     pass
 
 
-class BudgetExceeded(RuntimeError):
+class BudgetExceeded(SchreierError, RuntimeError):
     """A finite enumeration or iteration ran past its configured budget."""
+
+    exit_code = 3
 
 
 # -- finite sets ------------------------------------------------------------
@@ -479,6 +481,8 @@ def cb_index_finite(fam, budget=32, horizon=DEFAULT_HORIZON):
     Returns (index, exact).  When the index is not reached within the budget
     the result is (budget, False), reporting index >= budget.
     """
+    if budget < 0:
+        raise FamilyError("budget must be >= 0, got %d" % budget)
     current = fam
     for k in range(budget):
         if not current.contains(()):

@@ -12,16 +12,16 @@ route via norming functionals lives in `functionals`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .families import FamilyHandle, is_admissible
+from . import SchreierError
+from .families import is_admissible
 from .vectors import SparseVec
 
 DEFAULT_SUPPORT_CAP = 64
 
 
-class NormError(ValueError):
+class NormError(SchreierError, ValueError):
     pass
 
 
@@ -29,16 +29,38 @@ class CertificateError(NormError):
     pass
 
 
-@dataclass(frozen=True)
 class NormParams:
-    family: FamilyHandle
-    c: Fraction
+    """The norm's family F and constant 0 < c < 1; immutable, equal by value.
 
-    def __post_init__(self):
-        c = Fraction(self.c)
+    A plain class rather than a frozen dataclass: `dataclasses` imports
+    `inspect`, which would add its import time to every CLI call.
+    """
+
+    __slots__ = ("family", "c")
+
+    def __init__(self, family, c):
+        c = Fraction(c)
         if not (0 < c < 1):
             raise NormError("parameter c must satisfy 0 < c < 1, got %s" % c)
+        object.__setattr__(self, "family", family)
         object.__setattr__(self, "c", c)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("NormParams is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("NormParams is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not NormParams:
+            return NotImplemented
+        return (self.family, self.c) == (other.family, other.c)
+
+    def __hash__(self):
+        return hash((self.family, self.c))
+
+    def __repr__(self):
+        return "NormParams(family=%r, c=%r)" % (self.family, self.c)
 
     def key(self):
         return (self.family.descriptor(), str(self.c))
@@ -334,6 +356,8 @@ def domination_search(params_u, params_v, bound, budget=2000, rng=None, max_supp
     import itertools
     import random
 
+    if bound < 1 or budget < 1:
+        raise NormError("domination search needs bound >= 1 and budget >= 1")
     rng = rng or random.Random(0)
     coeff_pool = [Fraction(1), Fraction(1, 2), Fraction(2), Fraction(1, 3), Fraction(3)]
     best_ratio = None

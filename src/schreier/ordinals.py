@@ -11,8 +11,10 @@ from __future__ import annotations
 import functools
 import re
 
+from . import SchreierError
 
-class OrdinalError(ValueError):
+
+class OrdinalError(SchreierError, ValueError):
     pass
 
 

@@ -38,7 +38,12 @@ from .norms import (
     verify_certificate,
 )
 from .functionals import dual_norm, norm_via_functionals, norming_set
-from .estimates import check_l1_lower, equivalence_sample, schreier_product_family
+from .estimates import (
+    check_l1_lower,
+    equivalence_sample,
+    random_vector,
+    schreier_product_family,
+)
 from .trees import (
     BlockTree,
     ExplicitTree,
@@ -82,6 +87,7 @@ class SuiteReport:
                     "claim": c.claim,
                     "status": "pass" if c.ok else "fail",
                     **({"witness": c.witness} if c.witness else {}),
+                    "elapsed_ms": c.elapsed_ms,
                 }
                 for c in sorted(self.checks, key=lambda c: c.id)
             ],
@@ -102,20 +108,6 @@ def random_ordinal(rng, depth=3):
             exps.add(random_ordinal(rng, depth - 1))
     terms = tuple((e, rng.randint(1, 3)) for e in sorted(exps, reverse=True))
     return ordinals.Ordinal(terms)
-
-
-def random_vector(rng, bound=10, max_size=None, dense_bias=False):
-    sizes = [1, 2, 2, 3, 3, 3, 4, 4, 5, 5, 6, 7]
-    if dense_bias:
-        sizes += [8, 9, 10]
-    size = rng.choice([s for s in sizes if s <= (max_size or bound)])
-    supp = sorted(rng.sample(range(1, bound + 1), size))
-    entries = []
-    for i in supp:
-        num = rng.choice([-3, -2, -1, 1, 1, 2, 2, 3, 4])
-        den = rng.choice([1, 1, 1, 2, 3])
-        entries.append((i, Fraction(num, den)))
-    return SparseVec(entries)
 
 
 def random_block_tree(rng, max_gens=3, max_len=3, max_block=3, value_bound=8):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 
+from . import SchreierError
 from .families import (
     FamilyHandle,
     Explicit,
@@ -21,7 +22,7 @@ from .families import (
 )
 
 
-class TreeError(ValueError):
+class TreeError(SchreierError, ValueError):
     pass
 
 

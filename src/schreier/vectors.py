@@ -4,8 +4,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import SchreierError
 
-class VectorError(ValueError):
+
+class VectorError(SchreierError, ValueError):
     pass
 
 

@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
-from click.testing import CliRunner
 
-from schreier.cli import main
+import schreier
+from schreier.cli import SUITE_CHOICES, main
 from schreier.families import Schreier
 from schreier.functionals import norm_via_functionals
 from schreier.norms import NormParams, cert_from_json, verify_certificate
@@ -14,8 +20,37 @@ from schreier.vectors import parse_vec
 S1 = NormParams(Schreier(ONE), Fraction(1, 2))
 
 
-def run(*args, **kwargs):
-    return CliRunner().invoke(main, list(args), **kwargs)
+class _Stderr(io.StringIO):
+    """Standard error that also copies its writes to the shared transcript."""
+
+    def __init__(self, transcript):
+        super().__init__()
+        self.transcript = transcript
+
+    def write(self, text):
+        self.transcript.write(text)
+        return super().write(text)
+
+
+def run(*args):
+    """Run the CLI in this process; `output` interleaves stdout and stderr as a
+    terminal shows them, `exception` is the SystemExit of a nonzero status or
+    the exception that escaped."""
+    transcript = io.StringIO()
+    err = _Stderr(transcript)
+    exit_code, exception = 0, None
+    with contextlib.redirect_stdout(transcript), contextlib.redirect_stderr(err):
+        try:
+            main(args=list(args))
+        except SystemExit as exc:
+            code = 0 if exc.code is None else exc.code
+            exit_code = code if isinstance(code, int) else 1
+            if exit_code:
+                exception = exc
+        except Exception as exc:
+            exit_code, exception = 1, exc
+    return SimpleNamespace(exit_code=exit_code, output=transcript.getvalue(),
+                           stderr=err.getvalue(), exception=exception)
 
 
 class TestOrd:
@@ -93,11 +128,22 @@ class TestFamily:
         ["norm", "--schreier", "1", "--c", "1/2", "--vec", "1:1/0"],
         ["family", "member", "--explicit", "{bad}", "--set", "1"],
         ["family", "member", "--explicit", "{ill_typed}", "--set", "1"],
+        ["family", "cb-index", "--schreier", "1", "--budget", "-1"],
+        ["norm", "--schreier", "1", "--c", "1/2", "--vec", "1:1", "--cert", "{missing}/c.json"],
+        ["equiv-sample", "--alpha", "1", "--n", "0"],
+        ["equiv-sample", "--alpha", "1", "--n", "2", "--bound", "0"],
+        ["equiv-sample", "--alpha", "1", "--n", "2", "--samples", "0"],
+        ["dominate", "--u-schreier", "1", "--u-c", "1/2", "--v-schreier", "1", "--v-c", "1/2",
+         "--bound", "0"],
+        ["dominate", "--u-schreier", "1", "--u-c", "1/2", "--v-schreier", "1", "--v-c", "1/2",
+         "--budget", "0"],
+        ["check", "--suite", "ordinals", "--json", "{missing}/summary.json"],
     ])
     def test_bad_input_is_usage_error(self, tmp_path, args):
         (tmp_path / "bad.json").write_text("[[1, 2]")
         (tmp_path / "ill_typed.json").write_text("[1, 2]")
-        args = [a.format(bad=tmp_path / "bad.json", ill_typed=tmp_path / "ill_typed.json")
+        args = [a.format(bad=tmp_path / "bad.json", ill_typed=tmp_path / "ill_typed.json",
+                         missing=tmp_path / "missing")
                 for a in args]
         result = run(*args)
         assert result.exit_code == 2
@@ -279,9 +325,126 @@ class TestCheck:
         run("check", "--suite", "ordinals", "--seed", "5", "--json", str(a))
         run("check", "--suite", "ordinals", "--seed", "5", "--json", str(b))
         da, db = json.loads(a.read_text()), json.loads(b.read_text())
-        da.pop("elapsed_ms")
-        db.pop("elapsed_ms")
+        for summary in (da, db):  # timings are all that may differ for one seed
+            summary.pop("elapsed_ms")
+            for check in summary["checks"]:
+                check.pop("elapsed_ms")
         assert da == db
 
     def test_unknown_suite_is_usage_error(self):
         assert run("check", "--suite", "bogus").exit_code == 2
+
+    def test_json_carries_check_timings(self, tmp_path):
+        out = tmp_path / "summary.json"
+        assert run("check", "--suite", "ordinals", "--json", str(out)).exit_code == 0
+        for check in json.loads(out.read_text())["checks"]:
+            assert type(check["elapsed_ms"]) is int and check["elapsed_ms"] >= 0
+
+
+class TestParser:
+    COMMANDS = [[], ["ord"], ["family"], ["indices"]] + [
+        ["ord", name] for name in ("cmp", "add", "mul", "nsum", "fs", "classify")
+    ] + [
+        ["family", name]
+        for name in ("member", "maximal", "enumerate", "admissible", "structure", "cb-index")
+    ] + [
+        ["indices", name] for name in ("order", "derive", "compress", "lemma47", "witness")
+    ] + [[name] for name in ("norm", "dualnorm", "dominate", "equiv-sample", "check")]
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: " ".join(c) or "main")
+    def test_help(self, command):
+        result = run(*command, "--help")
+        assert result.exit_code == 0
+        assert result.output.startswith("usage: ")
+
+    @pytest.mark.parametrize("args", [
+        ["family", "member", "--schreier", "1", "--set", "3,5,9", "--bogus"],
+        ["family", "member", "--sch", "1", "--set", "3,5,9"],  # no abbreviations
+        ["ord", "nsum", "w"],
+        ["ord", "fs", "w^2", "x"],
+        ["bogus"],
+        ["family"],
+    ])
+    def test_bad_usage_exits_2(self, args):
+        assert run(*args).exit_code == 2
+
+    @pytest.mark.parametrize("args", [
+        "family member --explicit {missing} --set 1",
+        "indices order --tree {missing}",
+        "indices derive --tree {missing}",
+        "indices compress --tree {missing} --bound 3",
+        "indices lemma47 --tree {missing} --n 1 --bound 3",
+        "indices witness --alpha 1 --tree {missing} --witness {missing} --bound 3",
+    ])
+    def test_missing_file_exits_2(self, tmp_path, args):
+        result = run(*args.format(missing=tmp_path / "missing.json").split())
+        assert result.exit_code == 2
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
+    def test_suite_choices(self):
+        from schreier.suites import SUITES
+
+        assert list(SUITE_CHOICES) == sorted(SUITES) + ["all"]
+
+
+def test_package_exports_resolve():
+    for name in schreier.__all__:
+        assert getattr(schreier, name) is not None
+    assert schreier.norms.norm is schreier.norm
+
+
+def test_error_classes_share_one_base():
+    from schreier.estimates import EstimateError
+    from schreier.families import BudgetExceeded, FamilyError
+    from schreier.norms import NormError
+    from schreier.ordinals import OrdinalError
+    from schreier.trees import TreeError
+    from schreier.vectors import VectorError
+
+    for cls in (OrdinalError, FamilyError, VectorError, NormError, TreeError, EstimateError):
+        assert issubclass(cls, schreier.SchreierError) and issubclass(cls, ValueError)
+        assert cls.exit_code == 2
+    assert issubclass(BudgetExceeded, schreier.SchreierError)
+    assert issubclass(BudgetExceeded, RuntimeError)
+    assert BudgetExceeded.exit_code == 3
+
+
+# Runs one command in a fresh interpreter, as `python -m schreier.cli` does,
+# and prints its exit status and the modules it loaded.
+_COLD_CALL = """
+import json, runpy, sys
+sys.argv = ["schreier"] + json.loads(sys.argv[1])
+try:
+    runpy.run_module("schreier.cli", run_name="__main__")
+except SystemExit as exc:
+    print(json.dumps([exc.code, sorted(sys.modules)]))
+"""
+
+
+def _cold_modules(*args):
+    src = os.path.dirname(os.path.dirname(schreier.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _COLD_CALL, json.dumps(args)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert code in (None, 0), proc.stderr
+    return set(modules)
+
+
+def test_cold_start_loads_only_the_layers_a_command_runs(tmp_path):
+    heavy = {"click", "dataclasses", "schreier.suites", "schreier.functionals",
+             "schreier.simplex", "schreier.trees", "schreier.estimates"}
+    nsum = _cold_modules("ord", "nsum", "w*2+1", "w+2")
+    member = _cold_modules("family", "member", "--schreier", "1", "--set", "3,5,9")
+    norm_args = ("norm", "--schreier", "1", "--c", "1/2", "--vec", "3:1,4:1,5:1",
+                 "--cache-dir", str(tmp_path))
+    miss = _cold_modules(*norm_args)
+    assert (tmp_path / "norms.jsonl").exists()
+    hit = _cold_modules(*norm_args)
+    for modules in (nsum, member, miss, hit):
+        assert not modules & heavy
+    assert not {"schreier.families", "schreier.norms"} & nsum
+    assert "hashlib" in miss  # the miss digests its certificate
+    assert "hashlib" not in hit

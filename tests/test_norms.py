@@ -32,6 +32,17 @@ def vec(text):
     return parse_vec(text)
 
 
+class TestParams:
+    def test_value_semantics(self):
+        same = NormParams(family=Schreier(ONE), c="1/2")
+        assert same == S1 and hash(same) == hash(S1) and same.c == Fraction(1, 2)
+        assert S1 != NormParams(Schreier(ONE), Fraction(2, 3))
+        with pytest.raises(AttributeError):
+            S1.c = Fraction(1, 3)
+        with pytest.raises(NormError):
+            NormParams(Schreier(ONE), 1)
+
+
 class TestVectors:
     def test_parse_format_roundtrip(self):
         x = vec("3:1,4:1,5:-2/3")
