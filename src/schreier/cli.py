@@ -32,7 +32,8 @@ def main(args=None, prog_name=None):
     The error boundary: library errors print one `error:` line and exit 2,
     an exhausted budget exits 3.
     """
-    parsed = _parser(prog_name or "schreier").parse_args(args)
+    argv = sys.argv[1:] if args is None else list(args)
+    parsed = _parser(prog_name or "schreier", argv).parse_args(argv)
     try:
         code = parsed.run(parsed)
     except SchreierError as exc:
@@ -188,7 +189,7 @@ def dualnorm_cmd(args):
     from .vectors import parse_vec
 
     params = _params(args)
-    print(dual_norm(params, parse_vec(args.vec), args.bound, args.depth))
+    print(dual_norm(params, parse_vec(args.vec), args.bound, args.depth, budget=args.budget))
 
 
 def dominate_cmd(args):
@@ -307,55 +308,49 @@ def check_cmd(args):
 
 # -- the parser -------------------------------------------------------------
 
-def _parser(prog):
-    parser = argparse.ArgumentParser(prog=prog, description=main.__doc__.splitlines()[0],
-                                     allow_abbrev=False)
-    top = parser.add_subparsers(metavar="COMMAND", required=True)
+def _operands(*names):
+    def add(sub):
+        for name in names:
+            sub.add_argument(name)
 
-    def group(name, doc):
-        sub = top.add_parser(name, help=doc, description=doc, allow_abbrev=False)
-        return sub.add_subparsers(metavar="COMMAND", required=True)
+    return add
 
-    def command(parent, name, run):
-        sub = parent.add_parser(name, help=run.__doc__, description=run.__doc__,
-                                allow_abbrev=False)
-        sub.set_defaults(run=run)
-        return sub
 
-    ords = group("ord", "Cantor Normal Form ordinal arithmetic.")
-    for name, fn in (("cmp", "compare"), ("add", "add"), ("mul", "mul"),
-                     ("nsum", "natural_sum")):
-        sub = command(ords, name, _ord_binary(fn))
-        sub.add_argument("a")
-        sub.add_argument("b")
-    sub = command(ords, "fs", ord_fs)
+def _ord_fs_options(sub):
     sub.add_argument("a")
     sub.add_argument("n", type=int)
-    command(ords, "classify", ord_classify).add_argument("a")
 
-    fams = group("family", "Queries against compact hereditary families.")
-    for name, run in (("member", family_member), ("maximal", family_maximal)):
-        sub = command(fams, name, run)
-        _family_options(sub)
-        sub.add_argument("--set", required=True, metavar="FINSET")
-    sub = command(fams, "enumerate", family_enumerate)
+
+def _set_options(sub):
+    _family_options(sub)
+    sub.add_argument("--set", required=True, metavar="FINSET")
+
+
+def _enumerate_options(sub):
     _family_options(sub)
     sub.add_argument("--bound", type=int, required=True)
     sub.add_argument("--maximal-only", action="store_true")
     sub.add_argument("--budget", type=int, default=1_000_000)
-    sub = command(fams, "admissible", family_admissible)
+
+
+def _admissible_options(sub):
     _family_options(sub)
     sub.add_argument("--blocks", required=True, metavar="B1;B2;...",
                      help="semicolon-separated FinSets, e.g. '1,2;4,5'")
-    sub = command(fams, "structure", family_structure)
+
+
+def _structure_options(sub):
     _family_options(sub)
     sub.add_argument("--bound", type=int, required=True)
     sub.add_argument("--budget", type=int, default=2_000_000)
-    sub = command(fams, "cb-index", family_cb_index)
+
+
+def _cb_index_options(sub):
     _family_options(sub)
     sub.add_argument("--budget", type=int, default=32)
 
-    sub = command(top, "norm", norm_cmd)
+
+def _norm_options(sub):
     _family_options(sub)
     sub.add_argument("--c", required=True, metavar="NUM/DEN")
     sub.add_argument("--vec", required=True, metavar="IDX:COEF,...")
@@ -363,37 +358,49 @@ def _parser(prog):
                      help="write the witnessing certificate as JSON")
     sub.add_argument("--cache-dir", metavar="PATH",
                      help="persistent norm cache directory (overrides the environment)")
-    sub = command(top, "dualnorm", dualnorm_cmd)
+
+
+def _dualnorm_options(sub):
     _family_options(sub)
     sub.add_argument("--c", required=True, metavar="NUM/DEN")
     sub.add_argument("--vec", required=True, metavar="IDX:COEF,...")
     sub.add_argument("--bound", type=int, required=True)
     sub.add_argument("--depth", type=int, required=True)
-    sub = command(top, "dominate", dominate_cmd)
+    sub.add_argument("--budget", type=int, default=100_000,
+                     help="pricing dynamic-program nodes over the whole call")
+
+
+def _dominate_options(sub):
     for side in ("u", "v"):
         _family_options(sub, side + "-")
         sub.add_argument("--%s-c" % side, required=True, metavar="NUM/DEN")
     sub.add_argument("--bound", type=int, default=8)
     sub.add_argument("--budget", type=int, default=10_000)
-    sub = command(top, "equiv-sample", equiv_sample_cmd)
+
+
+def _equiv_sample_options(sub):
     sub.add_argument("--alpha", required=True, metavar="EXPR")
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--bound", type=int, default=8)
     sub.add_argument("--samples", type=int, default=100)
     sub.add_argument("--seed", type=int, default=0)
 
-    idx = group("indices", "Tree orders, block derivatives, compression.")
-    command(idx, "order", indices_order).add_argument(
-        "--tree", required=True, metavar="FILE", help="JSON array of label sequences")
-    command(idx, "derive", indices_derive).add_argument("--tree", required=True, metavar="FILE")
-    sub = command(idx, "compress", indices_compress)
-    sub.add_argument("--tree", required=True, metavar="FILE")
-    sub.add_argument("--bound", type=int, required=True)
-    sub = command(idx, "lemma47", indices_lemma47)
-    sub.add_argument("--tree", required=True, metavar="FILE")
-    sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--bound", type=int, required=True)
-    sub = command(idx, "witness", indices_witness)
+
+def _tree_options(*extra):
+    def add(sub):
+        sub.add_argument("--tree", required=True, metavar="FILE")
+        for name in extra:
+            sub.add_argument("--" + name, type=int, required=True)
+
+    return add
+
+
+def _order_options(sub):
+    sub.add_argument("--tree", required=True, metavar="FILE",
+                     help="JSON array of label sequences")
+
+
+def _witness_options(sub):
     sub.add_argument("--alpha", required=True, metavar="EXPR")
     sub.add_argument("--tree", required=True, metavar="FILE")
     sub.add_argument("--witness", required=True, metavar="FILE",
@@ -403,12 +410,74 @@ def _parser(prog):
                      default="increasing",
                      help="finite surrogate applied to each extension tail")
 
-    sub = command(top, "check", check_cmd)
+
+def _check_options(sub):
     sub.add_argument("--suite", required=True, choices=SUITE_CHOICES)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--json", metavar="PATH",
                      help="also write the JSON summary to this file")
+
+
+# The command tree in help order.  A command is (name, run, add_options); a
+# group is (name, doc, list of commands).
+_COMMANDS = (
+    ("ord", "Cantor Normal Form ordinal arithmetic.", [
+        ("cmp", _ord_binary("compare"), _operands("a", "b")),
+        ("add", _ord_binary("add"), _operands("a", "b")),
+        ("mul", _ord_binary("mul"), _operands("a", "b")),
+        ("nsum", _ord_binary("natural_sum"), _operands("a", "b")),
+        ("fs", ord_fs, _ord_fs_options),
+        ("classify", ord_classify, _operands("a")),
+    ]),
+    ("family", "Queries against compact hereditary families.", [
+        ("member", family_member, _set_options),
+        ("maximal", family_maximal, _set_options),
+        ("enumerate", family_enumerate, _enumerate_options),
+        ("admissible", family_admissible, _admissible_options),
+        ("structure", family_structure, _structure_options),
+        ("cb-index", family_cb_index, _cb_index_options),
+    ]),
+    ("norm", norm_cmd, _norm_options),
+    ("dualnorm", dualnorm_cmd, _dualnorm_options),
+    ("dominate", dominate_cmd, _dominate_options),
+    ("equiv-sample", equiv_sample_cmd, _equiv_sample_options),
+    ("indices", "Tree orders, block derivatives, compression.", [
+        ("order", indices_order, _order_options),
+        ("derive", indices_derive, _tree_options()),
+        ("compress", indices_compress, _tree_options("bound")),
+        ("lemma47", indices_lemma47, _tree_options("n", "bound")),
+        ("witness", indices_witness, _witness_options),
+    ]),
+    ("check", check_cmd, _check_options),
+)
+
+
+def _parser(prog, argv):
+    """The argparse tree for one call.  Every group and command is listed, so
+    help and usage errors name them all, but only the group and command that
+    `argv` names get their options and subcommands: the options of the top
+    parser and of the groups are only -h, so those names are the first two
+    words of `argv` that do not start with '-'."""
+    words = iter([a for a in argv if not a.startswith("-")][:2])
+    parser = argparse.ArgumentParser(prog=prog, description=main.__doc__.splitlines()[0],
+                                     allow_abbrev=False)
+    _add_commands(parser, _COMMANDS, words)
     return parser
+
+
+def _add_commands(parser, commands, words):
+    named = next(words, None)
+    subs = parser.add_subparsers(metavar="COMMAND", required=True)
+    for name, run, options in commands:
+        doc = run if isinstance(run, str) else run.__doc__
+        sub = subs.add_parser(name, help=doc, description=doc, allow_abbrev=False)
+        if name != named:
+            continue
+        if isinstance(run, str):
+            _add_commands(sub, options, words)
+        else:
+            sub.set_defaults(run=run)
+            options(sub)
 
 
 if __name__ == "__main__":

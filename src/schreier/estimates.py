@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import SchreierError, ordinals
@@ -78,17 +77,25 @@ def random_vector(rng, bound=10, max_size=None, dense_bias=False):
     return SparseVec(entries)
 
 
-@dataclass
 class EquivalenceReport:
-    """Extreme exact ratios between ||.||_(T_(alpha*n)) and ||.||_(T_(alpha,c))."""
+    """Extreme exact ratios between ||.||_(T_(alpha*n)) and ||.||_(T_(alpha,c)).
 
-    c: Fraction
-    samples: int = 0
-    max_ratio_up: Fraction = None  # sup of ||x||_(alpha*n) / ||x||_(alpha,c)
-    max_ratio_down: Fraction = None  # sup of the reciprocal ratio
-    witness_up: SparseVec = None
-    witness_down: SparseVec = None
-    ratios: list = field(default_factory=list)
+    A plain slotted class rather than a dataclass: `dataclasses` imports
+    `inspect`, which would add its import time to every `equiv-sample` call.
+    """
+
+    __slots__ = ("c", "samples", "max_ratio_up", "max_ratio_down", "witness_up",
+                 "witness_down", "ratios")
+
+    def __init__(self, c, samples=0, max_ratio_up=None, max_ratio_down=None,
+                 witness_up=None, witness_down=None, ratios=None):
+        self.c = c
+        self.samples = samples
+        self.max_ratio_up = max_ratio_up  # sup of ||x||_(alpha*n) / ||x||_(alpha,c)
+        self.max_ratio_down = max_ratio_down  # sup of the reciprocal ratio
+        self.witness_up = witness_up
+        self.witness_down = witness_down
+        self.ratios = [] if ratios is None else ratios
 
 
 def equivalence_sample(alpha, n, bound, samples):

@@ -6,7 +6,12 @@ generated from the coordinate functionals by
     f  =  c * (f_1 + ... + f_k),   k >= 2,
 
 where the supports of the f_j are successive and their minima form a member
-of F.  Generation is graded by depth.  For a spreading family F, at depth
+of F.  Generation is graded by depth.  Each level scales every functional
+of the pool by c once; since the summands' supports are successive, a
+combination is the concatenation of its summands' scaled entries and is
+canonical as built, and each minimum added to a chain is one step of the
+family's residual state (`initial_state`/`step`), for a fine family below
+w^w one cached ordinal step.  For a spreading family F, at depth
 >= |supp(x)| the supremum over the set equals the norm (tested, not
 assumed).  Without spreading it can fall short: a block's norm need not use
 the block's minimum, so the matching functional's support minima can lie to
@@ -17,7 +22,9 @@ The best functional against a given vector is found without generating the
 set, by a dynamic program over (min, max) support signatures.  It evaluates
 the functional norm and prices the columns of the dual gauge, which is
 computed by exact column generation: a rational simplex over the columns
-found so far, extended by the functional its duals rate highest.
+found so far, extended by the functional its duals rate highest.  The
+simplex master is built once per gauge and resumes from its last basis
+after each added column.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from bisect import bisect_right
 from fractions import Fraction
 
 from . import simplex
+from .families import BudgetExceeded
 from .norms import NormError
 from .vectors import SparseVec
 
@@ -51,41 +59,41 @@ class FunctionalSet:
 
 
 def _generate(family, c, indices, depth, signed, budget):
-    indices = tuple(sorted(indices))
-    base = [SparseVec([(i, Fraction(1))]) for i in indices]
+    one = Fraction(1)
+    base = [((i, one),) for i in sorted(indices)]
     if signed:
-        base += [f.scale(-1) for f in base]
-    depths = {f: 0 for f in base}
-    current = set(depths)
+        base += [((i, -one),) for ((i, _),) in base]
+    # functionals are held as canonical entry tuples, made SparseVecs once
+    known = set(base)
+    depths = {SparseVec._canonical(e): 0 for e in base}
+    start = family.initial_state()
     for level in range(1, depth + 1):
-        # admissibility sees only the support minima, so the pool is
-        # grouped by minimum and each minimum is tested once per chain
+        # the pool grouped by support minimum, each functional scaled by c
+        # once and kept with its support maximum
         groups = {}
-        for f in sorted(current, key=lambda f: (f.support, f.entries)):
-            groups.setdefault(f.support[0], []).append(f)
+        for e in sorted(known, key=lambda e: (tuple(i for i, _ in e), e)):
+            groups.setdefault(e[0][0], []).append((tuple((i, v * c) for i, v in e), e[-1][0]))
         minima = sorted(groups)
         new = set()
 
-        def combine(chosen, mins, last_max):
+        def combine(entries, k, state, last_max):
             if len(depths) + len(new) > budget:
                 raise NormError("functional generation budget exceeded")
-            if len(chosen) >= 2:
-                total = chosen[0]
-                for f in chosen[1:]:
-                    total = total.add(f)
-                new.add(total.scale(c))
+            if k >= 2:
+                new.add(entries)
             for m in minima[bisect_right(minima, last_max):]:
-                if family.contains(mins + (m,)):
-                    for f in groups[m]:
-                        combine(chosen + [f], mins + (m,), f.support[-1])
+                after = family.step(state, m)
+                if after is not None:
+                    for scaled, top in groups[m]:
+                        combine(entries + scaled, k + 1, after, top)
 
-        combine([], (), 0)
-        fresh = new - current
-        for f in fresh:
-            depths[f] = level
+        combine((), 0, start, 0)
+        fresh = new - known
+        for e in fresh:
+            depths[SparseVec._canonical(e)] = level
         if not fresh:
             break
-        current |= fresh
+        known |= fresh
     return depths
 
 
@@ -95,9 +103,10 @@ def norming_set(params, bound, depth, signed=True, budget=2_000_000):
     return FunctionalSet(depths)
 
 
-def _best_functional(params, x, depth):
-    """Maximum of <f, x> over the signed functional set K_depth, and a
-    functional attaining it.
+def _best_functional(params, x, depth, budget=float("inf")):
+    """Maximum of <f, x> over the signed functional set K_depth, a
+    functional attaining it, and the number of DP nodes visited.  Raises
+    BudgetExceeded once more than `budget` nodes are visited.
 
     Uses sign symmetry of the generated set: the supremum over all signed
     functionals equals the supremum of <f, |x|> over positive ones, and the
@@ -115,17 +124,22 @@ def _best_functional(params, x, depth):
     from its earlier value, and their depths, unchanged.
     """
     if not x:
-        return Fraction(0), SparseVec([])
+        return Fraction(0), SparseVec([]), 0
     fam = params.family
     c = params.c
     ax = x.abs()
     pool = {(i, i): (ax[i], i) for i in x.support}
+    nodes = 0
 
     for _ in range(depth):
         new = {}
         sigs = sorted(pool)
 
         def combine(mins, last_max, total, parts):
+            nonlocal nodes
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceeded("signature DP ran past %d nodes" % budget)
             if len(mins) >= 2:
                 sig = (mins[0], last_max)
                 val = c * total
@@ -156,7 +170,7 @@ def _best_functional(params, x, depth):
                 unfold(child, coeff * c)
 
     unfold(tree, Fraction(1))
-    return value, SparseVec(entries)
+    return value, SparseVec(entries), nodes
 
 
 def norm_via_functionals(params, x, depth=None):
@@ -171,7 +185,7 @@ def norm_via_functionals(params, x, depth=None):
     return _best_functional(params, x, depth)[0]
 
 
-def dual_norm(params, g, bound, depth, functionals=None):
+def dual_norm(params, g, bound, depth, functionals=None, budget=100_000):
     """Gauge of the convex hull of the generated signed functional set.
 
     Exact minimum of sum lam_j over decompositions g = sum lam_j f_j with
@@ -180,13 +194,18 @@ def dual_norm(params, g, bound, depth, functionals=None):
 
     Solved by column generation: a restricted master LP over the columns
     found so far, starting from the coordinate functionals +-e_i (so it is
-    always feasible), returns its value and row duals y.  The signature
+    always feasible), gives its value and row duals y.  The signature
     dynamic program prices the whole set at once, finding the f in K_depth
     that maximises <f, y>.  While that maximum exceeds 1 the maximiser is a
-    violated column and joins the master; otherwise y is dual feasible for
-    the full LP, <g, y> equals the master value, and that value is exact.
-    Each added column is new, as every master column pairs with y to at
-    most 1, and the set is finite, so the loop terminates.
+    violated column and joins the master, which resumes from its current
+    basis; otherwise y is dual feasible for the full LP, <g, y> equals the
+    master value, and that value is exact.  Each added column is new, as
+    every master column pairs with y to at most 1, and the set is finite,
+    so the loop terminates.
+
+    The pricing DP grows exponentially with `bound` (S_1 at bound 14, depth
+    2 visits about 290,000 nodes); `budget` caps its nodes over the whole
+    call, and BudgetExceeded reports the round it stopped in.
 
     `functionals` is accepted for compatibility and unused: pricing never
     materialises the set.
@@ -195,6 +214,8 @@ def dual_norm(params, g, bound, depth, functionals=None):
         raise NormError("functional bound must be at least 1, got %d" % bound)
     if depth < 0:
         raise NormError("generation depth must be nonnegative, got %d" % depth)
+    if budget < 0:
+        raise NormError("pricing budget must be nonnegative, got %d" % budget)
     if not g:
         return Fraction(0)
     if g.support[-1] > bound:
@@ -202,10 +223,18 @@ def dual_norm(params, g, bound, depth, functionals=None):
     rows = range(1, bound + 1)
     columns = [[Fraction(s) if j == i else Fraction(0) for j in rows]
                for i in rows for s in (1, -1)]
-    target = [g[i] for i in rows]
+    master = simplex.Master(columns, [g[i] for i in rows], bound)
+    spent = rounds = 0
     while True:
-        value, _, duals = simplex.min_l1_combination(columns, target, bound)
-        price, f = _best_functional(params, SparseVec(zip(rows, duals)), depth)
+        rounds += 1
+        try:
+            price, f, nodes = _best_functional(
+                params, SparseVec(zip(rows, master.duals)), depth, budget - spent)
+        except BudgetExceeded:
+            raise BudgetExceeded(
+                "dual gauge pricing ran out of budget in round %d: %d signature-DP "
+                "nodes used, %d of them in the earlier rounds" % (rounds, budget, spent)) from None
+        spent += nodes
         if price <= 1:
-            return value
-        columns.append([f[i] for i in rows])
+            return master.value
+        master.add_column([f[i] for i in rows])

@@ -36,6 +36,14 @@ class SparseVec:
                 raise VectorError("duplicate index %d" % a)
         object.__setattr__(self, "entries", tuple(cleaned))
 
+    @classmethod
+    def _canonical(cls, entries):
+        """Trusted constructor: `entries` is a tuple already in canonical form
+        (positive int indices, strictly increasing, nonzero Fractions)."""
+        vec = object.__new__(cls)
+        object.__setattr__(vec, "entries", entries)
+        return vec
+
     def __setattr__(self, name, value):
         raise AttributeError("SparseVec is immutable")
 

@@ -216,6 +216,27 @@ class TestNorm:
         lines = result.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
 
+    def test_dualnorm_budget(self):
+        # the pricing DP needs about 290,000 nodes here
+        args = ("dualnorm", "--schreier", "1", "--c", "1/2", "--vec", "1:1",
+                "--bound", "14", "--depth", "2")
+        result = run(*args, "--budget", "1000")
+        assert result.exit_code == 3
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1 and "pricing" in lines[0] and "round" in lines[0]
+        assert run(*args[:-4], "--bound", "4", "--depth", "2", "--budget", "-1").exit_code == 2
+
+    def test_dualnorm_large_bound_ends(self):
+        src = os.path.dirname(os.path.dirname(schreier.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "schreier.cli", "dualnorm", "--schreier", "1", "--c", "1/2",
+             "--vec", "1:1", "--bound", "16", "--depth", "2"],
+            capture_output=True, text=True, env=env, timeout=10)
+        assert proc.returncode in (0, 3)
+        assert "Traceback" not in proc.stderr
+
     def test_dominate_trivial(self):
         result = run("dominate", "--u-schreier", "1", "--u-c", "1/2",
                      "--v-schreier", "1", "--v-c", "1/2",
@@ -443,6 +464,9 @@ def test_cold_start_loads_only_the_layers_a_command_runs(tmp_path):
     miss = _cold_modules(*norm_args)
     assert (tmp_path / "norms.jsonl").exists()
     hit = _cold_modules(*norm_args)
+    equiv = _cold_modules("equiv-sample", "--alpha", "1", "--n", "2", "--bound", "5",
+                          "--samples", "3")
+    assert "dataclasses" not in equiv
     for modules in (nsum, member, miss, hit):
         assert not modules & heavy
     assert not {"schreier.families", "schreier.norms"} & nsum

@@ -1,16 +1,57 @@
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
 
-from schreier.ordinals import ONE
-from schreier.families import Schreier
+from schreier.ordinals import ONE, OMEGA, from_int
+from schreier.families import BudgetExceeded, Explicit, FineSchreier, Schreier
 from schreier.functionals import dual_norm, norm_via_functionals, norming_set
 from schreier.norms import NormParams, NormError, norm
-from schreier.simplex import Infeasible, min_l1_combination
-from schreier.vectors import SparseVec
+from schreier.simplex import Infeasible, Master, min_l1_combination
+from schreier.vectors import SparseVec, parse_vec
 
 S1 = NormParams(Schreier(ONE), Fraction(1, 2))
+
+
+def generate_oracle(family, c, indices, depth, signed, budget):
+    """Reference generation: every combination rebuilt through SparseVec
+    arithmetic, admissibility asked of `contains` on the whole prefix of
+    minima.  Returns the depths map, as `norming_set(...).depths`."""
+    indices = tuple(sorted(indices))
+    base = [SparseVec([(i, Fraction(1))]) for i in indices]
+    if signed:
+        base += [f.scale(-1) for f in base]
+    depths = {f: 0 for f in base}
+    current = set(depths)
+    for level in range(1, depth + 1):
+        groups = {}
+        for f in sorted(current, key=lambda f: (f.support, f.entries)):
+            groups.setdefault(f.support[0], []).append(f)
+        minima = sorted(groups)
+        new = set()
+
+        def combine(chosen, mins, last_max):
+            if len(depths) + len(new) > budget:
+                raise NormError("functional generation budget exceeded")
+            if len(chosen) >= 2:
+                total = chosen[0]
+                for f in chosen[1:]:
+                    total = total.add(f)
+                new.add(total.scale(c))
+            for m in minima[bisect_right(minima, last_max):]:
+                if family.contains(mins + (m,)):
+                    for f in groups[m]:
+                        combine(chosen + [f], mins + (m,), f.support[-1])
+
+        combine([], (), 0)
+        fresh = new - current
+        for f in fresh:
+            depths[f] = level
+        if not fresh:
+            break
+        current |= fresh
+    return depths
 
 
 def dense_dual_norm(fs, g, bound):
@@ -24,6 +65,14 @@ def dense_dual_norm(fs, g, bound):
     assert pair(target) == value
     assert all(pair(col) <= 1 for col in columns)
     return value
+
+
+def _passes(generate, budget):
+    try:
+        generate(budget)
+    except NormError:
+        return False
+    return True
 
 
 class TestSimplex:
@@ -71,6 +120,39 @@ class TestNormingSet:
     def test_budget(self):
         with pytest.raises(NormError):
             norming_set(S1, 6, 3, budget=50)
+
+    # a non-spreading family: {2, 5} is a member, its spread {3, 5} is not
+    NON_SPREADING = Explicit([(1, 2), (2, 5), (3, 4), (1, 3, 6)])
+
+    @pytest.mark.parametrize("family, c, bound, depth", [
+        (Schreier(ONE), Fraction(1, 2), 5, 3),
+        (Schreier(ONE), Fraction(1, 2), 6, 3),
+        (Schreier(ONE), Fraction(1, 2), 7, 3),
+        (Schreier(from_int(2)), Fraction(1, 2), 6, 3),
+        (FineSchreier(from_int(5)), Fraction(2, 3), 6, 3),
+        (FineSchreier(OMEGA), Fraction(1, 2), 5, 3),
+        (NON_SPREADING, Fraction(1, 3), 5, 3),
+    ], ids=["S1-5", "S1-6", "S1-7", "S2-6", "F5-6", "Fw-5", "explicit-5"])
+    @pytest.mark.parametrize("signed", [True, False], ids=["signed", "unsigned"])
+    def test_matches_oracle(self, family, c, bound, depth, signed):
+        params = NormParams(family, c)
+        fs = norming_set(params, bound, depth, signed=signed)
+        oracle = generate_oracle(family, c, range(1, bound + 1), depth, signed, 2_000_000)
+        assert fs.depths == oracle
+        assert all(type(v) is Fraction for f in fs for _, v in f.entries)
+
+    def test_budget_matches_oracle(self):
+        # the smallest budget that passes is the oracle's node-by-node peak
+        ours = lambda budget: norming_set(S1, 5, 3, budget=budget)
+        theirs = lambda budget: generate_oracle(S1.family, S1.c, range(1, 6), 3, True, budget)
+        lo, hi = 0, 2_000_000  # passing is monotone in the budget: bisect
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if _passes(theirs, mid) else (mid + 1, hi)
+        threshold = lo
+        assert threshold > len(ours(threshold))
+        for budget in [50] + list(range(threshold - 12, threshold + 4)):
+            assert _passes(ours, budget) == _passes(theirs, budget) == (budget >= threshold)
 
     def test_example_functional_present(self):
         # c*(e2* + e3*) is one admissible combination
@@ -120,6 +202,67 @@ class TestDualNorm:
 
     def test_empty(self):
         assert dual_norm(S1, SparseVec([]), 6, 2) == 0
+
+
+def _pair(column, duals):
+    return sum((Fraction(a) * y for a, y in zip(column, duals)), Fraction(0))
+
+
+class TestWarmMaster:
+    """Columns added to a solved master against a from-scratch solve."""
+
+    BOUND = 6
+
+    @pytest.mark.parametrize("target", [
+        "1:1,2:1,3:1,4:1,5:1,6:1",
+        "2:3,5:-1/2",  # zero rows
+        "1:-2,2:1/3",  # support in a short prefix
+        "1:1,3:-5/3,4:1/2,6:4",
+    ])
+    def test_add_column_stays_optimal(self, target):
+        rows = range(1, self.BOUND + 1)
+        g = [parse_vec(target)[i] for i in rows]
+        columns = [[Fraction(s) if j == i else Fraction(0) for j in rows]
+                   for i in rows for s in (1, -1)]
+        master = Master(columns, g, self.BOUND)
+        flist = sorted(norming_set(S1, self.BOUND, 3), key=lambda f: f.entries)
+        for f in random.Random(target).sample(flist, 40):
+            columns.append([f[i] for i in rows])
+            master.add_column(columns[-1])
+            duals = master.duals
+            assert _pair(g, duals) == master.value
+            assert all(_pair(col, duals) <= 1 for col in columns)
+            assert master.value == min_l1_combination(columns, g, self.BOUND)[0]
+            weights = master.weights
+            assert all(w >= 0 for w in weights)
+            assert [sum(w * col[r] for w, col in zip(weights, columns)) for r in range(self.BOUND)] == g
+
+    def test_artificial_left_on_a_redundant_row(self):
+        # no start column reaches row 2, so phase 1 leaves its artificial
+        # basic at level 0; the added columns must move it out, not up
+        columns = [[Fraction(1), Fraction(0)], [Fraction(2), Fraction(0)]]
+        target = [Fraction(2), Fraction(0)]
+        master = Master(columns, target, 2)
+        assert master.value == 1
+        for col in ([Fraction(3), Fraction(-1)], [Fraction(0), Fraction(1)],
+                    [Fraction(1), Fraction(1)]):
+            columns.append(col)
+            master.add_column(col)
+            assert master.value == min_l1_combination(columns, target, 2)[0]
+            assert all(_pair(c, master.duals) <= 1 for c in columns)
+            assert _pair(target, master.duals) == master.value
+
+
+class TestDualNormBudget:
+    def test_budget_reports_round_and_nodes(self):
+        g = SparseVec([(1, Fraction(1))])
+        assert dual_norm(S1, g, 10, 2) == 1
+        with pytest.raises(BudgetExceeded, match=r"pricing .* round \d+: 1000 .*nodes"):
+            dual_norm(S1, g, 10, 2, budget=1000)
+
+    def test_negative_budget(self):
+        with pytest.raises(NormError):
+            dual_norm(S1, SparseVec([(1, Fraction(1))]), 4, 2, budget=-1)
 
 
 class TestDualNormOracle:
