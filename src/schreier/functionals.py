@@ -6,12 +6,14 @@ generated from the coordinate functionals by
     f  =  c * (f_1 + ... + f_k),   k >= 2,
 
 where the supports of the f_j are successive and their minima form a member
-of F.  Generation is graded by depth.  Each level scales every functional
-of the pool by c once; since the summands' supports are successive, a
-combination is the concatenation of its summands' scaled entries and is
-canonical as built, and each minimum added to a chain is one step of the
-family's residual state (`initial_state`/`step`), for a fine family below
-w^w one cached ordinal step.  For a spreading family F, at depth
+of F.  Generation is graded by depth.  Every coefficient is +-c^d, so
+generation holds a functional as (index, code) pairs, d for +c^d and ~d for
+-c^d, and makes the Fractions once at the end.  Each level scales every
+functional of the pool by c once (d -> d + 1); since the summands' supports
+are successive, a combination is the concatenation of its summands' scaled
+entries and is canonical as built, and each minimum added to a chain is one
+step of the family's residual state (`initial_state`/`step`), for a fine
+family below w^w one cached ordinal step.  For a spreading family F, at depth
 >= |supp(x)| the supremum over the set equals the norm (tested, not
 assumed).  Without spreading it can fall short: a block's norm need not use
 the block's minimum, so the matching functional's support minima can lie to
@@ -19,7 +21,9 @@ the right of the block minima, and only spreading keeps them admissible.
 `norm_via_functionals` therefore rejects non-spreading families.
 
 The best functional against a given vector is found without generating the
-set, by a dynamic program over (min, max) support signatures.  It evaluates
+set, by a dynamic program over (min, max) support signatures.  It runs on
+integers, the values scaled by a common denominator, and reads each chain of
+minima through the family's residual state as generation does.  It evaluates
 the functional norm and prices the columns of the dual gauge, which is
 computed by exact column generation: a rational simplex over the columns
 found so far, extended by the functional its duals rate highest.  The
@@ -31,6 +35,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
+from math import lcm
 
 from . import simplex
 from .families import BudgetExceeded
@@ -59,25 +64,29 @@ class FunctionalSet:
 
 
 def _generate(family, c, indices, depth, signed, budget):
-    one = Fraction(1)
-    base = [((i, one),) for i in sorted(indices)]
+    # functionals are held as tuples of (index, code) with code d for +c^d
+    # and ~d for -c^d (injective as 0 < c < 1), so sets hash only ints;
+    # scaling by c is d -> d + 1, ~d -> ~(d + 1)
+    base = [((i, 0),) for i in sorted(indices)]
     if signed:
-        base += [((i, -one),) for ((i, _),) in base]
-    # functionals are held as canonical entry tuples, made SparseVecs once
-    known = set(base)
-    depths = {SparseVec._canonical(e): 0 for e in base}
+        base += [((i, ~0),) for ((i, _),) in base]
+    known = dict.fromkeys(base, 0)  # each functional -> its first depth
     start = family.initial_state()
+    # sort the pool by support, then by coefficient value, as the Fractions
+    # would sort: -1 < -c < ... < -c^depth < c^depth < ... < c < 1
+    rank = lambda d: -d if d >= 0 else -d - 2 * depth - 2
     for level in range(1, depth + 1):
         # the pool grouped by support minimum, each functional scaled by c
         # once and kept with its support maximum
         groups = {}
-        for e in sorted(known, key=lambda e: (tuple(i for i, _ in e), e)):
-            groups.setdefault(e[0][0], []).append((tuple((i, v * c) for i, v in e), e[-1][0]))
+        for e in sorted(known, key=lambda e: (tuple(i for i, _ in e), tuple(rank(d) for _, d in e))):
+            scaled = tuple((i, d + 1 if d >= 0 else d - 1) for i, d in e)
+            groups.setdefault(e[0][0], []).append((scaled, e[-1][0]))
         minima = sorted(groups)
         new = set()
 
         def combine(entries, k, state, last_max):
-            if len(depths) + len(new) > budget:
+            if len(known) + len(new) > budget:
                 raise NormError("functional generation budget exceeded")
             if k >= 2:
                 new.add(entries)
@@ -88,12 +97,24 @@ def _generate(family, c, indices, depth, signed, budget):
                         combine(entries + scaled, k + 1, after, top)
 
         combine((), 0, start, 0)
-        fresh = new - known
-        for e in fresh:
-            depths[SparseVec._canonical(e)] = level
+        fresh = new.difference(known)
         if not fresh:
             break
-        known |= fresh
+        known.update(dict.fromkeys(fresh, level))
+    # materialise each key once from a table of the coefficients; the coded
+    # functionals are moved out and freed as the result fills, so the two
+    # maps are never both whole
+    value = {}
+    for d in range(depth + 1):
+        value[d] = c ** d
+        value[~d] = -value[d]
+    coded = []
+    while known:
+        coded.append(known.popitem())
+    depths = {}
+    while coded:
+        e, level = coded.pop()
+        depths[SparseVec._canonical(tuple((i, value[d]) for i, d in e))] = level
     return depths
 
 
@@ -122,43 +143,17 @@ def _best_functional(params, x, depth, budget=float("inf")):
     index at a leaf, a tuple of subtrees at a combination.  Trees are
     immutable, so a later improvement of a signature leaves the trees built
     from its earlier value, and their depths, unchanged.
+
+    The DP runs on integers: with c = p/q and D the least common multiple
+    of the denominators of |x|, every value times S = D q^depth is an
+    integer, as no leaf lies deeper than `depth`.
     """
     if not x:
         return Fraction(0), SparseVec([]), 0
-    fam = params.family
     c = params.c
-    ax = x.abs()
-    pool = {(i, i): (ax[i], i) for i in x.support}
-    nodes = 0
-
-    for _ in range(depth):
-        new = {}
-        sigs = sorted(pool)
-
-        def combine(mins, last_max, total, parts):
-            nonlocal nodes
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceeded("signature DP ran past %d nodes" % budget)
-            if len(mins) >= 2:
-                sig = (mins[0], last_max)
-                val = c * total
-                if sig not in new or val > new[sig][0]:
-                    new[sig] = (val, parts)
-            for (m, mx) in sigs:
-                if m > last_max and fam.contains(mins + (m,)):
-                    val, tree = pool[(m, mx)]
-                    combine(mins + (m,), mx, total + val, parts + (tree,))
-
-        combine((), 0, Fraction(0), ())
-        improved = False
-        for sig, entry in new.items():
-            if sig not in pool or entry[0] > pool[sig][0]:
-                pool[sig] = entry
-                improved = True
-        if not improved:
-            break
-    value, tree = max(pool.values(), key=lambda entry: entry[0])
+    scale = lcm(*(v.denominator for _, v in x.entries)) * c.denominator ** depth
+    leaves = {i: abs(v.numerator) * (scale // v.denominator) for i, v in x.entries}
+    value, tree, nodes = _signature_dp(params.family, c, leaves, depth, budget)
 
     entries = []
 
@@ -170,7 +165,56 @@ def _best_functional(params, x, depth, budget=float("inf")):
                 unfold(child, coeff * c)
 
     unfold(tree, Fraction(1))
-    return value, SparseVec(entries), nodes
+    return Fraction(value, scale), SparseVec(entries), nodes
+
+
+def _signature_dp(fam, c, leaves, depth, budget):
+    """The signature DP of `_best_functional` on integer leaf values
+    {index: value}: the best value, its tree and the nodes visited.  A chain
+    of minima is read through the family's residual state, one `step` per
+    added minimum.  Raises ArithmeticError if c times a sum is not an
+    integer, which the scaling of `_best_functional` rules out."""
+    p, q = c.numerator, c.denominator
+    pool = {(i, i): (v, i) for i, v in leaves.items()}
+    nodes = 0
+
+    for _ in range(depth):
+        new = {}
+        # the pool's signatures by minimum, in signature order
+        by_min = {}
+        for (m, mx) in sorted(pool):
+            by_min.setdefault(m, []).append((mx,) + pool[(m, mx)])
+        minima = sorted(by_min)
+
+        def combine(state, first, last_max, k, total, parts):
+            nonlocal nodes
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceeded("signature DP ran past %d nodes" % budget)
+            if k >= 2:
+                sig = (first, last_max)
+                val, rem = divmod(p * total, q)
+                if rem:
+                    raise ArithmeticError("scaled pricing value %d * %d / %d is not an integer"
+                                          % (p, total, q))
+                if sig not in new or val > new[sig][0]:
+                    new[sig] = (val, parts)
+            for m in minima[bisect_right(minima, last_max):]:
+                after = fam.step(state, m)
+                if after is not None:
+                    for mx, val, tree in by_min[m]:
+                        combine(after, first or m, mx, k + 1, total + val, parts + (tree,))
+
+        combine(fam.initial_state(), 0, 0, 0, 0, ())
+        improved = False
+        for sig, entry in new.items():
+            if sig not in pool or entry[0] > pool[sig][0]:
+                pool[sig] = entry
+                improved = True
+        if not improved:
+            break
+    value, tree = max(pool.values(), key=lambda entry: entry[0])
+    return value, tree, nodes
 
 
 def norm_via_functionals(params, x, depth=None):

@@ -28,6 +28,10 @@ class Infeasible(Exception):
     pass
 
 
+def _exact(v):
+    return v if type(v) is Fraction else Fraction(v)
+
+
 def _pivot(tableau, basis, row, col):
     line = tableau[row]
     piv = line[col]
@@ -80,27 +84,25 @@ class Master:
 
     def __init__(self, columns, target, m):
         n = len(columns)
-        # normalize rows so that b >= 0 for the phase-1 start
-        self.signs = signs = [ONE if v >= 0 else -ONE for v in target]
-        b = [v * s for v, s in zip(target, signs)]
-        cols = [[col[i] * signs[i] for i in range(m)] for col in columns]
+        # negate the rows whose target is negative, so that b >= 0 for the
+        # phase-1 start; the other rows keep their entries
+        self.flipped = flipped = [v < 0 for v in target]
 
         # tableau columns: structural (n) + artificial (m) + rhs
-        width = n + m + 1
         tableau = []
         for i in range(m):
-            row = [ZERO] * width
-            for j in range(n):
-                row[j] = cols[j][i]
+            if flipped[i]:
+                row = [-_exact(col[i]) for col in columns] + [ZERO] * m + [-_exact(target[i])]
+            else:
+                row = [_exact(col[i]) for col in columns] + [ZERO] * m + [_exact(target[i])]
             row[n + i] = ONE
-            row[-1] = b[i]
             tableau.append(row)
         basis = [n + i for i in range(m)]
         # crash basis: a unit column replaces its row's artificial; the basis
         # matrix stays the identity, so the tableau needs no pivot
-        for j, col in enumerate(cols):
-            nonzero = [i for i in range(m) if col[i]]
-            if len(nonzero) == 1 and col[nonzero[0]] == 1 and basis[nonzero[0]] >= n:
+        for j in range(n):
+            nonzero = [i for i in range(m) if tableau[i][j]]
+            if len(nonzero) == 1 and tableau[nonzero[0]][j] == 1 and basis[nonzero[0]] >= n:
                 basis[nonzero[0]] = j
 
         # phase 1: drive artificials to zero
@@ -127,7 +129,7 @@ class Master:
         """Add one column and restore optimality by phase-2 pivots from the
         current basis."""
         tableau, basis, n, m = self.tableau, self.basis, self.n, self.m
-        a = [(i, column[i] * self.signs[i]) for i in range(m) if column[i]]
+        a = [(i, -v if self.flipped[i] else v) for i, v in enumerate(column[:m]) if v]
         # B^-1 a from the artificial block; the objective row's artificial
         # block holds -y, so the reduced cost is 1 - <y, a>
         for line in tableau:
@@ -164,7 +166,7 @@ class Master:
         # the artificial columns hold B^-1 and cost 0 in phase 2, so their
         # reduced costs are -y of the sign-normalised rows
         obj = self.tableau[-1]
-        return [-obj[self.n + i] * s for i, s in enumerate(self.signs)]
+        return [obj[self.n + i] if f else -obj[self.n + i] for i, f in enumerate(self.flipped)]
 
 
 def min_l1_combination(columns, target, m):

@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from schreier import functionals
 from schreier.ordinals import ONE, OMEGA, from_int
 from schreier.families import BudgetExceeded, Explicit, FineSchreier, Schreier
-from schreier.functionals import dual_norm, norm_via_functionals, norming_set
+from schreier.functionals import (_best_functional, _signature_dp, dual_norm,
+                                  norm_via_functionals, norming_set)
 from schreier.norms import NormParams, NormError, norm
 from schreier.simplex import Infeasible, Master, min_l1_combination
 from schreier.vectors import SparseVec, parse_vec
@@ -52,6 +54,60 @@ def generate_oracle(family, c, indices, depth, signed, budget):
             break
         current |= fresh
     return depths
+
+
+def best_functional_oracle(params, x, depth, budget=float("inf")):
+    """Reference pricing: the signature DP on Fractions, admissibility asked
+    of `contains` on the whole prefix of minima.  Returns (value,
+    functional, nodes), as `_best_functional`."""
+    if not x:
+        return Fraction(0), SparseVec([]), 0
+    fam = params.family
+    c = params.c
+    ax = x.abs()
+    pool = {(i, i): (ax[i], i) for i in x.support}
+    nodes = 0
+
+    for _ in range(depth):
+        new = {}
+        sigs = sorted(pool)
+
+        def combine(mins, last_max, total, parts):
+            nonlocal nodes
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceeded("signature DP ran past %d nodes" % budget)
+            if len(mins) >= 2:
+                sig = (mins[0], last_max)
+                val = c * total
+                if sig not in new or val > new[sig][0]:
+                    new[sig] = (val, parts)
+            for (m, mx) in sigs:
+                if m > last_max and fam.contains(mins + (m,)):
+                    val, tree = pool[(m, mx)]
+                    combine(mins + (m,), mx, total + val, parts + (tree,))
+
+        combine((), 0, Fraction(0), ())
+        improved = False
+        for sig, entry in new.items():
+            if sig not in pool or entry[0] > pool[sig][0]:
+                pool[sig] = entry
+                improved = True
+        if not improved:
+            break
+    value, tree = max(pool.values(), key=lambda entry: entry[0])
+
+    entries = []
+
+    def unfold(node, coeff):
+        if isinstance(node, int):
+            entries.append((node, coeff if x[node] > 0 else -coeff))
+        else:
+            for child in node:
+                unfold(child, coeff * c)
+
+    unfold(tree, Fraction(1))
+    return value, SparseVec(entries), nodes
 
 
 def dense_dual_norm(fs, g, bound):
@@ -132,7 +188,14 @@ class TestNormingSet:
         (FineSchreier(from_int(5)), Fraction(2, 3), 6, 3),
         (FineSchreier(OMEGA), Fraction(1, 2), 5, 3),
         (NON_SPREADING, Fraction(1, 3), 5, 3),
-    ], ids=["S1-5", "S1-6", "S1-7", "S2-6", "F5-6", "Fw-5", "explicit-5"])
+        (Schreier(ONE), Fraction(1, 3), 5, 3),
+        (Schreier(ONE), Fraction(9, 10), 5, 3),
+        (FineSchreier(OMEGA), Fraction(1, 3), 5, 3),
+        (FineSchreier(OMEGA), Fraction(9, 10), 5, 3),
+        (Schreier(OMEGA), Fraction(1, 3), 5, 3),  # prefix states
+        (Schreier(OMEGA), Fraction(9, 10), 5, 3),
+    ], ids=["S1-5", "S1-6", "S1-7", "S2-6", "F5-6", "Fw-5", "explicit-5",
+            "S1-5-c1/3", "S1-5-c9/10", "Fw-5-c1/3", "Fw-5-c9/10", "Sw-5-c1/3", "Sw-5-c9/10"])
     @pytest.mark.parametrize("signed", [True, False], ids=["signed", "unsigned"])
     def test_matches_oracle(self, family, c, bound, depth, signed):
         params = NormParams(family, c)
@@ -140,6 +203,9 @@ class TestNormingSet:
         oracle = generate_oracle(family, c, range(1, bound + 1), depth, signed, 2_000_000)
         assert fs.depths == oracle
         assert all(type(v) is Fraction for f in fs for _, v in f.entries)
+        # a functional first made at depth d has coefficients +-c^k, k <= d
+        for f, d in fs.depths.items():
+            assert all(abs(v) in {c ** k for k in range(d + 1)} for _, v in f.entries)
 
     def test_budget_matches_oracle(self):
         # the smallest budget that passes is the oracle's node-by-node peak
@@ -159,6 +225,77 @@ class TestNormingSet:
         fs = norming_set(S1, 3, 1, signed=False)
         f = SparseVec([(2, Fraction(1, 2)), (3, Fraction(1, 2))])
         assert f in fs
+
+
+class TestPricingOracle:
+    """The integer, state-read pricing DP against the Fraction/`contains`
+    one: the same value, functional and node count."""
+
+    @staticmethod
+    def _agree(params, x, depth):
+        ours = _best_functional(params, x, depth)
+        assert type(ours[0]) is Fraction
+        assert ours == best_functional_oracle(params, x, depth)
+
+    def test_patterns_and_signed_targets(self):
+        fs = norming_set(S1, 6, 3)
+        patterns = sorted({f.abs() for f in fs}, key=lambda f: f.entries)
+        assert len(patterns) == 87
+        for x in patterns:
+            self._agree(S1, x, 3)
+        rng = random.Random(11)
+        for _ in range(20):
+            supp = sorted(rng.sample(range(1, 7), rng.randint(1, 6)))
+            x = SparseVec([(i, Fraction(rng.choice([-5, -2, -1, 1, 3]), rng.choice([1, 2, 3])))
+                           for i in supp])
+            self._agree(S1, x, 3)
+
+    @pytest.mark.parametrize("family", [
+        Schreier(ONE), Schreier(from_int(2)), FineSchreier(from_int(5)), FineSchreier(OMEGA),
+        Schreier(OMEGA), TestNormingSet.NON_SPREADING,
+    ], ids=["S1", "S2", "F5", "Fw", "Sw", "explicit"])
+    def test_seeded_duals(self, family):
+        rng = random.Random(family.descriptor())
+        for c in (Fraction(1, 2), Fraction(2, 3), Fraction(9, 10)):
+            params = NormParams(family, c)
+            for _ in range(8):
+                supp = sorted(rng.sample(range(1, 8), rng.randint(1, 7)))
+                x = SparseVec([(i, Fraction(rng.choice([-1, 1]) * rng.randint(1, 10 ** 6),
+                                            rng.randint(1, 10 ** 6))) for i in supp])
+                self._agree(params, x, rng.randint(0, 3))
+
+    @pytest.mark.parametrize("target", ["1:1", "2:3,5:-1/2", "1:1,3:-5/3,4:1/2,6:4"])
+    def test_budget_one_node_short(self, target, monkeypatch):
+        g, bound = parse_vec(target), 6
+        used = []
+
+        def oracle(params, x, depth, budget=float("inf")):
+            result = best_functional_oracle(params, x, depth, budget)
+            used.append(result[2])
+            return result
+
+        def run(budget):
+            try:
+                return dual_norm(S1, g, bound, 3, budget=budget)
+            except BudgetExceeded as exc:
+                return str(exc)
+
+        ours = dual_norm(S1, g, bound, 3)
+        with monkeypatch.context() as patched:
+            patched.setattr(functionals, "_best_functional", oracle)
+            assert run(10 ** 6) == ours
+            rounds, short = len(used), sum(used) - 1
+            theirs = run(short)
+        assert "round %d" % rounds in theirs
+        assert run(short) == theirs
+        assert run(short + 1) == ours
+
+    def test_exact_division_check(self):
+        # unscaled leaves: c * (1 + 2) is not an integer
+        with pytest.raises(ArithmeticError):
+            _signature_dp(S1.family, S1.c, {2: 1, 3: 2}, 1, float("inf"))
+        # scaled: the combination is worth 3, the leaf at 3 more
+        assert _signature_dp(S1.family, S1.c, {2: 2, 3: 4}, 1, float("inf"))[:2] == (4, 3)
 
 
 class TestFunctionalNorm:
