@@ -86,16 +86,21 @@ def is_successive(blocks):
 # -- fine Schreier membership ----------------------------------------------
 
 # Every F_beta is hereditary, so F_beta is contained in F_(beta+1): drop the
-# minimum of a member.  Hence, by induction on e, F_beta lies in
-# F_(beta + w^e) whenever no CNF term of beta is absorbed (beta's last
-# exponent is >= e): for e >= 1 the first term of the fundamental sequence of
-# beta + w^e is beta + w^(e-1), and every nonempty set has minimum >= 1.
-# Below w^w a limit lam = d + w^e has lam[m] = d + w^(e-1)*m, so F_(lam[m])
-# lies in F_(lam[m+1]), and a set with minimum n lies in F_lam iff it lies in
-# F_(lam[n]).  Reading n therefore descends through lam[n] while the ordinal
-# is a limit, then steps to the predecessor: the rest of the set must lie in
-# F of that single ordinal.  From w^w on, a limit's last exponent may itself
-# be a limit (w^w[m] = w^m), and the inclusion is not established there.
+# minimum of a member.  At a limit g, F_(g[1]) lies in F_g, as every nonempty
+# set has minimum >= 1.  So F_beta lies in F_gamma whenever gamma reaches
+# beta by [1]-steps and predecessors.  Without absorption (beta's last
+# exponent is >= e), (beta + w^e)[1] = beta + w^e' with e' = e - 1 or e[1],
+# so beta + w^e reaches beta (induction on e).  For a limit lam = h + w^g,
+# lam[m+1] = lam[m] + w^(g-1) if g is a successor; if g is a limit, lam[m+1]
+# and lam[m] are h + w^(g[m+1]) and h + w^(g[m]), and a step on the exponent
+# is a [1]-step on h + w^exponent, so lam[m+1] reaches lam[m] by induction on
+# g.  Hence F_(lam[m]) lies in F_(lam[m+1]) for every limit, and a set with
+# minimum n lies in F_lam iff it lies in F_(lam[n]).  Reading n therefore
+# descends through lam[n] while the ordinal is a limit, then steps to the
+# predecessor: the rest of the set must lie in F of that single ordinal.
+# `fs_member` and `FineSchreier.step` still search the fundamental sequences
+# of limits from w^w on (see `_below_omega_omega`); the one-ordinal reading
+# would be exact there too.
 
 def _below_omega_omega(alpha):
     """True iff alpha < w^w, where a fine state is one ordinal."""
@@ -399,6 +404,8 @@ def enumerate_family(fam, bound, maximal_only=False, budget=1_000_000):
     """
     if bound < 1:
         raise FamilyError("bound must be >= 1")
+    if budget < 0:
+        raise FamilyError("budget must be >= 0, got %d" % budget)
     out = []
     steps = 0
 

@@ -23,12 +23,16 @@ the right of the block minima, and only spreading keeps them admissible.
 The best functional against a given vector is found without generating the
 set, by a dynamic program over (min, max) support signatures.  It runs on
 integers, the values scaled by a common denominator, and reads each chain of
-minima through the family's residual state as generation does.  It evaluates
-the functional norm and prices the columns of the dual gauge, which is
-computed by exact column generation: a rational simplex over the columns
-found so far, extended by the functional its duals rate highest.  The
-simplex master is built once per gauge and resumes from its last basis
-after each added column.
+minima through the family's residual state as generation does.  In a
+spreading family a chain that the largest minimum cannot extend is not
+scanned further, in generation or in the DP.  The DP evaluates the
+functional norm and prices the columns of the dual gauge, which is computed
+by exact column generation: a fraction-free simplex master over the columns
+found so far, extended by the functional its duals rate highest.  The whole
+loop runs on integers: the DP's leaves are the master's dual numerators,
+the maximiser unfolds into an integer column, and only the final value
+becomes a Fraction.  The master is built once per gauge and resumes from
+its last basis after each added column.
 """
 
 from __future__ import annotations
@@ -83,6 +87,9 @@ def _generate(family, c, indices, depth, signed, budget):
             scaled = tuple((i, d + 1 if d >= 0 else d - 1) for i, d in e)
             groups.setdefault(e[0][0], []).append((scaled, e[-1][0]))
         minima = sorted(groups)
+        # in a spreading family a chain that the largest minimum cannot
+        # extend admits no smaller one either: one step answers for the scan
+        highest = minima[-1] if family.spreading else None
         new = set()
 
         def combine(entries, k, state, last_max):
@@ -90,6 +97,8 @@ def _generate(family, c, indices, depth, signed, budget):
                 raise NormError("functional generation budget exceeded")
             if k >= 2:
                 new.add(entries)
+            if highest is not None and highest > last_max and family.step(state, highest) is None:
+                return
             for m in minima[bisect_right(minima, last_max):]:
                 after = family.step(state, m)
                 if after is not None:
@@ -173,7 +182,8 @@ def _signature_dp(fam, c, leaves, depth, budget):
     {index: value}: the best value, its tree and the nodes visited.  A chain
     of minima is read through the family's residual state, one `step` per
     added minimum.  Raises ArithmeticError if c times a sum is not an
-    integer, which the scaling of `_best_functional` rules out."""
+    integer, which the scaling of its callers (`_best_functional`,
+    `_price_column`) rules out."""
     p, q = c.numerator, c.denominator
     pool = {(i, i): (v, i) for i, v in leaves.items()}
     nodes = 0
@@ -185,6 +195,9 @@ def _signature_dp(fam, c, leaves, depth, budget):
         for (m, mx) in sorted(pool):
             by_min.setdefault(m, []).append((mx,) + pool[(m, mx)])
         minima = sorted(by_min)
+        # a spreading family's chain that the largest minimum cannot extend
+        # is not scanned (see `_generate`)
+        highest = minima[-1] if fam.spreading else None
 
         def combine(state, first, last_max, k, total, parts):
             nonlocal nodes
@@ -199,6 +212,8 @@ def _signature_dp(fam, c, leaves, depth, budget):
                                           % (p, total, q))
                 if sig not in new or val > new[sig][0]:
                     new[sig] = (val, parts)
+            if highest is not None and highest > last_max and fam.step(state, highest) is None:
+                return
             for m in minima[bisect_right(minima, last_max):]:
                 after = fam.step(state, m)
                 if after is not None:
@@ -229,6 +244,38 @@ def norm_via_functionals(params, x, depth=None):
     return _best_functional(params, x, depth)[0]
 
 
+def _price_column(params, duals, det, depth, budget):
+    """Pricing for the dual gauge on the master's integer duals, y_i =
+    duals[i - 1] / det for i = 1..len(duals): the functional f of K_depth
+    maximising <f, y> as an integer column q^depth f with its cost q^depth
+    (c = p/q), or None for the column when <f, y> <= 1; and the DP nodes
+    visited.
+
+    The leaves of the signature DP are |duals[i - 1]| q^depth, the |y_i|
+    scaled by S = det q^depth, so the price exceeds 1 exactly when the
+    value exceeds S.  A leaf at depth d of the maximiser's tree has the
+    coefficient +-c^d, the integer +-p^d q^(depth - d) in the column."""
+    c = params.c
+    p, q = c.numerator, c.denominator
+    lift = q ** depth
+    leaves = {i: abs(y) * lift for i, y in enumerate(duals, 1) if y}
+    value, tree, nodes = _signature_dp(params.family, c, leaves, depth, budget)
+    if value <= det * lift:
+        return None, lift, nodes
+    column = [0] * len(duals)
+
+    def unfold(node, d):
+        if isinstance(node, int):
+            coeff = p ** d * q ** (depth - d)
+            column[node - 1] = coeff if duals[node - 1] > 0 else -coeff
+        else:
+            for child in node:
+                unfold(child, d + 1)
+
+    unfold(tree, 0)
+    return column, lift, nodes
+
+
 def dual_norm(params, g, bound, depth, functionals=None, budget=100_000):
     """Gauge of the convex hull of the generated signed functional set.
 
@@ -247,9 +294,19 @@ def dual_norm(params, g, bound, depth, functionals=None, budget=100_000):
     every master column pairs with y to at most 1, and the set is finite,
     so the loop terminates.
 
+    The loop runs on integers.  The master starts from +-e_i as unit
+    integer columns and reports its duals as integer numerators over one
+    common denominator; `_price_column` feeds those to the DP and returns
+    the maximiser as an integer column with its cost.
+
     The pricing DP grows exponentially with `bound` (S_1 at bound 14, depth
     2 visits about 290,000 nodes); `budget` caps its nodes over the whole
-    call, and BudgetExceeded reports the round it stopped in.
+    call, and BudgetExceeded reports the round it stopped in.  For a family
+    below w^w the default budget of 100,000 nodes is spent in about
+    0.2-0.5 s at bounds up to 800 and about 1 s at bound 1,500, most of it
+    building the master's dense tableau.  A family from w^w on reads
+    chains by a membership query per step, and is slower: S_w spends the
+    budget in about 13 s at bound 50.
 
     `functionals` is accepted for compatibility and unused: pricing never
     materialises the set.
@@ -264,21 +321,22 @@ def dual_norm(params, g, bound, depth, functionals=None, budget=100_000):
         return Fraction(0)
     if g.support[-1] > bound:
         raise NormError("support of g exceeds the functional bound")
-    rows = range(1, bound + 1)
-    columns = [[Fraction(s) if j == i else Fraction(0) for j in rows]
-               for i in rows for s in (1, -1)]
-    master = simplex.Master(columns, [g[i] for i in rows], bound)
+    # +-e_i as unit integer columns of cost 1
+    columns = [[0] * bound for _ in range(2 * bound)]
+    for i in range(bound):
+        columns[2 * i][i], columns[2 * i + 1][i] = 1, -1
+    master = simplex.Master(columns, [g[i] for i in range(1, bound + 1)], bound)
     spent = rounds = 0
     while True:
         rounds += 1
         try:
-            price, f, nodes = _best_functional(
-                params, SparseVec(zip(rows, master.duals)), depth, budget - spent)
+            column, cost, nodes = _price_column(
+                params, master.dual_numerators, master.det, depth, budget - spent)
         except BudgetExceeded:
             raise BudgetExceeded(
                 "dual gauge pricing ran out of budget in round %d: %d signature-DP "
                 "nodes used, %d of them in the earlier rounds" % (rounds, budget, spent)) from None
         spent += nodes
-        if price <= 1:
+        if column is None:
             return master.value
-        master.add_column([f[i] for i in rows])
+        master.add_column(column, cost)

@@ -67,7 +67,9 @@ class SparseVec:
         return isinstance(other, SparseVec) and self.entries == other.entries
 
     def __hash__(self):
-        return hash(self.entries)
+        # reduced Fractions are equal iff their numerators and denominators
+        # are; hashing those ints skips Fraction.__hash__'s modular inverse
+        return hash(tuple([(i, v.numerator, v.denominator) for i, v in self.entries]))
 
     def __repr__(self):
         return "SparseVec(%s)" % format_vec(self)

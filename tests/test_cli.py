@@ -138,6 +138,8 @@ class TestFamily:
         ["dominate", "--u-schreier", "1", "--u-c", "1/2", "--v-schreier", "1", "--v-c", "1/2",
          "--budget", "0"],
         ["check", "--suite", "ordinals", "--json", "{missing}/summary.json"],
+        ["family", "enumerate", "--schreier", "1", "--bound", "4", "--budget", "-1"],
+        ["family", "structure", "--schreier", "1", "--bound", "4", "--budget", "-1"],
     ])
     def test_bad_input_is_usage_error(self, tmp_path, args):
         (tmp_path / "bad.json").write_text("[[1, 2]")

@@ -138,10 +138,21 @@ class TestResidualStates:
             assert read_states(fam, a) == expected, a
 
     def test_fundamental_sequences_grow_by_inclusion(self):
-        # the inclusion F_(lam[m]) <= F_(lam[m+1]) below w^w that lets a
-        # fine state be one ordinal
+        # F_(lam[m]) <= F_(lam[m+1]) for every limit lam, which lets a fine
+        # state be one ordinal.  Proof: F_b <= F_(b+1) by heredity, and
+        # F_(g[1]) <= F_g at a limit g, as every nonempty set has minimum
+        # >= 1; so F_b <= F_g whenever g reaches b by [1]-steps and
+        # predecessors.  Without absorption (b's last exponent >= e),
+        # (b + w^e)[1] = b + w^e' with e' = e - 1 or e[1], so b + w^e
+        # reaches b (induction on e).  If lam's last exponent g is a
+        # successor, lam[m+1] = lam[m] + w^(g-1) without absorption; if g is
+        # a limit, lam[m+1] and lam[m] are h + w^(g[m+1]) and h + w^(g[m]),
+        # and a step on the exponent is a [1]-step on h + w^exponent, so
+        # lam[m+1] reaches lam[m] by induction on g.
         for lam in (OMEGA, mul(OMEGA, from_int(2)), OMEGA_SQ, add(OMEGA_SQ, OMEGA),
-                    omega_pow(from_int(3))):
+                    omega_pow(from_int(3)), OMEGA_OMEGA, add(OMEGA_OMEGA, OMEGA),
+                    omega_pow(add(OMEGA, ONE)), omega_pow(mul(OMEGA, from_int(2))),
+                    omega_pow(OMEGA_SQ), mul(OMEGA_OMEGA, from_int(2))):
             for m in range(1, 5):
                 low, high = fundamental_seq(lam, m), fundamental_seq(lam, m + 1)
                 for a in subsets(10, 5):

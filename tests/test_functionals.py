@@ -1,14 +1,15 @@
 import random
 from bisect import bisect_right
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
-from schreier import functionals
+from schreier import functionals, simplex
 from schreier.ordinals import ONE, OMEGA, from_int
 from schreier.families import BudgetExceeded, Explicit, FineSchreier, Schreier
-from schreier.functionals import (_best_functional, _signature_dp, dual_norm,
-                                  norm_via_functionals, norming_set)
+from schreier.functionals import (_best_functional, _price_column, _signature_dp,
+                                  dual_norm, norm_via_functionals, norming_set)
 from schreier.norms import NormParams, NormError, norm
 from schreier.simplex import Infeasible, Master, min_l1_combination
 from schreier.vectors import SparseVec, parse_vec
@@ -108,6 +109,122 @@ def best_functional_oracle(params, x, depth, budget=float("inf")):
 
     unfold(tree, Fraction(1))
     return value, SparseVec(entries), nodes
+
+
+def price_column_oracle(params, duals, det, depth, budget=float("inf")):
+    """Reference dual-gauge pricing: `best_functional_oracle` on the
+    Fraction duals duals[i - 1] / det, its maximiser as integers over the
+    lcm of their denominators.  Returns (column, cost, nodes), as
+    `functionals._price_column`."""
+    rows = range(1, len(duals) + 1)
+    x = SparseVec([(i, Fraction(duals[i - 1], det)) for i in rows])
+    price, f, nodes = best_functional_oracle(params, x, depth, budget)
+    if price <= 1:
+        return None, 1, nodes
+    cost = lcm(*(v.denominator for _, v in f.entries))
+    return [f[i].numerator * (cost // f[i].denominator) for i in rows], cost, nodes
+
+
+class FractionMaster:
+    """Reference master: the two-phase Bland simplex on a Fraction tableau,
+    as `simplex.Master` solved it before its tableau held integers.  `log`
+    holds the basis after every pivot."""
+
+    def __init__(self, columns, target, m):
+        n = len(columns)
+        self.log = []
+        self.flipped = flipped = [v < 0 for v in target]
+        tableau = []
+        for i in range(m):
+            sign = -1 if flipped[i] else 1
+            row = [sign * Fraction(col[i]) for col in columns] + [Fraction(0)] * m
+            row.append(sign * Fraction(target[i]))
+            row[n + i] = Fraction(1)
+            tableau.append(row)
+        basis = [n + i for i in range(m)]
+        for j in range(n):
+            nonzero = [i for i in range(m) if tableau[i][j]]
+            if len(nonzero) == 1 and tableau[nonzero[0]][j] == 1 and basis[nonzero[0]] >= n:
+                basis[nonzero[0]] = j
+        self.tableau, self.basis, self.n, self.m = tableau, basis, n, m
+
+        tableau.append([Fraction(0)] * n + [Fraction(1)] * m + [Fraction(0)])
+        self._price_out(lambda j: j >= n)
+        self._run(n + m)
+        if tableau[-1][-1] != 0:
+            raise Infeasible("target is not in the cone of the columns")
+        for r in range(m):
+            if basis[r] >= n:
+                col = next((j for j in range(n) if tableau[r][j]), None)
+                if col is not None:
+                    self._pivot(r, col)
+        tableau[-1] = [Fraction(1)] * n + [Fraction(0)] * (m + 1)
+        self._price_out(lambda j: j < n)
+        self._run(n)
+
+    def _pivot(self, row, col):
+        line = self.tableau[row]
+        piv = line[col]
+        line[:] = [v / piv for v in line]
+        for r, other in enumerate(self.tableau):
+            factor = other[col]
+            if r != row and factor:
+                other[:] = [w - factor * v for w, v in zip(other, line)]
+        self.basis[row] = col
+        self.log.append(list(self.basis))
+
+    def _price_out(self, costed):
+        obj = self.tableau[-1]
+        for line, j in zip(self.tableau, self.basis):
+            if costed(j):
+                obj[:] = [w - v for w, v in zip(obj, line)]
+
+    def _run(self, ncols):
+        tableau, basis = self.tableau, self.basis
+        while True:
+            col = next((j for j in range(ncols) if tableau[-1][j] < 0), None)
+            if col is None:
+                return
+            best = None
+            for r in range(self.m):
+                if tableau[r][col] > 0:
+                    ratio = tableau[r][-1] / tableau[r][col]
+                    if best is None or ratio < best[0] or (ratio == best[0]
+                                                           and basis[r] < basis[best[1]]):
+                        best = (ratio, r)
+            self._pivot(best[1], col)
+
+    def add_column(self, column):
+        tableau, basis, n, m = self.tableau, self.basis, self.n, self.m
+        a = [(i, -Fraction(v) if self.flipped[i] else Fraction(v)) for i, v in enumerate(column)]
+        for line in tableau:
+            line.insert(n, sum((line[n + i] * v for i, v in a), Fraction(0)))
+        tableau[-1][n] += 1
+        for r in range(m):
+            if basis[r] >= n:
+                basis[r] += 1
+        self.n = n + 1
+        for r in range(m):
+            if basis[r] > n and tableau[r][n]:
+                self._pivot(r, n)
+        self._run(self.n)
+
+    @property
+    def weights(self):
+        weights = [Fraction(0)] * self.n
+        for r, j in enumerate(self.basis):
+            if j < self.n:
+                weights[j] = self.tableau[r][-1]
+        return weights
+
+    @property
+    def value(self):
+        return sum(self.weights, Fraction(0))
+
+    @property
+    def duals(self):
+        obj = self.tableau[-1]
+        return [obj[self.n + i] if f else -obj[self.n + i] for i, f in enumerate(self.flipped)]
 
 
 def dense_dual_norm(fs, g, bound):
@@ -235,7 +352,22 @@ class TestPricingOracle:
     def _agree(params, x, depth):
         ours = _best_functional(params, x, depth)
         assert type(ours[0]) is Fraction
-        assert ours == best_functional_oracle(params, x, depth)
+        theirs = best_functional_oracle(params, x, depth)
+        assert ours == theirs
+        if not x:
+            return
+        # the dual gauge's pricing, on x as integers over a common multiple
+        # of its denominators
+        rows = range(1, x.support[-1] + 1)
+        det = 3 * lcm(*(v.denominator for _, v in x.entries))
+        column, cost, nodes = _price_column(params, [x[i].numerator * det // x[i].denominator
+                                                     for i in rows], det, depth, float("inf"))
+        assert nodes == theirs[2]
+        if theirs[0] > 1:
+            assert cost == params.c.denominator ** depth
+            assert [Fraction(v, cost) for v in column] == [theirs[1][i] for i in rows]
+        else:
+            assert column is None
 
     def test_patterns_and_signed_targets(self):
         fs = norming_set(S1, 6, 3)
@@ -269,8 +401,8 @@ class TestPricingOracle:
         g, bound = parse_vec(target), 6
         used = []
 
-        def oracle(params, x, depth, budget=float("inf")):
-            result = best_functional_oracle(params, x, depth, budget)
+        def oracle(params, duals, det, depth, budget=float("inf")):
+            result = price_column_oracle(params, duals, det, depth, budget)
             used.append(result[2])
             return result
 
@@ -282,7 +414,7 @@ class TestPricingOracle:
 
         ours = dual_norm(S1, g, bound, 3)
         with monkeypatch.context() as patched:
-            patched.setattr(functionals, "_best_functional", oracle)
+            patched.setattr(functionals, "_price_column", oracle)
             assert run(10 ** 6) == ours
             rounds, short = len(used), sum(used) - 1
             theirs = run(short)
@@ -349,13 +481,14 @@ class TestWarmMaster:
     """Columns added to a solved master against a from-scratch solve."""
 
     BOUND = 6
-
-    @pytest.mark.parametrize("target", [
+    TARGETS = [
         "1:1,2:1,3:1,4:1,5:1,6:1",
         "2:3,5:-1/2",  # zero rows
         "1:-2,2:1/3",  # support in a short prefix
         "1:1,3:-5/3,4:1/2,6:4",
-    ])
+    ]
+
+    @pytest.mark.parametrize("target", TARGETS)
     def test_add_column_stays_optimal(self, target):
         rows = range(1, self.BOUND + 1)
         g = [parse_vec(target)[i] for i in rows]
@@ -390,6 +523,93 @@ class TestWarmMaster:
             assert _pair(target, master.duals) == master.value
 
 
+@pytest.fixture
+def pivot_log(monkeypatch):
+    """The basis after every pivot of `simplex.Master`."""
+    log = []
+    pivot = simplex._pivot
+
+    def recording(tableau, basis, row, col, det):
+        det = pivot(tableau, basis, row, col, det)
+        log.append(list(basis))
+        return det
+
+    monkeypatch.setattr(simplex, "_pivot", recording)
+    return log
+
+
+class TestIntegerMaster:
+    """The fraction-free master against the Fraction tableau: the same basis
+    after every pivot, and the same value, weights and duals."""
+
+    @staticmethod
+    def _run(log, columns, target, m, added=()):
+        try:
+            theirs = FractionMaster(columns, target, m)
+        except Infeasible:
+            with pytest.raises(Infeasible):
+                Master(columns, target, m)
+            return
+        ours = Master(columns, target, m)
+        for column in (None,) + tuple(added):
+            if column is not None:
+                ours.add_column(column)
+                theirs.add_column(column)
+            assert log == theirs.log and ours.basis == theirs.basis
+            assert ours.value == theirs.value
+            assert ours.weights == theirs.weights
+            assert ours.duals == theirs.duals
+            assert all(type(v) is int for line in ours.tableau for v in line)
+
+    @pytest.mark.parametrize("columns, target", [
+        ([[1, 0], [0, 1], [1, 1]], [1, 1]),
+        ([[1, 0], [0, 1]], [Fraction(-1, 2), 0]),
+        ([[1, 0], [-1, 0]], [Fraction(-1, 2), 0]),
+        ([[1, 0]], [0, 1]),
+        ([[Fraction(1, 3), 0], [0, Fraction(1, 7)]], [Fraction(1, 3), Fraction(2, 7)]),
+        ([[Fraction(1), Fraction(0)], [Fraction(2), Fraction(0)]], [Fraction(2), Fraction(0)]),
+    ])
+    def test_simplex_inputs(self, pivot_log, columns, target):
+        added = [[3, -1], [0, Fraction(1)], [Fraction(1), Fraction(1)]]
+        self._run(pivot_log, columns, target, 2, added)
+
+    @pytest.mark.parametrize("target", TestWarmMaster.TARGETS)
+    def test_warm_master_inputs(self, pivot_log, target):
+        rows = range(1, TestWarmMaster.BOUND + 1)
+        g = [parse_vec(target)[i] for i in rows]
+        columns = [[Fraction(s) if j == i else Fraction(0) for j in rows]
+                   for i in rows for s in (1, -1)]
+        flist = sorted(norming_set(S1, TestWarmMaster.BOUND, 3), key=lambda f: f.entries)
+        added = [[f[i] for i in rows] for f in random.Random(target).sample(flist, 40)]
+        self._run(pivot_log, columns, g, TestWarmMaster.BOUND, added)
+
+    def test_dense_oracle_inputs(self, pivot_log):
+        fs = norming_set(S1, 6, 3)
+        rows = range(1, 7)
+        columns = [[f[i] for i in rows] for f in fs]
+        patterns = sorted({f.abs() for f in fs}, key=lambda f: f.entries)
+        rng = random.Random(11)
+        targets = patterns[::12] + [
+            SparseVec([(i, Fraction(rng.choice([-5, -2, -1, 1, 3]), rng.choice([1, 2, 3])))
+                       for i in sorted(rng.sample(range(1, 7), rng.randint(1, 6)))])
+            for _ in range(4)]
+        for g in targets:
+            pivot_log.clear()
+            self._run(pivot_log, columns, [g[i] for i in rows], 6)
+
+    def test_seeded_rational_inputs(self, pivot_log):
+        # mixed denominators: scaled columns that look like units after
+        # scaling, negative pivots when artificials leave, infeasible targets
+        rng = random.Random(17)
+        entry = lambda: Fraction(rng.choice([-2, -1, 0, 0, 1, 2]), rng.choice([1, 2, 3]))
+        for _ in range(60):
+            m = rng.randint(1, 4)
+            columns = [[entry() for _ in range(m)] for _ in range(rng.randint(1, 7))]
+            added = [[entry() for _ in range(m)] for _ in range(4)]
+            pivot_log.clear()
+            self._run(pivot_log, columns, [entry() for _ in range(m)], m, added)
+
+
 class TestDualNormBudget:
     def test_budget_reports_round_and_nodes(self):
         g = SparseVec([(1, Fraction(1))])
@@ -400,6 +620,29 @@ class TestDualNormBudget:
     def test_negative_budget(self):
         with pytest.raises(NormError):
             dual_norm(S1, SparseVec([(1, Fraction(1))]), 4, 2, budget=-1)
+
+    def test_budget_bounds_family_steps(self):
+        # a spreading family's chain that the largest minimum cannot extend
+        # is not scanned, so the work is linear in the budget at any bound
+        # (a scan of every minimum at each node took about 1,400 steps per
+        # node at bound 400)
+        fam = Schreier(ONE)
+        calls = [0]
+        step = fam.step
+
+        def counting(state, n):
+            calls[0] += 1
+            return step(state, n)
+
+        fam.step = counting
+        budget = 10_000
+        with pytest.raises(BudgetExceeded):
+            _signature_dp(fam, Fraction(1, 2), dict.fromkeys(range(1, 401), 2), 1, budget)
+        assert calls[0] <= 3 * budget
+        calls[0] = 0
+        with pytest.raises(NormError, match="generation budget"):
+            norming_set(NormParams(fam, Fraction(1, 2)), 400, 1, budget=budget)
+        assert calls[0] <= 3 * budget
 
 
 class TestDualNormOracle:

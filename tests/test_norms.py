@@ -53,6 +53,17 @@ class TestVectors:
     def test_zero_coefficients_dropped(self):
         assert SparseVec([(3, Fraction(0))]).entries == ()
 
+    def test_equal_vectors_hash_equal(self):
+        # the hash reads numerators and denominators, so every constructor
+        # must leave reduced Fractions
+        x = vec("1:1/2,3:1/4,5:2")
+        for y in (SparseVec([(5, 2), (1, Fraction(2, 4)), (3, Fraction(1, 4))]),
+                  SparseVec._canonical(((1, Fraction(1, 2)), (3, Fraction(1, 2) ** 2),
+                                        (5, Fraction(4, 2)))),
+                  vec("1:1,3:1/2,5:4").scale(Fraction(1, 2)),
+                  vec("1:-1/2,3:1/4,5:-2").abs()):
+            assert y == x and hash(y) == hash(x)
+
     def test_add_and_restrict(self):
         x = vec("1:1,2:1").add(vec("2:-1,3:2"))
         assert format_vec(x) == "1:1,3:2"
