@@ -347,7 +347,8 @@ def _structure_options(sub):
 
 def _cb_index_options(sub):
     _family_options(sub)
-    sub.add_argument("--budget", type=int, default=32)
+    sub.add_argument("--budget", type=int, default=32,
+                     help="derivatives taken before reporting a lower bound (exit 3)")
 
 
 def _norm_options(sub):

@@ -167,6 +167,16 @@ class TestFamily:
         result = run("family", "cb-index", "--schreier", "1", "--budget", "4")
         assert result.exit_code == 3
 
+    def test_cb_index_default_budget_reports_lower_bound(self):
+        result = run("family", "cb-index", "--schreier", "1")
+        assert result.exit_code == 3
+        assert result.output.strip() == ">= 32 (budget reached)"
+
+    def test_cb_index_deep_finite_family(self):
+        result = run("family", "cb-index", "--fine", "30")
+        assert result.exit_code == 0
+        assert result.output.strip() == "31"
+
 
 class TestNorm:
     def test_value_and_cert(self, tmp_path):

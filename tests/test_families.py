@@ -302,3 +302,51 @@ class TestCBIndex:
     def test_budget_exhaustion_flagged(self):
         index, exact = cb_index_finite(Schreier(ONE), budget=5)
         assert index == 5 and not exact
+
+    @pytest.mark.parametrize("k", [12, 20, 30])
+    def test_long_finite_indices_at_default_budget(self, k):
+        assert cb_index_finite(FineSchreier(from_int(k))) == (k + 1, True)
+
+    @pytest.mark.parametrize("fam", [Schreier(ONE), Schreier(from_int(2)),
+                                     FineSchreier(OMEGA_OMEGA)], ids=["S1", "S2", "Fww"])
+    def test_infinite_indices_reach_default_budget(self, fam):
+        assert cb_index_finite(fam) == (32, False)
+
+    def test_base_queries_grow_linearly_with_depth(self):
+        class Counted(FineSchreier):
+            """F_k that counts its membership queries and stops at a cap."""
+
+            cap = 200_000
+
+            def __init__(self, alpha):
+                super().__init__(alpha)
+                self.calls = 0
+
+            def contains(self, a):
+                self.calls += 1
+                if self.calls > self.cap:
+                    raise RuntimeError("more than %d base queries" % self.cap)
+                return super().contains(a)
+
+        queries = {}
+        for k in (10, 20):
+            base = Counted(from_int(k))
+            assert cb_index_finite(base) == (k + 1, True)
+            queries[k] = base.calls
+        assert queries[20] <= 3 * queries[10]
+
+    def test_iterated_derivatives_of_finite_families(self):
+        # the j-th derivative of F_k is F_(k-j), and empty for j > k
+        sets = list(subsets(10, 10))
+        for k in range(7):
+            current = FineSchreier(from_int(k))
+            for j in range(k + 2):
+                want = [len(a) <= k - j for a in sets]
+                assert [current.contains(a) for a in sets] == want, (k, j)
+                current = cb_derivative(current)
+
+    def test_derived_keeps_descriptor_and_stability_check(self):
+        d = cb_derivative(cb_derivative(Schreier(ONE)))
+        assert d.descriptor() == "cbderiv(cbderiv(schreier:1))"
+        with pytest.raises(FamilyError):
+            cb_derivative(residual(Schreier(ONE), (2,)))
