@@ -1,10 +1,13 @@
 """Persistent norm cache: one JSON record per line.
 
-Records have the shape {family, c, vec, value, cert_digest}, keyed by the
-first three.  A lookup returns the stored value without recomputing it, and
-a store appends a record only for a key not yet in the file.  Lines that do
-not decode are skipped.  The certificate digest is written with each record
-but nothing reads it back, and no hit is compared with recomputation.
+Records have the shape {family, c, vec, value, cert}, keyed by the first
+three, with `cert` the JSON form of the norm's partition certificate.  A
+lookup returns the stored value and certificate; the caller re-verifies the
+certificate before serving the value (`norms.norm_value`), and treats a
+record whose certificate does not give its value as a miss.  A store
+appends a record; on load the last record for a key wins, so a corrected
+record appended after a bad one replaces it.  Lines that do not decode are
+skipped.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import threading
 ENV_VAR = "SCHREIER_CACHE_DIR"
 
 _lock = threading.Lock()
-_loaded = {}  # path -> dict[(family, c, vec)] = (value_str, digest)
+_loaded = {}  # path -> dict[(family, c, vec)] = (value_str, cert_json)
 
 
 class CacheMismatch(RuntimeError):
@@ -41,22 +44,11 @@ def _load(path):
                 for line in fh:
                     try:
                         rec = json.loads(line)
-                        table[(rec["family"], rec["c"], rec["vec"])] = (
-                            rec["value"],
-                            rec["cert_digest"],
-                        )
-                    except (ValueError, KeyError, TypeError):
+                        table[(rec["family"], rec["c"], rec["vec"])] = (rec["value"], rec["cert"])
+                    except (ValueError, KeyError, TypeError, RecursionError):
                         continue  # a blank, truncated or foreign line is no record
         _loaded[path] = table
         return table
-
-
-def cert_digest(cert):
-    import hashlib  # only a miss pays for it
-
-    return hashlib.sha256(
-        json.dumps(cert.to_json(), sort_keys=True).encode()
-    ).hexdigest()
 
 
 def lookup(path, family, c, vec):
@@ -65,17 +57,15 @@ def lookup(path, family, c, vec):
     return _load(path).get((family, c, vec))
 
 
-def store(path, family, c, vec, value, digest):
+def store(path, family, c, vec, value, cert):
     if path is None:
         return
     table = _load(path)
     key = (family, c, vec)
     with _lock:
-        if key in table:
-            return
-        table[key] = (value, digest)
+        table[key] = (value, cert)
         line = json.dumps(
-            {"family": family, "c": c, "vec": vec, "value": value, "cert_digest": digest}
+            {"family": family, "c": c, "vec": vec, "value": value, "cert": cert}
         ).encode() + b"\n"
         with open(path, "a+b") as fh:
             # start a fresh line after a truncated last record

@@ -29,8 +29,11 @@ from .ordinals import Ordinal, ZERO, omega_pow
 
 
 # Probe horizon for existential questions ("is some singleton a member?")
-# on spreading families.  Spreading makes these probes upward-monotone, so
-# a miss below the horizon is treated as a miss outright.
+# on spreading families.  A miss below the horizon is treated as a miss
+# outright, though it proves nothing: spreading makes singleton membership
+# upward-closed, so a family whose first singleton lies past the horizon
+# reads as empty (the j-th derivative of S_1 holds {n} only for n > j).
+# Exact indices from the ordinal states are ROADMAP item 3.
 DEFAULT_HORIZON = 64
 
 

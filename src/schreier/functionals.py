@@ -7,13 +7,18 @@ generated from the coordinate functionals by
 
 where the supports of the f_j are successive and their minima form a member
 of F.  Generation is graded by depth.  Every coefficient is +-c^d, so
-generation holds a functional as (index, code) pairs, d for +c^d and ~d for
--c^d, and makes the Fractions once at the end.  Each level scales every
-functional of the pool by c once (d -> d + 1); since the summands' supports
-are successive, a combination is the concatenation of its summands' scaled
-entries and is canonical as built, and each minimum added to a chain is one
-step of the family's residual state (`initial_state`/`step`), for a fine
-family below w^w one cached ordinal step.  For a spreading family F, at depth
+generation holds a functional as a tuple of integer codes, one per entry,
+and makes the Fractions once at the end from a table of (index, +-c^d)
+entries shared by all functionals.  A functional first made at depth d has a
+coefficient +-c^d, so a combination is new at level L exactly when one of
+its summands was first made at level L - 1: each level extends only the
+chains that hold such a summand, makes nothing twice across levels, and
+adds to the pool only the functionals the previous level made, each scaled
+by c once.  Since the summands' supports are successive, a combination is
+the concatenation of its summands' scaled entries and is canonical as
+built, and each minimum added to a chain is one step of the family's
+residual state (`initial_state`/`step`), for a fine family below w^w one
+cached ordinal step.  For a spreading family F, at depth
 >= |supp(x)| the supremum over the set equals the norm (tested, not
 assumed).  Without spreading it can fall short: a block's norm need not use
 the block's minimum, so the matching functional's support minima can lie to
@@ -23,9 +28,12 @@ the right of the block minima, and only spreading keeps them admissible.
 The best functional against a given vector is found without generating the
 set, by a dynamic program over (min, max) support signatures.  It runs on
 integers, the values scaled by a common denominator, and reads each chain of
-minima through the family's residual state as generation does.  In a
-spreading family a chain that the largest minimum cannot extend is not
-scanned further, in generation or in the DP.  The DP evaluates the
+minima through the family's residual state as generation does, but merges
+the chains whose states agree, as the norm DP does, instead of enumerating
+them: its work is polynomial in the support wherever the family has few
+states per position.  In a spreading family a chain that the largest
+minimum cannot extend is not scanned further, in generation or in the DP.
+The DP evaluates the
 functional norm and prices the columns of the dual gauge, which is computed
 by exact column generation: a fraction-free simplex master over the columns
 found so far, extended by the functional its duals rate highest.  The whole
@@ -48,89 +56,118 @@ from .vectors import SparseVec
 
 
 class FunctionalSet:
-    """Generated norming functionals over a bounded index range.
+    """Generated norming functionals over a bounded index range, in the
+    order of generation.
 
     `depths` maps each functional (a SparseVec) to the generation depth at
-    which it first appeared.
+    which it first appeared; it is built on first use.
     """
 
-    def __init__(self, depths):
-        self.depths = depths
+    def __init__(self, functionals, starts):
+        self._functionals = functionals
+        self._starts = starts  # where each depth begins in the list
+        self._depths = None
 
     def __iter__(self):
-        return iter(self.depths)
+        return iter(self._functionals)
 
     def __len__(self):
-        return len(self.depths)
+        return len(self._functionals)
 
     def __contains__(self, f):
         return f in self.depths
 
+    @property
+    def depths(self):
+        if self._depths is None:
+            ends = self._starts[1:] + [len(self._functionals)]
+            self._depths = {f: d for d, (lo, hi) in enumerate(zip(self._starts, ends))
+                            for f in self._functionals[lo:hi]}
+        return self._depths
+
 
 def _generate(family, c, indices, depth, signed, budget):
-    # functionals are held as tuples of (index, code) with code d for +c^d
-    # and ~d for -c^d (injective as 0 < c < 1), so sets hash only ints;
-    # scaling by c is d -> d + 1, ~d -> ~(d + 1)
-    base = [((i, 0),) for i in sorted(indices)]
+    """The functionals of K_depth over `indices` as SparseVecs in the order
+    of generation, and the position in that list where each depth starts.
+    Raises NormError once more than `budget` functionals are held."""
+    # a functional is held as a tuple of integer codes, one per entry: index
+    # i with coefficient +c^d is i * width + 2d, with -c^d one more
+    # (injective as 0 < c < 1), so scaling by c adds 2 to every code
+    width = 2 * depth + 2
+    indices = sorted(indices)
+    made = [(i * width,) for i in indices]
     if signed:
-        base += [((i, ~0),) for ((i, _),) in base]
-    known = dict.fromkeys(base, 0)  # each functional -> its first depth
+        made += [(e + 1,) for (e,) in made]
+    starts = [0]
+
+    def hold(level, count):
+        if count > budget:
+            raise NormError("functional generation budget of %d exceeded at depth %d: %d "
+                            "functionals held" % (budget, level, count))
+
+    hold(0, len(made))
     start = family.initial_state()
-    # sort the pool by support, then by coefficient value, as the Fractions
-    # would sort: -1 < -c < ... < -c^depth < c^depth < ... < c < 1
-    rank = lambda d: -d if d >= 0 else -d - 2 * depth - 2
+    pool = {}  # support minimum -> [(functional scaled by c, support maximum)]
+    fresh = made
     for level in range(1, depth + 1):
-        # the pool grouped by support minimum, each functional scaled by c
-        # once and kept with its support maximum
-        groups = {}
-        for e in sorted(known, key=lambda e: (tuple(i for i, _ in e), tuple(rank(d) for _, d in e))):
-            scaled = tuple((i, d + 1 if d >= 0 else d - 1) for i, d in e)
-            groups.setdefault(e[0][0], []).append((scaled, e[-1][0]))
-        minima = sorted(groups)
+        # a combination with a summand first made at the previous level has
+        # a coefficient +-c^level, which nothing made earlier has; one with
+        # none was made at an earlier level.  So a level extends only the
+        # chains that hold such a summand, and makes only new functionals;
+        # the pool takes each of them, scaled by c, once
+        latest = {}
+        for f in fresh:
+            latest.setdefault(f[0] // width, []).append(
+                (tuple([e + 2 for e in f]), f[-1] // width))
+        minima = sorted(pool.keys() | latest.keys())
+        newest = max(latest, default=0)
         # in a spreading family a chain that the largest minimum cannot
         # extend admits no smaller one either: one step answers for the scan
-        highest = minima[-1] if family.spreading else None
-        new = set()
+        highest = minima[-1] if family.spreading and minima else None
+        new = {}
 
-        def combine(entries, k, state, last_max):
-            if len(known) + len(new) > budget:
-                raise NormError("functional generation budget exceeded")
-            if k >= 2:
-                new.add(entries)
+        def combine(entries, k, state, last_max, mixed):
+            if mixed:
+                if k >= 2:
+                    new[entries] = None
+                    hold(level, len(made) + len(new))
+            elif last_max >= newest:
+                return  # no summand of the previous level can follow
             if highest is not None and highest > last_max and family.step(state, highest) is None:
                 return
             for m in minima[bisect_right(minima, last_max):]:
                 after = family.step(state, m)
                 if after is not None:
-                    for scaled, top in groups[m]:
-                        combine(entries + scaled, k + 1, after, top)
+                    for scaled, top in pool.get(m, ()):
+                        combine(entries + scaled, k + 1, after, top, mixed)
+                    for scaled, top in latest.get(m, ()):
+                        combine(entries + scaled, k + 1, after, top, True)
 
-        combine((), 0, start, 0)
-        fresh = new.difference(known)
-        if not fresh:
+        combine((), 0, start, 0, False)
+        if not new:
             break
-        known.update(dict.fromkeys(fresh, level))
-    # materialise each key once from a table of the coefficients; the coded
-    # functionals are moved out and freed as the result fills, so the two
-    # maps are never both whole
-    value = {}
+        for m, summands in latest.items():
+            pool.setdefault(m, []).extend(summands)
+        starts.append(len(made))
+        fresh = list(new)
+        made += fresh
+    # each entry becomes an (index, +-c^d) pair from one shared table, in
+    # place, so the coded functionals are freed as the list fills
+    coeff = []
     for d in range(depth + 1):
-        value[d] = c ** d
-        value[~d] = -value[d]
-    coded = []
-    while known:
-        coded.append(known.popitem())
-    depths = {}
-    while coded:
-        e, level = coded.pop()
-        depths[SparseVec._canonical(tuple((i, value[d]) for i, d in e))] = level
-    return depths
+        power = c ** d
+        coeff += [power, -power]
+    size = (indices[-1] + 1) * width if indices else 0
+    table = [(e // width, coeff[e % width]) for e in range(size)]
+    for n, f in enumerate(made):
+        made[n] = SparseVec._canonical(tuple([table[e] for e in f]))
+    return made, starts
 
 
 def norming_set(params, bound, depth, signed=True, budget=2_000_000):
     """The functional set K_depth over indices [1..bound]."""
-    depths = _generate(params.family, params.c, range(1, bound + 1), depth, signed, budget)
-    return FunctionalSet(depths)
+    return FunctionalSet(*_generate(params.family, params.c, range(1, bound + 1), depth,
+                                    signed, budget))
 
 
 def _best_functional(params, x, depth, budget=float("inf")):
@@ -151,7 +188,8 @@ def _best_functional(params, x, depth, budget=float("inf")):
     latest.  Each value carries the tree of its combination: a coordinate
     index at a leaf, a tuple of subtrees at a combination.  Trees are
     immutable, so a later improvement of a signature leaves the trees built
-    from its earlier value, and their depths, unchanged.
+    from its earlier value, and their depths, unchanged.  Within a level the
+    chains of signatures are merged by residual state (`_signature_dp`).
 
     The DP runs on integers: with c = p/q and D the least common multiple
     of the denominators of |x|, every value times S = D q^depth is an
@@ -179,55 +217,107 @@ def _best_functional(params, x, depth, budget=float("inf")):
 
 def _signature_dp(fam, c, leaves, depth, budget):
     """The signature DP of `_best_functional` on integer leaf values
-    {index: value}: the best value, its tree and the nodes visited.  A chain
-    of minima is read through the family's residual state, one `step` per
-    added minimum.  Raises ArithmeticError if c times a sum is not an
-    integer, which the scaling of its callers (`_best_functional`,
-    `_price_column`) rules out."""
+    {index: value}: the best value, its tree and the nodes visited.  Raises
+    ArithmeticError if c times a sum is not an integer, which the scaling of
+    its callers (`_best_functional`, `_price_column`) rules out.
+
+    A level combines the pool's signatures into chains with successive
+    supports, reading the chain's minima through the family's residual
+    state.  Chains are not enumerated but merged, as in the norm DP: two
+    chains that agree on their first minimum, their residual state, their
+    last maximum and whether they hold two or more summands have the same
+    completions, so each such class keeps only its best total.  Classes are
+    swept by last maximum, each extended by every later minimum its state
+    admits.  A node is one such admitted extension, so `budget` bounds the
+    classes times the minima; in a spreading family a class that the
+    largest minimum cannot extend is not scanned further (see
+    `_generate`).  Each class also keeps the least chain (its signatures in
+    order) attaining its best total, and its least chain of all, so that
+    ties resolve as in a scan of the chains in lexicographic order: the
+    maximiser is the one such a scan finds first.
+    """
     p, q = c.numerator, c.denominator
-    pool = {(i, i): (v, i) for i, v in leaves.items()}
+    # a signature (min, max) is coded as min * width + max, in the same order
+    width = max(leaves, default=0) + 1
+    pool = {i * width + i: (v, i) for i, v in sorted(leaves.items())}
+    # residual states by number, and the number after each admitted minimum
+    # (-1 when refused), so that each step is taken once per call
+    states, ids, moves = [fam.initial_state()], {}, {}
+    ids[states[0]] = 0
+
+    def move(sid, m):
+        key = sid * width + m
+        after = moves.get(key)
+        if after is None:
+            state = fam.step(states[sid], m)
+            if state is None:
+                after = -1
+            else:
+                after = ids.get(state)
+                if after is None:
+                    after = ids[state] = len(states)
+                    states.append(state)
+            moves[key] = after
+        return after
+
     nodes = 0
-
     for _ in range(depth):
-        new = {}
-        # the pool's signatures by minimum, in signature order
         by_min = {}
-        for (m, mx) in sorted(pool):
-            by_min.setdefault(m, []).append((mx,) + pool[(m, mx)])
+        for sig in sorted(pool):
+            by_min.setdefault(sig // width, []).append((sig, sig % width, pool[sig][0]))
         minima = sorted(by_min)
-        # a spreading family's chain that the largest minimum cannot extend
-        # is not scanned (see `_generate`)
         highest = minima[-1] if fam.spreading else None
-
-        def combine(state, first, last_max, k, total, parts):
-            nonlocal nodes
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceeded("signature DP ran past %d nodes" % budget)
-            if k >= 2:
-                sig = (first, last_max)
-                val, rem = divmod(p * total, q)
-                if rem:
-                    raise ArithmeticError("scaled pricing value %d * %d / %d is not an integer"
-                                          % (p, total, q))
-                if sig not in new or val > new[sig][0]:
-                    new[sig] = (val, parts)
-            if highest is not None and highest > last_max and fam.step(state, highest) is None:
-                return
-            for m in minima[bisect_right(minima, last_max):]:
-                after = fam.step(state, m)
-                if after is not None:
-                    for mx, val, tree in by_min[m]:
-                        combine(after, first or m, mx, k + 1, total + val, parts + (tree,))
-
-        combine(fam.initial_state(), 0, 0, 0, 0, ())
-        improved = False
-        for sig, entry in new.items():
-            if sig not in pool or entry[0] > pool[sig][0]:
-                pool[sig] = entry
-                improved = True
+        # last maximum -> (first minimum, state number, k >= 2) -> [best
+        # total, least chain attaining it, least chain]
+        ends = {top: {} for top in sorted({0} | {sig % width for sig in pool})}
+        ends[0][(0, 0, False)] = [0, (), ()]
+        found = {}  # signature -> the same three, over its classes
+        for last_max in list(ends):
+            for (first, sid, multi), (total, best, least) in ends.pop(last_max).items():
+                if multi:
+                    have = found.setdefault(first * width + last_max, [total, best, least])
+                    if total > have[0] or (total == have[0] and best < have[1]):
+                        have[0], have[1] = total, best
+                    if least < have[2]:
+                        have[2] = least
+                if highest is not None and highest > last_max and move(sid, highest) < 0:
+                    continue
+                for m in minima[bisect_right(minima, last_max):]:
+                    after = move(sid, m)
+                    if after < 0:
+                        continue
+                    nodes += 1
+                    if nodes > budget:
+                        raise BudgetExceeded("signature DP ran past %d nodes" % budget)
+                    key = (first or m, after, first != 0)
+                    for sig, top, val in by_min[m]:
+                        cand = total + val
+                        target = ends[top]
+                        have = target.get(key)
+                        if have is None:
+                            chain = best + (sig,)
+                            target[key] = [cand, chain, chain if least is best else least + (sig,)]
+                            continue
+                        if cand >= have[0]:
+                            chain = best + (sig,)
+                            if cand > have[0] or chain < have[1]:
+                                have[0], have[1] = cand, chain
+                        chain = least + (sig,)
+                        if chain < have[2]:
+                            have[2] = chain
+        improved = []
+        for sig in sorted(found, key=lambda s: found[s][2]):
+            total, best, _ = found[sig]
+            val, rem = divmod(p * total, q)
+            if rem:
+                raise ArithmeticError("scaled pricing value %d * %d / %d is not an integer"
+                                      % (p, total, q))
+            if sig not in pool or val > pool[sig][0]:
+                improved.append((sig, val, best))
         if not improved:
             break
+        # every tree is read before this level replaces any signature's
+        pool.update([(sig, (val, tuple(pool[s][1] for s in best))) for sig, val, best in improved])
     value, tree = max(pool.values(), key=lambda entry: entry[0])
     return value, tree, nodes
 
@@ -299,14 +389,16 @@ def dual_norm(params, g, bound, depth, functionals=None, budget=100_000):
     common denominator; `_price_column` feeds those to the DP and returns
     the maximiser as an integer column with its cost.
 
-    The pricing DP grows exponentially with `bound` (S_1 at bound 14, depth
-    2 visits about 290,000 nodes); `budget` caps its nodes over the whole
-    call, and BudgetExceeded reports the round it stopped in.  For a family
-    below w^w the default budget of 100,000 nodes is spent in about
-    0.2-0.5 s at bounds up to 800 and about 1 s at bound 1,500, most of it
-    building the master's dense tableau.  A family from w^w on reads
-    chains by a membership query per step, and is slower: S_w spends the
-    budget in about 13 s at bound 50.
+    The pricing DP merges chains by residual state, so its nodes grow
+    polynomially with `bound` (S_1, depth 2: 1,310 nodes for all-equal
+    leaves on [1..14], 30,006 on [1..30]); `budget` caps its nodes over the
+    whole call, and BudgetExceeded reports the round it stopped in.  A
+    dense target on [1..14] at depth 2 takes 30 rounds and about 0.07 s.
+    For a family below w^w the default budget of 100,000 nodes is spent in
+    about 0.1-0.3 s at bounds up to 800 and about 0.75 s at bound 1,500,
+    nearly all of it building the master's dense tableau.  A family from
+    w^w on reads chains by a membership query per step, and is slower:
+    S_w spends the budget in about 4 s at bound 50.
 
     `functionals` is accepted for compatibility and unused: pricing never
     materialises the set.

@@ -303,7 +303,11 @@ def norm_value(params, x, cache_dir=None):
     """Norm value with optional persistent caching.
 
     The cache directory comes from `cache_dir` or the SCHREIER_CACHE_DIR
-    environment variable; without either this is just `norm(...)[0]`.
+    environment variable; without either this is just `norm(...)[0]`.  A
+    cached value is served only if its stored certificate verifies to it;
+    otherwise the norm is recomputed and a corrected record appended.  A
+    certificate proves a lower bound, so a record whose certificate is
+    valid but not optimal is still served.
     """
     from . import cache
     from .vectors import format_vec
@@ -313,9 +317,14 @@ def norm_value(params, x, cache_dir=None):
     vec_key = format_vec(x)
     hit = cache.lookup(path, family_key, c_key, vec_key)
     if hit is not None:
-        return Fraction(hit[0])
+        try:
+            value = Fraction(hit[0])
+            if verify_certificate(params, x, cert_from_json(hit[1])) == value:
+                return value
+        except (ValueError, KeyError, TypeError, ZeroDivisionError, RecursionError):
+            pass  # an unreadable record or certificate is a miss too
     value, cert = norm(params, x)
-    cache.store(path, family_key, c_key, vec_key, str(value), cache.cert_digest(cert))
+    cache.store(path, family_key, c_key, vec_key, str(value), cert.to_json())
     return value
 
 

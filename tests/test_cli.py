@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 import schreier
+from schreier import cache
 from schreier.cli import SUITE_CHOICES, main
 from schreier.families import Schreier
 from schreier.functionals import norm_via_functionals
@@ -200,6 +201,24 @@ class TestNorm:
         cold = run(*args)
         warm = run(*args)
         assert cold.output == warm.output == "3/2\n"
+
+    def test_cache_edited_record_is_recomputed(self, tmp_path, monkeypatch):
+        # the certificate stored with the record gives 1, not the edited 7:
+        # the record is a miss, and a corrected record is appended
+        args = ("norm", "--schreier", "1", "--c", "1/2", "--vec", "1:1,2:1,3:1",
+                "--cache-dir", str(tmp_path))
+        assert run(*args).output == "1\n"
+        path = tmp_path / "norms.jsonl"
+        record = json.loads(path.read_text())
+        assert record["value"] == "1"
+        record["value"] = "7"
+        path.write_text(json.dumps(record) + "\n")
+        for _ in range(2):
+            monkeypatch.setattr(cache, "_loaded", {})  # as a fresh process reads it
+            result = run(*args)
+            assert result.exit_code == 0 and result.output == "1\n"
+            values = [json.loads(line)["value"] for line in path.read_text().splitlines()]
+            assert values == ["7", "1"]
 
     def test_dualnorm(self):
         result = run("dualnorm", "--schreier", "1", "--c", "1/2",
@@ -482,5 +501,5 @@ def test_cold_start_loads_only_the_layers_a_command_runs(tmp_path):
     for modules in (nsum, member, miss, hit):
         assert not modules & heavy
     assert not {"schreier.families", "schreier.norms"} & nsum
-    assert "hashlib" in miss  # the miss digests its certificate
+    assert "hashlib" not in miss  # the record stores the certificate itself
     assert "hashlib" not in hit

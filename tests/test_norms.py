@@ -188,8 +188,17 @@ class TestOracleAgreement:
                        for i in range(1, 17)])
         value, cert = norm(params, x)
         assert verify_certificate(params, x, cert) == value
-        if fam == Schreier(ONE):  # the functional route takes seconds here
-            assert norm_via_functionals(params, x) == value
+        assert norm_via_functionals(params, x) == value
+
+    @pytest.mark.parametrize("fam", [Schreier(ONE), Schreier(from_int(2)),
+                                     FineSchreier(from_int(5)), FineSchreier(OMEGA)],
+                             ids=lambda f: f.descriptor())
+    def test_support_20_functional_route(self, fam):
+        rng = random.Random(20)
+        params = NormParams(fam, Fraction(1, 2))
+        x = SparseVec([(i, Fraction(rng.choice([-3, -1, 1, 2, 4]), rng.choice([1, 2, 3])))
+                       for i in range(1, 21)])
+        assert norm_via_functionals(params, x) == norm(params, x)[0]
 
 
 class TestBasisProperties:
@@ -228,7 +237,17 @@ class TestCache:
         assert len(lines) == 1
         record = json.loads(lines[0])
         assert record["value"] == str(plain)
-        assert set(record) == {"family", "c", "vec", "value", "cert_digest"}
+        assert set(record) == {"family", "c", "vec", "value", "cert"}
+        assert verify_certificate(S1, x, cert_from_json(record["cert"])) == plain
+
+    @pytest.mark.parametrize("cert", ["x", 5, {"leaf": 9, "value": "7"}, {"blocks": [[2]]}])
+    def test_unreadable_certificate_is_a_miss(self, tmp_path, monkeypatch, cert):
+        x = vec("2:1,3:1")
+        record = {"family": "schreier:1", "c": "1/2", "vec": "2:1,3:1", "value": "7", "cert": cert}
+        (tmp_path / "norms.jsonl").write_text(json.dumps(record) + "\n")
+        monkeypatch.setattr(cache, "_loaded", {})
+        assert norm_value(S1, x, cache_dir=str(tmp_path)) == norm(S1, x)[0] == 1
+        assert cache._load(str(tmp_path / "norms.jsonl"))[("schreier:1", "1/2", "2:1,3:1")][0] == "1"
 
     def test_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SCHREIER_CACHE_DIR", str(tmp_path))
