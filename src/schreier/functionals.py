@@ -6,41 +6,34 @@ generated from the coordinate functionals by
     f  =  c * (f_1 + ... + f_k),   k >= 2,
 
 where the supports of the f_j are successive and their minima form a member
-of F.  Generation is graded by depth.  Every coefficient is +-c^d, so
-generation holds a functional as a tuple of integer codes, one per entry,
-and makes the Fractions once at the end from a table of (index, +-c^d)
-entries shared by all functionals.  A functional first made at depth d has a
-coefficient +-c^d, so a combination is new at level L exactly when one of
-its summands was first made at level L - 1: each level extends only the
-chains that hold such a summand, makes nothing twice across levels, and
-adds to the pool only the functionals the previous level made, each scaled
-by c once.  Since the summands' supports are successive, a combination is
-the concatenation of its summands' scaled entries and is canonical as
-built, and each minimum added to a chain is one step of the family's
-residual state (`initial_state`/`step`), for a fine family below w^w one
-cached ordinal step.  For a spreading family F, at depth
->= |supp(x)| the supremum over the set equals the norm (tested, not
-assumed).  Without spreading it can fall short: a block's norm need not use
-the block's minimum, so the matching functional's support minima can lie to
-the right of the block minima, and only spreading keeps them admissible.
+of F.  Generation is graded by depth and holds a functional as a tuple of
+integer codes, one per entry (every coefficient is +-c^d), making the
+Fractions once at the end.  A functional first made at depth d has a
+coefficient +-c^d, so each level makes only new functionals, from the
+chains that hold a summand the previous level made.  The constraints see
+only each summand's support signature (min, max), so a level walks chains
+of signature groups, reads their minima through the family's residual
+state (`initial_state`/`step`) once per chain of groups, and makes the
+product of the groups, each functional the concatenation of its summands'
+scaled entries.  For a spreading family F, at depth >= |supp(x)| the
+supremum over the set equals the norm (tested, not assumed).  Without
+spreading it can fall short: a block's norm need not use the block's
+minimum, so the matching functional's support minima can lie to the right
+of the block minima, and only spreading keeps them admissible.
 `norm_via_functionals` therefore rejects non-spreading families.
 
 The best functional against a given vector is found without generating the
-set, by a dynamic program over (min, max) support signatures.  It runs on
-integers, the values scaled by a common denominator, and reads each chain of
-minima through the family's residual state as generation does, but merges
-the chains whose states agree, as the norm DP does, instead of enumerating
-them: its work is polynomial in the support wherever the family has few
-states per position.  In a spreading family a chain that the largest
-minimum cannot extend is not scanned further, in generation or in the DP.
-The DP evaluates the
-functional norm and prices the columns of the dual gauge, which is computed
-by exact column generation: a fraction-free simplex master over the columns
-found so far, extended by the functional its duals rate highest.  The whole
-loop runs on integers: the DP's leaves are the master's dual numerators,
-the maximiser unfolds into an integer column, and only the final value
-becomes a Fraction.  The master is built once per gauge and resumes from
-its last basis after each added column.
+set, by a dynamic program over the same signatures, on integers.  It merges
+the chains of minima whose residual states agree, as the norm DP does, and
+keeps one best total per class, so its work is polynomial in the support
+wherever the family has few states per position.  In a spreading family a
+chain that the largest minimum cannot extend is not scanned further, in
+generation or in the DP.  The DP evaluates the functional norm and prices
+the columns of the dual gauge, computed by exact column generation: a
+fraction-free simplex master over the columns found so far, extended by the
+functional its duals rate highest.  Master and step table are built once
+per gauge, the master resuming from its last basis after each column; the
+loop runs on integers and makes only the final value a Fraction.
 """
 
 from __future__ import annotations
@@ -89,7 +82,10 @@ class FunctionalSet:
 def _generate(family, c, indices, depth, signed, budget):
     """The functionals of K_depth over `indices` as SparseVecs in the order
     of generation, and the position in that list where each depth starts.
-    Raises NormError once more than `budget` functionals are held."""
+    A level makes the product of each chain of signature groups that holds
+    a group of the previous level.  Raises NormError once more than
+    `budget` functionals are held; a product that may pass the budget is
+    made one functional at a time."""
     # a functional is held as a tuple of integer codes, one per entry: index
     # i with coefficient +c^d is i * width + 2d, with -c^d one more
     # (injective as 0 < c < 1), so scaling by c adds 2 to every code
@@ -107,47 +103,55 @@ def _generate(family, c, indices, depth, signed, budget):
 
     hold(0, len(made))
     start = family.initial_state()
-    pool = {}  # support minimum -> [(functional scaled by c, support maximum)]
+    pool = {}  # (support minimum, support maximum) -> [functionals scaled by c]
     fresh = made
     for level in range(1, depth + 1):
-        # a combination with a summand first made at the previous level has
-        # a coefficient +-c^level, which nothing made earlier has; one with
-        # none was made at an earlier level.  So a level extends only the
-        # chains that hold such a summand, and makes only new functionals;
-        # the pool takes each of them, scaled by c, once
+        # the previous level's functionals, scaled by c once, by signature
         latest = {}
         for f in fresh:
-            latest.setdefault(f[0] // width, []).append(
-                (tuple([e + 2 for e in f]), f[-1] // width))
-        minima = sorted(pool.keys() | latest.keys())
-        newest = max(latest, default=0)
+            latest.setdefault((f[0] // width, f[-1] // width), []).append(
+                tuple([e + 2 for e in f]))
+        groups = {}  # support minimum -> [(support maximum, group, of the previous level)]
+        for young, part in ((False, pool), (True, latest)):
+            for (m, top), group in part.items():
+                groups.setdefault(m, []).append((top, group, young))
+        minima = sorted(groups)
+        newest = max(latest, default=(0,))[0]
         # in a spreading family a chain that the largest minimum cannot
         # extend admits no smaller one either: one step answers for the scan
         highest = minima[-1] if family.spreading and minima else None
         new = {}
 
-        def combine(entries, k, state, last_max, mixed):
-            if mixed:
-                if k >= 2:
-                    new[entries] = None
-                    hold(level, len(made) + len(new))
-            elif last_max >= newest:
-                return  # no summand of the previous level can follow
+        def add(f):
+            new[f] = None
+            hold(level, len(made) + len(new))
+            return f
+
+        def combine(product, k, state, last_max, mixed):
             if highest is not None and highest > last_max and family.step(state, highest) is None:
                 return
             for m in minima[bisect_right(minima, last_max):]:
                 after = family.step(state, m)
-                if after is not None:
-                    for scaled, top in pool.get(m, ()):
-                        combine(entries + scaled, k + 1, after, top, mixed)
-                    for scaled, top in latest.get(m, ()):
-                        combine(entries + scaled, k + 1, after, top, True)
+                if after is None:
+                    continue
+                for top, group, young in groups[m]:
+                    holds = mixed or young
+                    if not holds and top >= newest:
+                        continue  # no group of the previous level can follow
+                    if holds and k and len(made) + len(new) + len(product) * len(group) > budget:
+                        # one at a time, so that the count held is exact
+                        ext = [add(a + b) for a in product for b in group]
+                    else:
+                        ext = [a + b for a in product for b in group]
+                        if holds and k:
+                            new.update(dict.fromkeys(ext))
+                    combine(ext, k + 1, after, top, holds)
 
-        combine((), 0, start, 0, False)
+        combine([()], 0, start, 0, False)
         if not new:
             break
-        for m, summands in latest.items():
-            pool.setdefault(m, []).extend(summands)
+        for sig, group in latest.items():
+            pool.setdefault(sig, []).extend(group)
         starts.append(len(made))
         fresh = list(new)
         made += fresh
@@ -177,19 +181,16 @@ def _best_functional(params, x, depth, budget=float("inf")):
 
     Uses sign symmetry of the generated set: the supremum over all signed
     functionals equals the supremum of <f, |x|> over positive ones, and the
-    positive maximiser takes the signs of x.  Two exact reductions keep the
-    evaluation finite at scale.  The pairing is linear in the summands of
-    f = c(f_1 + ... + f_k), and the combination constraints (successive
-    supports, minima in the family) see only the minimum and maximum of
-    each summand's support, so among functionals sharing a (min, max)
-    signature only the best pairing value can ever appear in an optimal
+    positive maximiser takes the signs of x.  The pairing is linear in the
+    summands of f = c(f_1 + ... + f_k), and the combination constraints see
+    only each summand's (min, max) signature, so among functionals sharing a
+    signature only the best pairing value can appear in an optimal
     combination.  The levelwise state is therefore one value per signature,
-    iterated to its fixed point, which is reached by level |supp(x)| at the
-    latest.  Each value carries the tree of its combination: a coordinate
-    index at a leaf, a tuple of subtrees at a combination.  Trees are
-    immutable, so a later improvement of a signature leaves the trees built
-    from its earlier value, and their depths, unchanged.  Within a level the
-    chains of signatures are merged by residual state (`_signature_dp`).
+    iterated to its fixed point (reached by level |supp(x)| at the latest).
+    Each value carries the tree of its combination: a coordinate index at a
+    leaf, a tuple of subtrees at a combination.  Trees are immutable, so a
+    later improvement of a signature leaves the trees built from its earlier
+    value, and their depths, unchanged.
 
     The DP runs on integers: with c = p/q and D the least common multiple
     of the denominators of |x|, every value times S = D q^depth is an
@@ -215,109 +216,101 @@ def _best_functional(params, x, depth, budget=float("inf")):
     return Fraction(value, scale), SparseVec(entries), nodes
 
 
-def _signature_dp(fam, c, leaves, depth, budget):
+class _Steps(dict):
+    """The family's residual states by number (0 the initial one) and, at
+    key s * width + m, the number of the state after the minimum m < width
+    from state s, or -1 if m is refused: each step is taken on first
+    lookup, once."""
+
+    def __init__(self, fam, width):
+        self.fam, self.width, self.states = fam, width, [fam.initial_state()]
+        self.ids = {self.states[0]: 0}
+
+    def __missing__(self, key):
+        sid, m = divmod(key, self.width)
+        state = self.fam.step(self.states[sid], m)
+        after = -1 if state is None else self.ids.setdefault(state, len(self.states))
+        if after == len(self.states):
+            self.states.append(state)
+        self[key] = after
+        return after
+
+
+def _signature_dp(fam, c, leaves, depth, budget, steps=None):
     """The signature DP of `_best_functional` on integer leaf values
     {index: value}: the best value, its tree and the nodes visited.  Raises
     ArithmeticError if c times a sum is not an integer, which the scaling of
-    its callers (`_best_functional`, `_price_column`) rules out.
+    its callers (`_best_functional`, `_price_column`) rules out.  `steps` is
+    the family's `_Steps` over minima up to the largest leaf index, shared
+    by the calls that pass it.
 
     A level combines the pool's signatures into chains with successive
     supports, reading the chain's minima through the family's residual
     state.  Chains are not enumerated but merged, as in the norm DP: two
     chains that agree on their first minimum, their residual state, their
     last maximum and whether they hold two or more summands have the same
-    completions, so each such class keeps only its best total.  Classes are
-    swept by last maximum, each extended by every later minimum its state
-    admits.  A node is one such admitted extension, so `budget` bounds the
-    classes times the minima; in a spreading family a class that the
-    largest minimum cannot extend is not scanned further (see
-    `_generate`).  Each class also keeps the least chain (its signatures in
-    order) attaining its best total, and its least chain of all, so that
-    ties resolve as in a scan of the chains in lexicographic order: the
-    maximiser is the one such a scan finds first.
+    completions, so each such class keeps only its best total and one chain
+    attaining it, the first found.  Classes are swept by last maximum, each
+    extended by every later minimum its state admits.  A node is one such
+    admitted extension, so `budget` bounds the classes times the minima; in
+    a spreading family a class that the largest minimum cannot extend is
+    not scanned further (see `_generate`).
     """
     p, q = c.numerator, c.denominator
     # a signature (min, max) is coded as min * width + max, in the same order
     width = max(leaves, default=0) + 1
     pool = {i * width + i: (v, i) for i, v in sorted(leaves.items())}
-    # residual states by number, and the number after each admitted minimum
-    # (-1 when refused), so that each step is taken once per call
-    states, ids, moves = [fam.initial_state()], {}, {}
-    ids[states[0]] = 0
-
-    def move(sid, m):
-        key = sid * width + m
-        after = moves.get(key)
-        if after is None:
-            state = fam.step(states[sid], m)
-            if state is None:
-                after = -1
-            else:
-                after = ids.get(state)
-                if after is None:
-                    after = ids[state] = len(states)
-                    states.append(state)
-            moves[key] = after
-        return after
-
+    if steps is None:
+        steps = _Steps(fam, width)
+    span = steps.width
     nodes = 0
     for _ in range(depth):
-        by_min = {}
+        # last maximum -> (first minimum, state number, k >= 2) -> (best
+        # total, its chain of signatures)
+        ends = {top: {} for top in sorted({0} | {sig % width for sig in pool})}
+        ends[0][(0, 0, False)] = (0, ())
+        by_min = {}  # minimum -> [(signature, the classes at its maximum, value)]
         for sig in sorted(pool):
-            by_min.setdefault(sig // width, []).append((sig, sig % width, pool[sig][0]))
+            by_min.setdefault(sig // width, []).append((sig, ends[sig % width], pool[sig][0]))
         minima = sorted(by_min)
         highest = minima[-1] if fam.spreading else None
-        # last maximum -> (first minimum, state number, k >= 2) -> [best
-        # total, least chain attaining it, least chain]
-        ends = {top: {} for top in sorted({0} | {sig % width for sig in pool})}
-        ends[0][(0, 0, False)] = [0, (), ()]
-        found = {}  # signature -> the same three, over its classes
-        for last_max in list(ends):
-            for (first, sid, multi), (total, best, least) in ends.pop(last_max).items():
+        found = {}  # signature -> the same pair, over its classes
+        for last_max, classes in ends.items():
+            later = minima[bisect_right(minima, last_max):]
+            for (first, sid, multi), entry in classes.items():
+                total, chain = entry
+                base = sid * span
                 if multi:
-                    have = found.setdefault(first * width + last_max, [total, best, least])
-                    if total > have[0] or (total == have[0] and best < have[1]):
-                        have[0], have[1] = total, best
-                    if least < have[2]:
-                        have[2] = least
-                if highest is not None and highest > last_max and move(sid, highest) < 0:
+                    sig = first * width + last_max
+                    if sig not in found or total > found[sig][0]:
+                        found[sig] = entry
+                if highest is not None and highest > last_max and steps[base + highest] < 0:
                     continue
-                for m in minima[bisect_right(minima, last_max):]:
-                    after = move(sid, m)
+                for m in later:
+                    after = steps[base + m]
                     if after < 0:
                         continue
                     nodes += 1
-                    if nodes > budget:
-                        raise BudgetExceeded("signature DP ran past %d nodes" % budget)
                     key = (first or m, after, first != 0)
-                    for sig, top, val in by_min[m]:
+                    for sig, target, val in by_min[m]:
                         cand = total + val
-                        target = ends[top]
                         have = target.get(key)
-                        if have is None:
-                            chain = best + (sig,)
-                            target[key] = [cand, chain, chain if least is best else least + (sig,)]
-                            continue
-                        if cand >= have[0]:
-                            chain = best + (sig,)
-                            if cand > have[0] or chain < have[1]:
-                                have[0], have[1] = cand, chain
-                        chain = least + (sig,)
-                        if chain < have[2]:
-                            have[2] = chain
+                        if have is None or cand > have[0]:
+                            target[key] = (cand, chain + (sig,))
+                if nodes > budget:
+                    raise BudgetExceeded("signature DP ran past %d nodes" % budget)
         improved = []
-        for sig in sorted(found, key=lambda s: found[s][2]):
-            total, best, _ = found[sig]
+        for sig, (total, chain) in found.items():
             val, rem = divmod(p * total, q)
             if rem:
                 raise ArithmeticError("scaled pricing value %d * %d / %d is not an integer"
                                       % (p, total, q))
             if sig not in pool or val > pool[sig][0]:
-                improved.append((sig, val, best))
+                improved.append((sig, val, chain))
         if not improved:
             break
         # every tree is read before this level replaces any signature's
-        pool.update([(sig, (val, tuple(pool[s][1] for s in best))) for sig, val, best in improved])
+        pool.update([(sig, (val, tuple(pool[s][1] for s in chain))) for sig, val, chain in improved])
     value, tree = max(pool.values(), key=lambda entry: entry[0])
     return value, tree, nodes
 
@@ -334,7 +327,7 @@ def norm_via_functionals(params, x, depth=None):
     return _best_functional(params, x, depth)[0]
 
 
-def _price_column(params, duals, det, depth, budget):
+def _price_column(params, duals, det, depth, budget, steps=None):
     """Pricing for the dual gauge on the master's integer duals, y_i =
     duals[i - 1] / det for i = 1..len(duals): the functional f of K_depth
     maximising <f, y> as an integer column q^depth f with its cost q^depth
@@ -344,12 +337,13 @@ def _price_column(params, duals, det, depth, budget):
     The leaves of the signature DP are |duals[i - 1]| q^depth, the |y_i|
     scaled by S = det q^depth, so the price exceeds 1 exactly when the
     value exceeds S.  A leaf at depth d of the maximiser's tree has the
-    coefficient +-c^d, the integer +-p^d q^(depth - d) in the column."""
+    coefficient +-c^d, the integer +-p^d q^(depth - d) in the column.
+    `steps` is the gauge's `_Steps`, shared by its rounds."""
     c = params.c
     p, q = c.numerator, c.denominator
     lift = q ** depth
     leaves = {i: abs(y) * lift for i, y in enumerate(duals, 1) if y}
-    value, tree, nodes = _signature_dp(params.family, c, leaves, depth, budget)
+    value, tree, nodes = _signature_dp(params.family, c, leaves, depth, budget, steps)
     if value <= det * lift:
         return None, lift, nodes
     column = [0] * len(duals)
@@ -384,24 +378,21 @@ def dual_norm(params, g, bound, depth, functionals=None, budget=100_000):
     every master column pairs with y to at most 1, and the set is finite,
     so the loop terminates.
 
-    The loop runs on integers.  The master starts from +-e_i as unit
-    integer columns and reports its duals as integer numerators over one
-    common denominator; `_price_column` feeds those to the DP and returns
-    the maximiser as an integer column with its cost.
+    The loop runs on integers: `_price_column` reads the master's dual
+    numerators and returns the maximiser as an integer column with its cost.
 
     The pricing DP merges chains by residual state, so its nodes grow
     polynomially with `bound` (S_1, depth 2: 1,310 nodes for all-equal
     leaves on [1..14], 30,006 on [1..30]); `budget` caps its nodes over the
-    whole call, and BudgetExceeded reports the round it stopped in.  A
-    dense target on [1..14] at depth 2 takes 30 rounds and about 0.07 s.
-    For a family below w^w the default budget of 100,000 nodes is spent in
-    about 0.1-0.3 s at bounds up to 800 and about 0.75 s at bound 1,500,
-    nearly all of it building the master's dense tableau.  A family from
-    w^w on reads chains by a membership query per step, and is slower:
-    S_w spends the budget in about 4 s at bound 50.
+    whole call, and BudgetExceeded reports the round it stopped in.  At
+    depth 2, g_i = (-1)^i (i mod 5 + 1) / (i mod 3 + 1) on [1..14] takes 43
+    rounds and about 0.08 s, on [1..20] 97 rounds and 0.8 s.  Below w^w the
+    default budget is spent in about 0.3 s at bound 800 and 0.85 s at bound
+    1,500, nearly all of it building the master's dense tableau, and a bound
+    past the budget raises before the master is built where the first round
+    admits every minimum.  S_w spends the budget in about 5 s at bound 50.
 
-    `functionals` is accepted for compatibility and unused: pricing never
-    materialises the set.
+    `functionals` is accepted for compatibility and unused.
     """
     if bound < 1:
         raise NormError("functional bound must be at least 1, got %d" % bound)
@@ -413,17 +404,25 @@ def dual_norm(params, g, bound, depth, functionals=None, budget=100_000):
         return Fraction(0)
     if g.support[-1] > bound:
         raise NormError("support of g exceeds the functional bound")
-    # +-e_i as unit integer columns of cost 1
-    columns = [[0] * bound for _ in range(2 * bound)]
-    for i in range(bound):
-        columns[2 * i][i], columns[2 * i + 1][i] = 1, -1
-    master = simplex.Master(columns, [g[i] for i in range(1, bound + 1)], bound)
+    if depth == 0:
+        return Fraction(sum(abs(v) for _, v in g.entries))  # the gauge of {+-e_i}
+    fam = params.family
+    steps = _Steps(fam, bound + 1)
+    # the master starts from +-e_i, unit integer columns of cost 1, so the
+    # first duals are +-1 on every row; where every singleton is a member,
+    # the first round then admits each minimum up to the bound
+    short = bound > budget and fam.spreading and steps[1] >= 0
+    master = None if short else simplex.Master(
+        [[0] * i + [s] + [0] * (bound - 1 - i) for i in range(bound) for s in (1, -1)],
+        [g[i] for i in range(1, bound + 1)], bound)
     spent = rounds = 0
     while True:
         rounds += 1
         try:
+            if short:
+                raise BudgetExceeded
             column, cost, nodes = _price_column(
-                params, master.dual_numerators, master.det, depth, budget - spent)
+                params, master.dual_numerators, master.det, depth, budget - spent, steps)
         except BudgetExceeded:
             raise BudgetExceeded(
                 "dual gauge pricing ran out of budget in round %d: %d signature-DP "

@@ -1,6 +1,8 @@
 import random
 from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 import pytest
@@ -111,7 +113,32 @@ def best_functional_oracle(params, x, depth, budget=float("inf")):
     return value, SparseVec(entries), nodes
 
 
-def price_column_oracle(params, duals, det, depth, budget=float("inf")):
+def in_norming_set(family, c, f, depth):
+    """Whether f lies in the signed set K_depth: up to signs, a coordinate
+    functional, or c times a sum of k >= 2 members of K_(depth - 1) with
+    successive supports whose minima form a member of `family`.  Every way
+    of cutting the support into k >= 2 runs is tried, membership asked of
+    `contains`."""
+
+    def cuts(entries):
+        for n in range(1, len(entries)):
+            for rest in cuts(entries[n:]):
+                yield (entries[:n],) + rest
+        yield (entries,)
+
+    @lru_cache(maxsize=None)
+    def member(entries, depth):
+        if len(entries) == 1 and entries[0][1] == 1:
+            return True
+        inner = tuple((i, v / c) for i, v in entries)
+        return depth > 0 and any(
+            len(parts) >= 2 and family.contains(tuple(part[0][0] for part in parts))
+            and all(member(part, depth - 1) for part in parts) for parts in cuts(inner))
+
+    return bool(f) and member(tuple((i, abs(v)) for i, v in f.entries), depth)
+
+
+def price_column_oracle(params, duals, det, depth, budget=float("inf"), steps=None):
     """Reference dual-gauge pricing: `best_functional_oracle` on the
     Fraction duals duals[i - 1] / det, its maximiser as integers over the
     lcm of their denominators.  Returns (column, cost, nodes), as
@@ -349,18 +376,23 @@ class TestNormingSet:
 
 class TestPricingOracle:
     """The integer, state-merged pricing DP against the Fraction/`contains`
-    one, which enumerates the chains: the same value and functional, and
-    no more nodes."""
+    one, which enumerates the chains: the same value and no more nodes, and
+    a maximiser that lies in K_depth, attains the value and is the same on
+    every call (ties may resolve otherwise than in the oracle)."""
 
     @staticmethod
     def _agree(params, x, depth):
         ours = _best_functional(params, x, depth)
         assert type(ours[0]) is Fraction
         theirs = best_functional_oracle(params, x, depth)
-        assert ours[:2] == theirs[:2]
+        assert ours[0] == theirs[0]
         assert ours[2] <= theirs[2]
         if not x:
             return
+        f = ours[1]
+        assert in_norming_set(params.family, params.c, f, depth)
+        assert f.inner(x) == ours[0]
+        assert _best_functional(params, x, depth)[1] == f
         # the dual gauge's pricing, on x as integers over a common multiple
         # of its denominators
         rows = range(1, x.support[-1] + 1)
@@ -370,7 +402,7 @@ class TestPricingOracle:
         assert nodes == ours[2]
         if theirs[0] > 1:
             assert cost == params.c.denominator ** depth
-            assert [Fraction(v, cost) for v in column] == [theirs[1][i] for i in rows]
+            assert column == [f[i] * cost for i in rows]
         else:
             assert column is None
 
@@ -402,12 +434,14 @@ class TestPricingOracle:
                 self._agree(params, x, rng.randint(0, 3))
 
     def test_tied_values(self):
-        # small integer targets make many chains tie; the maximiser is still
-        # the one the oracle's lexicographic scan finds first
+        # small integer targets make many chains tie; any maximiser will do,
+        # but it must attain the value and lie in the set
         families = [Schreier(ONE), Schreier(from_int(2)), FineSchreier(from_int(2)),
                     FineSchreier(from_int(5)), FineSchreier(OMEGA), TestNormingSet.NON_SPREADING]
-        # the least chain among tied best totals decides the first case, the
-        # order of first appearance of the signatures the second
+        # where the maximisers of an earlier DP, which resolved ties as the
+        # oracle does, came out wrong: the least chain among tied best totals
+        # decided the first case, the order of first appearance of the
+        # signatures the second
         self._agree(NormParams(FineSchreier(from_int(5)), Fraction(1, 2)),
                     parse_vec("1:-1,2:2,3:-1,4:2,5:2,6:1,7:2,8:2"), 2)
         self._agree(NormParams(FineSchreier(OMEGA), Fraction(1, 2)),
@@ -425,8 +459,8 @@ class TestPricingOracle:
         used = []
         price = functionals._price_column
 
-        def recording(params, duals, det, depth, budget):
-            result = price(params, duals, det, depth, budget)
+        def recording(params, duals, det, depth, budget, steps=None):
+            result = price(params, duals, det, depth, budget, steps)
             used.append(result[2])
             return result
 
@@ -685,6 +719,71 @@ class TestDualNormBudget:
         with pytest.raises(NormError, match="generation budget"):
             norming_set(NormParams(fam, Fraction(1, 2)), 400, 1, budget=budget)
         assert calls[0] <= 3 * budget
+
+    @staticmethod
+    def _no_master(monkeypatch):
+        def fail(*args):
+            raise AssertionError("the master was built")
+
+        monkeypatch.setattr(simplex, "Master", fail)
+
+    def test_depth_zero_builds_no_master(self, monkeypatch):
+        g = parse_vec("2:3,5:-1/2,9:1")
+        want = dual_norm(S1, g, 12, 0)
+        self._no_master(monkeypatch)
+        assert want == Fraction(9, 2)
+        assert dual_norm(S1, g, 1000, 0) == want
+
+    def test_bound_past_budget_stops_before_the_master(self, monkeypatch):
+        # the first duals are +-1 on every row, so the first round admits
+        # every minimum up to the bound: the same error, without the master
+        g = SparseVec([(1, Fraction(1))])
+        message = ("dual gauge pricing ran out of budget in round 1: %d signature-DP nodes "
+                   "used, 0 of them in the earlier rounds")
+        # S_1 taken for a family the gauge cannot vouch for: priced in full
+        unvouched = NormParams(Schreier(ONE), S1.c)
+        unvouched.family.spreading = False
+        with pytest.raises(BudgetExceeded) as priced:
+            dual_norm(unvouched, g, 30, 1, budget=20)
+        assert str(priced.value) == message % 20
+        self._no_master(monkeypatch)
+        for bound, budget in ((30, 20), (1000, 20), (1000, 999)):
+            with pytest.raises(BudgetExceeded) as guarded:
+                dual_norm(S1, g, bound, 1, budget=budget)
+            assert str(guarded.value) == message % budget
+        with pytest.raises(AssertionError, match="master was built"):
+            dual_norm(S1, g, 30, 1, budget=30)
+
+
+def _counting_steps():
+    """S_1 whose `step` calls are counted by (state, minimum)."""
+    fam = Schreier(ONE)
+    calls = Counter()
+    step = fam.step
+
+    def counting(state, n):
+        calls[(state, n)] += 1
+        return step(state, n)
+
+    fam.step = counting
+    return NormParams(fam, Fraction(1, 2)), calls
+
+
+class TestStepCounts:
+    """Family steps counted, not timed."""
+
+    def test_norming_set_walks_signature_groups(self):
+        # walking the chains of single functionals took 649 steps
+        params, calls = _counting_steps()
+        assert len(norming_set(params, 6, 3)) == 1204
+        assert sum(calls.values()) == 116
+
+    def test_gauge_takes_each_step_once(self):
+        # rebuilding the step table every round took 3,351 steps for 94 pairs
+        params, calls = _counting_steps()
+        g = SparseVec([(i, Fraction((-1) ** i * (i % 5 + 1), i % 3 + 1)) for i in range(1, 15)])
+        assert dual_norm(params, g, 14, 2) == Fraction(168, 13)
+        assert max(calls.values()) == 1
 
 
 class TestDualNormOracle:

@@ -3,8 +3,9 @@
 The traced worker binds library names that no public API promises (the
 fine-Schreier memo table, every handle class's `contains`, the simplex
 entry point, the `SparseVec` methods, the cache functions).  Running one
-traced repetition and its check per batch workload keeps a change to those
-names from breaking the benchmark unnoticed.
+traced repetition and its check per workload keeps a change to those names
+from breaking the benchmark unnoticed; the CLI session traces each of its
+calls through `perfbench/cli_shim.py`.
 """
 
 import json
@@ -32,10 +33,14 @@ def worker(mode, workload, out, *extra):
         return json.load(fh)
 
 
-@pytest.mark.parametrize("workload", ["norm-dp", "dual-gauge", "families-trees"])
+@pytest.mark.parametrize("workload", ["norm-dp", "dual-gauge", "families-trees", "cli-session"])
 def test_traced_tiny_batch_runs_and_checks(workload, tmp_path):
     run = worker("run", workload, tmp_path / "run.json")
-    assert run["trace"]["calls"]
+    if workload == "cli-session":
+        assert run["calls"] and all(call["trace"]["calls"] for call in run["calls"])
+        assert not [call for call in run["calls"] if call["traceback"]]
+    else:
+        assert run["trace"]["calls"]
     assert not [out for out in run["outputs"] if isinstance(out, dict) and "error" in out]
     outputs = tmp_path / "outputs.json"
     outputs.write_text(json.dumps(run["outputs"]))
