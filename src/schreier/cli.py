@@ -155,14 +155,14 @@ def family_cb_index(args):
 def _params(args, prefix=""):
     from fractions import Fraction
 
-    from .norms import NormParams
+    from .norms import NormError, NormParams
 
     fam = _family(args, prefix)
     text = getattr(args, prefix + "c")
     try:
         c = Fraction(text)
     except (ValueError, ZeroDivisionError):
-        _fail("cannot parse constant %r" % text)
+        raise NormError("cannot parse constant %r" % text)
     return NormParams(fam, c)
 
 

@@ -38,8 +38,8 @@ def check_l1_lower(alpha, n, f_set, coeffs):
     return value >= Fraction(1, 2**n) * vec.l1_norm()
 
 
-def rational_root_half(n, tolerance=Fraction(1, 10**9)):
-    """A rational approximation of 2^(-1/n), within the stated tolerance.
+def rational_root_half(n):
+    """A rational approximation of 2^(-1/n), within 10^-9.
 
     The approximation is stored and used exactly; no floating point enters
     any norm computation.
@@ -51,7 +51,7 @@ def rational_root_half(n, tolerance=Fraction(1, 10**9)):
     # bisection on c^n = 1/2 over rationals, well inside the tolerance
     lo, hi = Fraction(1, 2), Fraction(1)
     target = Fraction(1, 2)
-    while hi - lo > tolerance / 8:
+    while hi - lo > Fraction(1, 8 * 10**9):
         mid = (lo + hi) / 2
         if mid**n < target:
             lo = mid

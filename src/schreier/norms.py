@@ -355,19 +355,20 @@ def check_right_dominant(params, x, spread_map, evaluate=None):
     return evaluate(x) <= evaluate(x.map_indices(spread_map))
 
 
-def domination_search(params_u, params_v, bound, budget=2000, rng=None, max_support=5):
+def domination_search(params_u, params_v, bound, budget=2000):
     """Certified lower bound for the least C with ||x||_U <= C ||x||_V.
 
-    Exhausts small sparse sign/coefficient patterns within the budget, then
-    refines the best witness coordinatewise.  The witness attains the
-    reported ratio exactly.
+    Exhausts sparse sign/coefficient patterns on supports of at most five
+    indices within the budget (coefficients drawn from a generator seeded
+    with 0), then refines the best witness coordinatewise.  The witness
+    attains the reported ratio exactly.
     """
     import itertools
     import random
 
     if bound < 1 or budget < 1:
         raise NormError("domination search needs bound >= 1 and budget >= 1")
-    rng = rng or random.Random(0)
+    rng = random.Random(0)
     coeff_pool = [Fraction(1), Fraction(1, 2), Fraction(2), Fraction(1, 3), Fraction(3)]
     best_ratio = None
     best_witness = None
@@ -384,7 +385,7 @@ def domination_search(params_u, params_v, bound, budget=2000, rng=None, max_supp
             best_witness = vec
 
     indices = list(range(1, bound + 1))
-    for size in range(1, min(max_support, bound) + 1):
+    for size in range(1, min(5, bound) + 1):
         for supp in itertools.combinations(indices, size):
             if evals >= budget:
                 break

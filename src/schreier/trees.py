@@ -13,10 +13,13 @@ import json
 
 from . import SchreierError
 from .families import (
-    FamilyHandle,
     Explicit,
+    FineSchreier,
     Oracle,
+    cb_derivative,
+    enumerate_family,
     finset,
+    is_maximal,
     is_spread,
     is_successive,
 )
@@ -170,11 +173,7 @@ def block_derivative(bt):
     """
     if bt.closure != "spreading":
         raise TreeError("block derivative requires a spreading-closure tree")
-    gens = [g[:-1] for g in bt.generators if g]
-    if not gens and not bt.is_empty:
-        # tree was {empty sequence} only: derivative is the empty tree
-        return BlockTree([], "spreading")
-    return BlockTree(gens, "spreading")
+    return BlockTree([g[:-1] for g in bt.generators if g], "spreading")
 
 
 def block_index_finite(bt, budget=32):
@@ -235,7 +234,7 @@ def _minset_member(bt, f_set):
 def min_set(bt):
     """The family { {min A_i} : (A_i) in bt } as a queryable handle.
 
-    For spreading-closure trees the family is spreading and hereditary (the
+    For spreading-closure trees the family is hereditary (the
     tree being hereditary by construction of the closure); a bound is
     required to enumerate it but not to query it.
     """
@@ -249,10 +248,12 @@ def min_set(bt):
     name = "minset(%s)" % ";".join(
         "|".join(",".join(map(str, b)) for b in g) for g in bt.generators
     )
-    # Membership of F u {n} is monotone in n once n clears every generator
-    # value and block size, so the family is right-stable with that gap.
-    # (It need not be spreading: interior blocks require room between
-    # consecutive minima.)
+    # Once a step clears every generator value and block size, every block
+    # fits on either side of it: membership of F u {n} is the same for all
+    # n >= max(F) + gap, and so is that of F followed by any chain whose
+    # steps are all at least the gap, which makes the derived families
+    # right-stable too.  (The family need not be spreading: interior blocks
+    # require room between consecutive minima.)
     gap = 1 + max(
         (max(max(b) for b in g) + sum(len(b) for b in g) for g in bt.generators if g),
         default=1,
@@ -265,8 +266,6 @@ def _cb_iterate_members(fam, steps, bound):
 
     The iterated derivative of a hereditary right-stable family is again
     hereditary, so the member trie can be walked with pruning."""
-    from .families import cb_derivative, enumerate_family
-
     current = fam
     for _ in range(steps):
         current = cb_derivative(current)
@@ -300,8 +299,6 @@ def prop43_verify(alpha, witness, target, extension_pred, bound):
     extensions (x_(F u {n})) for n in (max F, bound] must satisfy
     `extension_pred`.  Returns (ok, first_violation_or_None).
     """
-    from .families import FineSchreier, enumerate_family, is_maximal
-
     fam = FineSchreier(alpha)
     members = [m for m in enumerate_family(fam, bound) if m]
     for f_set in members:

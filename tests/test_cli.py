@@ -141,6 +141,7 @@ class TestFamily:
         ["check", "--suite", "ordinals", "--json", "{missing}/summary.json"],
         ["family", "enumerate", "--schreier", "1", "--bound", "4", "--budget", "-1"],
         ["family", "structure", "--schreier", "1", "--bound", "4", "--budget", "-1"],
+        ["norm", "--schreier", "1", "--c", "abc", "--vec", "1:1"],
     ])
     def test_bad_input_is_usage_error(self, tmp_path, args):
         (tmp_path / "bad.json").write_text("[[1, 2]")
@@ -172,6 +173,11 @@ class TestFamily:
         result = run("family", "cb-index", "--schreier", "1")
         assert result.exit_code == 3
         assert result.output.strip() == ">= 32 (budget reached)"
+
+    def test_cb_index_large_budget_reports_lower_bound(self):
+        result = run("family", "cb-index", "--schreier", "1", "--budget", "100")
+        assert result.exit_code == 3
+        assert result.output.strip() == ">= 100 (budget reached)"
 
     def test_cb_index_deep_finite_family(self):
         result = run("family", "cb-index", "--fine", "30")

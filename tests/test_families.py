@@ -1,18 +1,20 @@
 import functools
 import gc
 import itertools
+import sys
 import time
 
 import pytest
 
 from schreier.ordinals import (
-    OMEGA, ONE, add, classify, from_int, fundamental_seq, mul, omega_pow,
+    OMEGA, ONE, add, classify, from_int, fundamental_seq, mul, omega_pow, parse_ordinal,
 )
 from schreier.families import (
     BudgetExceeded,
     Explicit,
     FamilyError,
     FineSchreier,
+    Oracle,
     Schreier,
     cb_derivative,
     cb_index_finite,
@@ -329,11 +331,13 @@ class TestCBIndex:
                 return super().contains(a)
 
         queries = {}
-        for k in (10, 20):
+        for k in (3, 10, 20):
             base = Counted(from_int(k))
             assert cb_index_finite(base) == (k + 1, True)
             queries[k] = base.calls
         assert queries[20] <= 3 * queries[10]
+        # level j asks the base one set of j elements: levels 0..k+1
+        assert queries == {k: k + 2 for k in (3, 10, 20)}
 
     def test_iterated_derivatives_of_finite_families(self):
         # the j-th derivative of F_k is F_(k-j), and empty for j > k
@@ -344,6 +348,43 @@ class TestCBIndex:
                 want = [len(a) <= k - j for a in sets]
                 assert [current.contains(a) for a in sets] == want, (k, j)
                 current = cb_derivative(current)
+
+    @pytest.mark.parametrize("expr, closed_form", [
+        # the state after A is min A - |A| in S_1 = F_w
+        ("w", lambda a, j: not a or len(a) + j <= a[0]),
+        # F_(w+3) reads three successor steps, then its fourth element at w
+        ("w+3", lambda a, j: len(a) <= 3 or len(a) + j <= a[3] + 3),
+    ], ids=["Fw", "Fw+3"])
+    def test_iterated_derivatives_match_closed_form(self, expr, closed_form):
+        sets = list(subsets(10, 10))
+        current = FineSchreier(parse_ordinal(expr))
+        for j in range(7):
+            assert [current.contains(a) for a in sets] == [closed_form(a, j) for a in sets], j
+            current = cb_derivative(current)
+
+    def test_limit_state_derivative_keeps_short_sets(self):
+        # {1,2,3} has state w in F_(w+3), so it lies in every finite derivative;
+        # {1,2,3,4} has state 3, outside D^4, but {1,2,3,9} has state 8
+        d4 = FineSchreier(parse_ordinal("w+3"))
+        for _ in range(4):
+            d4 = cb_derivative(d4)
+        assert d4.contains((1, 2, 3, 9)) and not d4.contains((1, 2, 3, 4))
+        assert not is_maximal(d4, (1, 2, 3))
+        assert cb_derivative(d4).contains((1, 2, 3))
+
+    def test_s1_reaches_budget_66(self):
+        # the j-th derivative of S_1 holds {n} only for n > j; its index is w+1
+        assert cb_index_finite(Schreier(ONE), budget=66) == (66, False)
+
+    def test_derivatives_deeper_than_recursion_limit(self):
+        everything = Oracle(lambda a: True, "all finite sets", right_stable_gap=1)
+        budget = sys.getrecursionlimit() + 10
+        assert cb_index_finite(everything, budget=budget) == (budget, False)
+
+    def test_empty_prefix_residual_keeps_gap(self):
+        res = residual(Schreier(ONE), ())
+        assert cb_index_finite(res, budget=5) == (5, False)
+        assert not is_maximal(res, (3, 5))
 
     def test_derived_keeps_descriptor_and_stability_check(self):
         d = cb_derivative(cb_derivative(Schreier(ONE)))
