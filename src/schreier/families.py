@@ -220,6 +220,14 @@ class FineSchreier(FamilyHandle):
     def descriptor(self):
         return "fine:%s" % self.alpha
 
+    # S_alpha is F_(w^alpha): fine families are the same family exactly
+    # when their indices agree, whatever their descriptors
+    def __eq__(self, other):
+        return isinstance(other, FineSchreier) and self.alpha == other.alpha
+
+    def __hash__(self):
+        return hash(self.alpha)
+
 
 class Schreier(FineSchreier):
     def __init__(self, alpha):

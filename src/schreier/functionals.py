@@ -369,14 +369,14 @@ def dual_norm(params, g, bound, depth, functionals=None, budget=100_000):
 
     Solved by column generation: a restricted master LP over the columns
     found so far, starting from the coordinate functionals +-e_i (so it is
-    always feasible), gives its value and row duals y.  The signature
-    dynamic program prices the whole set at once, finding the f in K_depth
-    that maximises <f, y>.  While that maximum exceeds 1 the maximiser is a
-    violated column and joins the master, which resumes from its current
-    basis; otherwise y is dual feasible for the full LP, <g, y> equals the
-    master value, and that value is exact.  Each added column is new, as
-    every master column pairs with y to at most 1, and the set is finite,
-    so the loop terminates.
+    always feasible; the master keeps them implicit, see `simplex`), gives
+    its value and row duals y.  The signature dynamic program prices the
+    whole set at once, finding the f in K_depth that maximises <f, y>.
+    While that maximum exceeds 1 the maximiser is a violated column and
+    joins the master, which resumes from its current basis; otherwise y is
+    dual feasible for the full LP, <g, y> equals the master value, and that
+    value is exact.  Each added column is new, as every master column pairs
+    with y to at most 1, and the set is finite, so the loop terminates.
 
     The loop runs on integers: `_price_column` reads the master's dual
     numerators and returns the maximiser as an integer column with its cost.
@@ -386,11 +386,13 @@ def dual_norm(params, g, bound, depth, functionals=None, budget=100_000):
     leaves on [1..14], 30,006 on [1..30]); `budget` caps its nodes over the
     whole call, and BudgetExceeded reports the round it stopped in.  At
     depth 2, g_i = (-1)^i (i mod 5 + 1) / (i mod 3 + 1) on [1..14] takes 43
-    rounds and about 0.08 s, on [1..20] 97 rounds and 0.8 s.  Below w^w the
-    default budget is spent in about 0.3 s at bound 800 and 0.85 s at bound
-    1,500, nearly all of it building the master's dense tableau, and a bound
-    past the budget raises before the master is built where the first round
-    admits every minimum.  S_w spends the budget in about 5 s at bound 50.
+    rounds and about 0.06 s; on [1..20], 97 rounds, about 527,000 nodes
+    (past the default budget) and 0.7 s.  Below w^w the default budget is
+    spent in about 0.15 s at bound 800 and 0.3 s at bound 1,500, nearly all
+    of it pricing: the master holds B^-1, bound x bound integers, built in
+    0.05 s at bound 1,500.  A bound past the budget raises before the
+    master is built where the first round admits every minimum.  S_w spends
+    the budget in about 5 s at bound 50.
 
     `functionals` is accepted for compatibility and unused.
     """
@@ -408,13 +410,11 @@ def dual_norm(params, g, bound, depth, functionals=None, budget=100_000):
         return Fraction(sum(abs(v) for _, v in g.entries))  # the gauge of {+-e_i}
     fam = params.family
     steps = _Steps(fam, bound + 1)
-    # the master starts from +-e_i, unit integer columns of cost 1, so the
+    # the master starts from the unit columns +-e_i, of cost 1, so the
     # first duals are +-1 on every row; where every singleton is a member,
     # the first round then admits each minimum up to the bound
     short = bound > budget and fam.spreading and steps[1] >= 0
-    master = None if short else simplex.Master(
-        [[0] * i + [s] + [0] * (bound - 1 - i) for i in range(bound) for s in (1, -1)],
-        [g[i] for i in range(1, bound + 1)], bound)
+    master = None if short else simplex.Master([g[i] for i in range(1, bound + 1)], bound)
     spent = rounds = 0
     while True:
         rounds += 1

@@ -18,7 +18,8 @@ from . import SchreierError
 from .families import is_admissible
 from .vectors import SparseVec
 
-DEFAULT_SUPPORT_CAP = 64
+SUPPORT_CAP = 64  # largest support `norm` takes
+SIGN_CAP = 12  # largest support whose 2^n sign flips `check_unconditional` tries
 
 
 class NormError(SchreierError, ValueError):
@@ -110,7 +111,7 @@ def cert_from_json(data):
     return Node([tuple(b) for b in data["blocks"]], children, Fraction(data["value"]))
 
 
-def norm(params, x, support_cap=DEFAULT_SUPPORT_CAP):
+def norm(params, x):
     """Exact norm of x with a witnessing partition certificate.
 
     Dynamic program over interval decompositions: a split is determined by
@@ -134,8 +135,8 @@ def norm(params, x, support_cap=DEFAULT_SUPPORT_CAP):
     if not x:
         return (Fraction(0), Node([], [], 0))
     supp = x.support
-    if len(supp) > support_cap:
-        raise NormError("support size %d exceeds cap %d" % (len(supp), support_cap))
+    if len(supp) > SUPPORT_CAP:
+        raise NormError("support size %d exceeds cap %d" % (len(supp), SUPPORT_CAP))
     fam = params.family
     c = params.c
     size = len(supp)
@@ -328,10 +329,10 @@ def norm_value(params, x, cache_dir=None):
     return value
 
 
-def check_unconditional(params, x, sign_cap=12, evaluate=None):
+def check_unconditional(params, x, evaluate=None):
     """Exact norm invariance under every sign flip of the coefficients."""
-    if len(x) > sign_cap:
-        raise NormError("sign exhaustion capped at support size %d" % sign_cap)
+    if len(x) > SIGN_CAP:
+        raise NormError("sign exhaustion capped at support size %d" % SIGN_CAP)
     evaluate = evaluate or (lambda v: norm(params, v)[0])
     supp = x.support
     base = evaluate(x)

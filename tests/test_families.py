@@ -203,8 +203,10 @@ class TestHandles:
 
     def test_descriptor_distinguishes(self):
         assert FineSchreier(OMEGA).descriptor() != Schreier(ONE).descriptor()
-        # S_1 = F_(w^1) denote the same family through different descriptors
-        assert Schreier(ONE).descriptor() == FineSchreier(omega_pow(ONE)).descriptor() or True
+        # S_1 = F_(w^1): one family under two descriptors
+        assert Schreier(ONE) == FineSchreier(omega_pow(ONE))
+        assert hash(Schreier(ONE)) == hash(FineSchreier(omega_pow(ONE)))
+        assert Schreier(ONE) != Schreier(from_int(2)) and FineSchreier(OMEGA) != Explicit([(1,)])
 
 
 class TestMaximal:

@@ -13,7 +13,7 @@ from schreier.families import BudgetExceeded, Explicit, FineSchreier, Schreier
 from schreier.functionals import (_best_functional, _price_column, _signature_dp,
                                   dual_norm, norm_via_functionals, norming_set)
 from schreier.norms import NormParams, NormError, norm
-from schreier.simplex import Infeasible, Master, min_l1_combination
+from schreier.simplex import Master, min_l1_combination
 from schreier.vectors import SparseVec, parse_vec
 
 S1 = NormParams(Schreier(ONE), Fraction(1, 2))
@@ -152,10 +152,20 @@ def price_column_oracle(params, duals, det, depth, budget=float("inf"), steps=No
     return [f[i].numerator * (cost // f[i].denominator) for i in rows], cost, nodes
 
 
+class Infeasible(Exception):
+    pass
+
+
+def unit_columns(m):
+    """+e_1, -e_1, +e_2, ...: the columns every `Master` starts with."""
+    return [[s if j == i else 0 for j in range(m)] for i in range(m) for s in (1, -1)]
+
+
 class FractionMaster:
-    """Reference master: the two-phase Bland simplex on a Fraction tableau,
-    as `simplex.Master` solved it before its tableau held integers.  `log`
-    holds the basis after every pivot."""
+    """Reference master: the general two-phase Bland simplex on a Fraction
+    tableau, as `simplex.Master` solved it before its tableau held integers
+    and before its unit columns became implicit.  `log` holds the basis
+    after every pivot."""
 
     def __init__(self, columns, target, m):
         n = len(columns)
@@ -256,14 +266,15 @@ class FractionMaster:
 
 def dense_dual_norm(fs, g, bound):
     """Reference gauge: the LP over the whole materialised set `fs`, with
-    its duals checked as an optimality certificate."""
+    its weights and duals checked as a primal-dual certificate."""
     rows = range(1, bound + 1)
-    columns = [[f[i] for i in rows] for f in fs]
+    columns = unit_columns(bound) + [[f[i] for i in rows] for f in fs]
     target = [g[i] for i in rows]
-    value, _, duals = min_l1_combination(columns, target, bound)
-    pair = lambda v: sum((a * y for a, y in zip(v, duals)), Fraction(0))
-    assert pair(target) == value
-    assert all(pair(col) <= 1 for col in columns)
+    value, weights, duals = min_l1_combination(columns[2 * bound:], target, bound)
+    assert all(w >= 0 for w in weights) and sum(weights) == value
+    assert [sum(w * col[r] for w, col in zip(weights, columns) if w) for r in range(bound)] == target
+    assert _pair(target, duals) == value
+    assert all(_pair(col, duals) <= 1 for col in columns)
     return value
 
 
@@ -277,27 +288,40 @@ def _passes(generate, budget):
 
 class TestSimplex:
     def test_exact_solution(self):
-        # g = (1, 1) from columns e1, e2, e1+e2: best weight is 1 on the sum
-        cols = [[1, 0], [0, 1], [1, 1]]
-        value, weights, _ = min_l1_combination(cols, [1, 1], 2)
+        # g = (1, 1) from +-e1, +-e2 and e1+e2: best weight is 1 on the sum,
+        # whose weight follows the four unit columns'
+        value, weights, _ = min_l1_combination([[1, 1]], [1, 1], 2)
         assert value == 1
-        assert sum(w * Fraction(c[0]) for w, c in zip(weights, cols)) == 1
+        assert weights == [0, 0, 0, 0, 1]
 
     def test_negative_target_needs_negated_column(self):
-        # lambda >= 0 only: -e1/2 is unreachable without the negated column
-        with pytest.raises(Infeasible):
-            min_l1_combination([[1, 0], [0, 1]], [Fraction(-1, 2), 0], 2)
-        value, _, _ = min_l1_combination([[1, 0], [-1, 0]], [Fraction(-1, 2), 0], 2)
+        # lambda >= 0 only: -e1/2 is written by the implicit -e1, column 1
+        value, weights, duals = min_l1_combination([], [Fraction(-1, 2), 0], 2)
         assert value == Fraction(1, 2)
-
-    def test_infeasible(self):
-        with pytest.raises(Infeasible):
-            min_l1_combination([[1, 0]], [0, 1], 2)
+        assert weights == [0, Fraction(1, 2), 0, 0]
+        assert duals == [-1, 1]
 
     def test_rational_exactness(self):
-        cols = [[Fraction(1, 3), 0], [0, Fraction(1, 7)]]
-        value, _, _ = min_l1_combination(cols, [Fraction(1, 3), Fraction(2, 7)], 2)
-        assert value == 3
+        # e1/3 + 2 e2/7 costs 13/21 from the units and 1/2 from the first
+        # column, twice the target; the other two cost 1 per unit of target
+        cols = [[Fraction(2, 3), Fraction(4, 7)], [Fraction(1, 3), 0], [0, Fraction(1, 7)]]
+        value, weights, duals = min_l1_combination(cols, [Fraction(1, 3), Fraction(2, 7)], 2)
+        assert value == Fraction(1, 2)
+        assert weights == [0, 0, 0, 0, Fraction(1, 2), 0, 0]
+        assert duals == [Fraction(9, 14), 1]
+        assert all(_pair(col, duals) <= 1 for col in unit_columns(2) + cols)
+
+    def test_rows_hold_the_inverse_and_added_columns(self):
+        # no stored unit columns: each row holds m + 1 integers, one more
+        # per added column
+        m = 30
+        master = Master([Fraction(i % 5 - 2, i % 3 + 1) for i in range(m)], m)
+        assert [len(row) for row in master.tableau] == [m + 1] * (m + 1)
+        rng = random.Random(8)
+        for k in range(1, 6):
+            master.add_column([rng.choice([0, 1, -1, Fraction(1, 2)]) for _ in range(m)])
+            assert [len(row) for row in master.tableau] == [m + k + 1] * (m + 1)
+        assert all(type(v) is int for row in master.tableau for v in row)
 
 
 class TestNormingSet:
@@ -542,7 +566,7 @@ class TestDualNorm:
 
 
 def _pair(column, duals):
-    return sum((Fraction(a) * y for a, y in zip(column, duals)), Fraction(0))
+    return sum((a * y for a, y in zip(column, duals) if a), Fraction(0))
 
 
 class TestWarmMaster:
@@ -560,9 +584,8 @@ class TestWarmMaster:
     def test_add_column_stays_optimal(self, target):
         rows = range(1, self.BOUND + 1)
         g = [parse_vec(target)[i] for i in rows]
-        columns = [[Fraction(s) if j == i else Fraction(0) for j in rows]
-                   for i in rows for s in (1, -1)]
-        master = Master(columns, g, self.BOUND)
+        columns = unit_columns(self.BOUND)
+        master = Master(g, self.BOUND)
         flist = sorted(norming_set(S1, self.BOUND, 3), key=lambda f: f.entries)
         for f in random.Random(target).sample(flist, 40):
             columns.append([f[i] for i in rows])
@@ -570,25 +593,10 @@ class TestWarmMaster:
             duals = master.duals
             assert _pair(g, duals) == master.value
             assert all(_pair(col, duals) <= 1 for col in columns)
-            assert master.value == min_l1_combination(columns, g, self.BOUND)[0]
+            assert master.value == FractionMaster(columns, g, self.BOUND).value
             weights = master.weights
             assert all(w >= 0 for w in weights)
             assert [sum(w * col[r] for w, col in zip(weights, columns)) for r in range(self.BOUND)] == g
-
-    def test_artificial_left_on_a_redundant_row(self):
-        # no start column reaches row 2, so phase 1 leaves its artificial
-        # basic at level 0; the added columns must move it out, not up
-        columns = [[Fraction(1), Fraction(0)], [Fraction(2), Fraction(0)]]
-        target = [Fraction(2), Fraction(0)]
-        master = Master(columns, target, 2)
-        assert master.value == 1
-        for col in ([Fraction(3), Fraction(-1)], [Fraction(0), Fraction(1)],
-                    [Fraction(1), Fraction(1)]):
-            columns.append(col)
-            master.add_column(col)
-            assert master.value == min_l1_combination(columns, target, 2)[0]
-            assert all(_pair(c, master.duals) <= 1 for c in columns)
-            assert _pair(target, master.duals) == master.value
 
 
 @pytest.fixture
@@ -597,8 +605,8 @@ def pivot_log(monkeypatch):
     log = []
     pivot = simplex._pivot
 
-    def recording(tableau, basis, row, col, det):
-        det = pivot(tableau, basis, row, col, det)
+    def recording(tableau, basis, *args):
+        det = pivot(tableau, basis, *args)
         log.append(list(basis))
         return det
 
@@ -607,18 +615,14 @@ def pivot_log(monkeypatch):
 
 
 class TestIntegerMaster:
-    """The fraction-free master against the Fraction tableau: the same basis
-    after every pivot, and the same value, weights and duals."""
+    """The fraction-free master over implicit unit columns against the
+    Fraction tableau given the unit columns first: the same basis after
+    every pivot, and the same value, weights and duals."""
 
     @staticmethod
-    def _run(log, columns, target, m, added=()):
-        try:
-            theirs = FractionMaster(columns, target, m)
-        except Infeasible:
-            with pytest.raises(Infeasible):
-                Master(columns, target, m)
-            return
-        ours = Master(columns, target, m)
+    def _run(log, target, m, added):
+        theirs = FractionMaster(unit_columns(m), target, m)
+        ours = Master(target, m)
         for column in (None,) + tuple(added):
             if column is not None:
                 ours.add_column(column)
@@ -636,26 +640,25 @@ class TestIntegerMaster:
         ([[1, 0]], [0, 1]),
         ([[Fraction(1, 3), 0], [0, Fraction(1, 7)]], [Fraction(1, 3), Fraction(2, 7)]),
         ([[Fraction(1), Fraction(0)], [Fraction(2), Fraction(0)]], [Fraction(2), Fraction(0)]),
+        ([[Fraction(2, 3), Fraction(4, 7)], [2, -3]], [Fraction(1, 3), Fraction(-2, 7)]),
     ])
     def test_simplex_inputs(self, pivot_log, columns, target):
-        added = [[3, -1], [0, Fraction(1)], [Fraction(1), Fraction(1)]]
-        self._run(pivot_log, columns, target, 2, added)
+        added = columns + [[3, -1], [0, Fraction(1)], [Fraction(1), Fraction(1)]]
+        self._run(pivot_log, target, 2, added)
 
     @pytest.mark.parametrize("target", TestWarmMaster.TARGETS)
     def test_warm_master_inputs(self, pivot_log, target):
         rows = range(1, TestWarmMaster.BOUND + 1)
         g = [parse_vec(target)[i] for i in rows]
-        columns = [[Fraction(s) if j == i else Fraction(0) for j in rows]
-                   for i in rows for s in (1, -1)]
         flist = sorted(norming_set(S1, TestWarmMaster.BOUND, 3), key=lambda f: f.entries)
         added = [[f[i] for i in rows] for f in random.Random(target).sample(flist, 40)]
-        self._run(pivot_log, columns, g, TestWarmMaster.BOUND, added)
+        self._run(pivot_log, g, TestWarmMaster.BOUND, added)
 
     def test_dense_oracle_inputs(self, pivot_log):
-        fs = norming_set(S1, 6, 3)
+        # a fixed sample of K(S1, 1/2, 6, 3) per target, one column at a time
+        flist = sorted(norming_set(S1, 6, 3), key=lambda f: f.entries)
         rows = range(1, 7)
-        columns = [[f[i] for i in rows] for f in fs]
-        patterns = sorted({f.abs() for f in fs}, key=lambda f: f.entries)
+        patterns = sorted({f.abs() for f in flist}, key=lambda f: f.entries)
         rng = random.Random(11)
         targets = patterns[::12] + [
             SparseVec([(i, Fraction(rng.choice([-5, -2, -1, 1, 3]), rng.choice([1, 2, 3])))
@@ -663,19 +666,19 @@ class TestIntegerMaster:
             for _ in range(4)]
         for g in targets:
             pivot_log.clear()
-            self._run(pivot_log, columns, [g[i] for i in rows], 6)
+            added = [[f[i] for i in rows] for f in rng.sample(flist, 60)]
+            self._run(pivot_log, [g[i] for i in rows], 6, added)
 
     def test_seeded_rational_inputs(self, pivot_log):
         # mixed denominators: scaled columns that look like units after
-        # scaling, negative pivots when artificials leave, infeasible targets
+        # scaling, zero columns, negative targets
         rng = random.Random(17)
         entry = lambda: Fraction(rng.choice([-2, -1, 0, 0, 1, 2]), rng.choice([1, 2, 3]))
         for _ in range(60):
             m = rng.randint(1, 4)
-            columns = [[entry() for _ in range(m)] for _ in range(rng.randint(1, 7))]
-            added = [[entry() for _ in range(m)] for _ in range(4)]
+            added = [[entry() for _ in range(m)] for _ in range(rng.randint(1, 7) + 4)]
             pivot_log.clear()
-            self._run(pivot_log, columns, [entry() for _ in range(m)], m, added)
+            self._run(pivot_log, [entry() for _ in range(m)], m, added)
 
 
 class TestDualNormBudget:
@@ -719,6 +722,28 @@ class TestDualNormBudget:
         with pytest.raises(NormError, match="generation budget"):
             norming_set(NormParams(fam, Fraction(1, 2)), 400, 1, budget=budget)
         assert calls[0] <= 3 * budget
+
+    def test_bound_1500_in_round_one(self):
+        # the master over [1..1500] holds a 1500 x 1501 tableau, the budget
+        # runs out in the first pricing round as before
+        with pytest.raises(BudgetExceeded) as exc:
+            dual_norm(S1, SparseVec([(1, Fraction(1))]), 1500, 1)
+        assert str(exc.value) == ("dual gauge pricing ran out of budget in round 1: 100000 "
+                                  "signature-DP nodes used, 0 of them in the earlier rounds")
+
+    def test_dense_target_rounds(self, monkeypatch):
+        # the dense S_1 target of the `dual_norm` docstring, by its rounds
+        rounds = []
+        price = functionals._price_column
+
+        def counting(*args):
+            rounds.append(None)
+            return price(*args)
+
+        monkeypatch.setattr(functionals, "_price_column", counting)
+        g = SparseVec([(i, Fraction((-1) ** i * (i % 5 + 1), i % 3 + 1)) for i in range(1, 15)])
+        assert dual_norm(S1, g, 14, 2) == Fraction(168, 13)
+        assert len(rounds) == 43
 
     @staticmethod
     def _no_master(monkeypatch):

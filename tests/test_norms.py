@@ -109,9 +109,9 @@ class TestNormValues:
             verify_certificate(S1, vec("2:1"), cert)
 
     def test_support_cap(self):
-        x = SparseVec([(i, Fraction(1)) for i in range(1, 20)])
-        with pytest.raises(NormError):
-            norm(S1, x, support_cap=10)
+        x = SparseVec([(i, Fraction(1)) for i in range(1, 66)])
+        with pytest.raises(NormError, match="support size 65 exceeds cap 64"):
+            norm(S1, x)
 
 
 class TestCertificates:
@@ -207,8 +207,8 @@ class TestBasisProperties:
 
     def test_sign_cap(self):
         x = SparseVec([(i, Fraction(1)) for i in range(1, 15)])
-        with pytest.raises(NormError):
-            check_unconditional(S1, x, sign_cap=10)
+        with pytest.raises(NormError, match="capped at support size 12"):
+            check_unconditional(S1, x)
 
     def test_right_dominant(self):
         x = vec("2:1,3:1,4:1")
