@@ -6,8 +6,11 @@ generated from the coordinate functionals by
     f  =  c * (f_1 + ... + f_k),   k >= 2,
 
 where the supports of the f_j are successive and their minima form a member
-of F.  Generation is graded by depth and holds a functional as a tuple of
-integer codes, one per entry (every coefficient is +-c^d), making the
+of F.  The set is closed under sign flips of single entries, so generation
+runs on one positive functional per sign class (87 classes for the 1,204
+functionals of K(S_1, 1/2, 6, 3)) and makes each class's 2^k sign
+patterns at the end.  It is graded by depth and holds a class as a tuple
+of integer codes, one per entry (every coefficient is c^d), making the
 Fractions once at the end.  A functional first made at depth d has a
 coefficient +-c^d, so each level makes only new functionals, from the
 chains that hold a summand the previous level made.  The constraints see
@@ -32,14 +35,16 @@ generation or in the DP.  The DP evaluates the functional norm and prices
 the columns of the dual gauge, computed by exact column generation: a
 fraction-free simplex master over the columns found so far, extended by the
 functional its duals rate highest.  Master and step table are built once
-per gauge, the master resuming from its last basis after each column; the
-loop runs on integers and makes only the final value a Fraction.
+per gauge, the master only once the first round finds a column, and the
+master resumes from its last basis after each column; the loop runs on
+integers and makes only the final value a Fraction.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import product
 from math import lcm
 
 from . import simplex
@@ -82,26 +87,35 @@ class FunctionalSet:
 def _generate(family, c, indices, depth, signed, budget):
     """The functionals of K_depth over `indices` as SparseVecs in the order
     of generation, and the position in that list where each depth starts.
-    A level makes the product of each chain of signature groups that holds
-    a group of the previous level.  Raises NormError once more than
-    `budget` functionals are held; a product that may pass the budget is
-    made one functional at a time."""
-    # a functional is held as a tuple of integer codes, one per entry: index
-    # i with coefficient +c^d is i * width + 2d, with -c^d one more
-    # (injective as 0 < c < 1), so scaling by c adds 2 to every code
-    width = 2 * depth + 2
+
+    The level walk runs on one positive functional per sign class: the set
+    is closed under sign flips of single entries, and a combination's
+    summands may be flipped independently, so the classes of a level are
+    the combinations of the classes before it.  A level makes the product
+    of each chain of signature groups that holds a group of the previous
+    level.  The signed functionals are made at the end, each class's 2^k
+    sign patterns of its k entries in `itertools.product` order.  Raises
+    NormError once more than `budget` (signed) functionals are held,
+    counting a class as its 2^k patterns, so the count held is the one of
+    making the patterns one at a time."""
     indices = sorted(indices)
+    # a functional first made at depth d has at least d + 1 entries, as
+    # every combination has two summands or more
+    depth = min(depth, max(len(indices) - 1, 0))
+    # a class is held as a tuple of integer codes, one per entry: index i
+    # with coefficient c^d is i * width + d (injective as 0 < c < 1), so
+    # scaling by c adds 1 to every code
+    width = depth + 1
     made = [(i * width,) for i in indices]
-    if signed:
-        made += [(e + 1,) for (e,) in made]
     starts = [0]
+    held = 2 * len(made) if signed else len(made)
 
     def hold(level, count):
         if count > budget:
             raise NormError("functional generation budget of %d exceeded at depth %d: %d "
                             "functionals held" % (budget, level, count))
 
-    hold(0, len(made))
+    hold(0, held)
     start = family.initial_state()
     pool = {}  # (support minimum, support maximum) -> [functionals scaled by c]
     fresh = made
@@ -110,7 +124,7 @@ def _generate(family, c, indices, depth, signed, budget):
         latest = {}
         for f in fresh:
             latest.setdefault((f[0] // width, f[-1] // width), []).append(
-                tuple([e + 2 for e in f]))
+                tuple([e + 1 for e in f]))
         groups = {}  # support minimum -> [(support maximum, group, of the previous level)]
         for young, part in ((False, pool), (True, latest)):
             for (m, top), group in part.items():
@@ -122,12 +136,8 @@ def _generate(family, c, indices, depth, signed, budget):
         highest = minima[-1] if family.spreading and minima else None
         new = {}
 
-        def add(f):
-            new[f] = None
-            hold(level, len(made) + len(new))
-            return f
-
-        def combine(product, k, state, last_max, mixed):
+        def combine(partial, k, state, last_max, mixed):
+            nonlocal held
             if highest is not None and highest > last_max and family.step(state, highest) is None:
                 return
             for m in minima[bisect_right(minima, last_max):]:
@@ -138,13 +148,15 @@ def _generate(family, c, indices, depth, signed, budget):
                     holds = mixed or young
                     if not holds and top >= newest:
                         continue  # no group of the previous level can follow
-                    if holds and k and len(made) + len(new) + len(product) * len(group) > budget:
-                        # one at a time, so that the count held is exact
-                        ext = [add(a + b) for a in product for b in group]
-                    else:
-                        ext = [a + b for a in product for b in group]
-                        if holds and k:
-                            new.update(dict.fromkeys(ext))
+                    ext = [a + b for a in partial for b in group]
+                    if holds and k:
+                        for f in ext:
+                            if f not in new:
+                                new[f] = None
+                                held += 1 << len(f) if signed else 1
+                                if held > budget:
+                                    # the pattern that passed the budget
+                                    hold(level, budget + 1)
                     combine(ext, k + 1, after, top, holds)
 
         combine([()], 0, start, 0, False)
@@ -155,21 +167,28 @@ def _generate(family, c, indices, depth, signed, budget):
         starts.append(len(made))
         fresh = list(new)
         made += fresh
-    # each entry becomes an (index, +-c^d) pair from one shared table, in
-    # place, so the coded functionals are freed as the list fills
-    coeff = []
-    for d in range(depth + 1):
+    # each entry's choices of (index, +-c^d) pair, from one shared table
+    choices = []
+    for d in range(width):
         power = c ** d
-        coeff += [power, -power]
-    size = (indices[-1] + 1) * width if indices else 0
-    table = [(e // width, coeff[e % width]) for e in range(size)]
-    for n, f in enumerate(made):
-        made[n] = SparseVec._canonical(tuple([table[e] for e in f]))
-    return made, starts
+        choices.append((power, -power) if signed else (power,))
+    table = [tuple([(i, v) for v in choice])
+             for i in range(indices[-1] + 1 if indices else 0) for choice in choices]
+    vecs, offsets = [], []
+    for lo, hi in zip(starts, starts[1:] + [len(made)]):
+        offsets.append(len(vecs))
+        for f in made[lo:hi]:
+            vecs += map(SparseVec._canonical, product(*[table[e] for e in f]))
+    return vecs, offsets
 
 
 def norming_set(params, bound, depth, signed=True, budget=2_000_000):
-    """The functional set K_depth over indices [1..bound]."""
+    """The functional set K_depth over indices [1..bound]; NormError once
+    more than `budget` functionals are held."""
+    if depth < 0:
+        raise NormError("generation depth must be nonnegative, got %d" % depth)
+    if budget < 0:
+        raise NormError("functional generation budget must be nonnegative, got %d" % budget)
     return FunctionalSet(*_generate(params.family, params.c, range(1, bound + 1), depth,
                                     signed, budget))
 
@@ -324,6 +343,8 @@ def norm_via_functionals(params, x, depth=None):
                         % params.family.descriptor())
     if depth is None:
         depth = len(x)
+    if depth < 0:
+        raise NormError("generation depth must be nonnegative, got %d" % depth)
     return _best_functional(params, x, depth)[0]
 
 
@@ -370,10 +391,13 @@ def dual_norm(params, g, bound, depth, functionals=None, budget=100_000):
     Solved by column generation: a restricted master LP over the columns
     found so far, starting from the coordinate functionals +-e_i (so it is
     always feasible; the master keeps them implicit, see `simplex`), gives
-    its value and row duals y.  The signature dynamic program prices the
-    whole set at once, finding the f in K_depth that maximises <f, y>.
-    While that maximum exceeds 1 the maximiser is a violated column and
-    joins the master, which resumes from its current basis; otherwise y is
+    its value and row duals y.  At the start y_i is +-1 by the sign of g_i,
+    so the first round is priced before the master is built, and a first
+    round that finds no column returns sum |g_i| with no master at all.
+    The signature dynamic program prices the whole set at once, finding
+    the f in K_depth that maximises <f, y>.  While that maximum exceeds 1
+    the maximiser is a violated column and joins the master, which
+    resumes from its current basis; otherwise y is
     dual feasible for the full LP, <g, y> equals the master value, and that
     value is exact.  Each added column is new, as every master column pairs
     with y to at most 1, and the set is finite, so the loop terminates.
@@ -387,12 +411,13 @@ def dual_norm(params, g, bound, depth, functionals=None, budget=100_000):
     whole call, and BudgetExceeded reports the round it stopped in.  At
     depth 2, g_i = (-1)^i (i mod 5 + 1) / (i mod 3 + 1) on [1..14] takes 43
     rounds and about 0.06 s; on [1..20], 97 rounds, about 527,000 nodes
-    (past the default budget) and 0.7 s.  Below w^w the default budget is
-    spent in about 0.15 s at bound 800 and 0.3 s at bound 1,500, nearly all
-    of it pricing: the master holds B^-1, bound x bound integers, built in
-    0.05 s at bound 1,500.  A bound past the budget raises before the
-    master is built where the first round admits every minimum.  S_w spends
-    the budget in about 5 s at bound 50.
+    (past the default budget) and 0.85 s.  Below w^w the default budget is
+    spent in the first round in about 0.16 s at bound 800, 0.23 s at bound
+    1,500 and 0.32 s at bound 3,000, all of it pricing: the master, which
+    holds B^-1 (bound x bound integers), is not built in a round that runs
+    out.  A bound past the budget raises before any list of length `bound`
+    is made where the first round admits every minimum.  S_w spends the
+    budget in about 5 s at bound 50.
 
     `functionals` is accepted for compatibility and unused.
     """
@@ -407,27 +432,34 @@ def dual_norm(params, g, bound, depth, functionals=None, budget=100_000):
     if g.support[-1] > bound:
         raise NormError("support of g exceeds the functional bound")
     if depth == 0:
-        return Fraction(sum(abs(v) for _, v in g.entries))  # the gauge of {+-e_i}
+        return g.l1_norm()  # the gauge of {+-e_i}
     fam = params.family
     steps = _Steps(fam, bound + 1)
+    message = ("dual gauge pricing ran out of budget in round %d: %d signature-DP nodes "
+               "used, %d of them in the earlier rounds")
     # the master starts from the unit columns +-e_i, of cost 1, so the
     # first duals are +-1 on every row; where every singleton is a member,
     # the first round then admits each minimum up to the bound
-    short = bound > budget and fam.spreading and steps[1] >= 0
-    master = None if short else simplex.Master([g[i] for i in range(1, bound + 1)], bound)
+    if bound > budget and fam.spreading and steps[1] >= 0:
+        raise BudgetExceeded(message % (1, budget, 0))
+    target = [Fraction(0)] * bound
+    for i, v in g.entries:
+        target[i - 1] = v
+    # round 1 prices those duals, the signs of g over det 1, and the master
+    # is built only once that round finds a column
+    duals, det = [-1 if v < 0 else 1 for v in target], 1
+    master = None
     spent = rounds = 0
     while True:
         rounds += 1
         try:
-            if short:
-                raise BudgetExceeded
-            column, cost, nodes = _price_column(
-                params, master.dual_numerators, master.det, depth, budget - spent, steps)
+            column, cost, nodes = _price_column(params, duals, det, depth, budget - spent, steps)
         except BudgetExceeded:
-            raise BudgetExceeded(
-                "dual gauge pricing ran out of budget in round %d: %d signature-DP "
-                "nodes used, %d of them in the earlier rounds" % (rounds, budget, spent)) from None
+            raise BudgetExceeded(message % (rounds, budget, spent)) from None
         spent += nodes
         if column is None:
-            return master.value
+            return g.l1_norm() if master is None else master.value
+        if master is None:
+            master = simplex.Master(target, bound)
         master.add_column(column, cost)
+        duals, det = master.dual_numerators, master.det

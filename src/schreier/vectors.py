@@ -36,12 +36,13 @@ class SparseVec:
                 raise VectorError("duplicate index %d" % a)
         object.__setattr__(self, "entries", tuple(cleaned))
 
-    @classmethod
-    def _canonical(cls, entries):
+    @staticmethod
+    def _canonical(entries):
         """Trusted constructor: `entries` is a tuple already in canonical form
-        (positive int indices, strictly increasing, nonzero Fractions)."""
-        vec = object.__new__(cls)
-        object.__setattr__(vec, "entries", entries)
+        (positive int indices, strictly increasing, nonzero Fractions).  It
+        sets the slot through its descriptor, skipping `__setattr__`."""
+        vec = _new(SparseVec)
+        _set_entries(vec, entries)
         return vec
 
     def __setattr__(self, name, value):
@@ -107,6 +108,10 @@ class SparseVec:
 
     def l1_norm(self):
         return sum((abs(v) for _, v in self.entries), Fraction(0))
+
+
+_new = object.__new__
+_set_entries = SparseVec.entries.__set__
 
 
 def basis_vec(i, coeff=1):

@@ -3,6 +3,7 @@ from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import lcm
 
 import pytest
@@ -348,7 +349,7 @@ class TestNormingSet:
     # a non-spreading family: {2, 5} is a member, its spread {3, 5} is not
     NON_SPREADING = Explicit([(1, 2), (2, 5), (3, 4), (1, 3, 6)])
 
-    @pytest.mark.parametrize("family, c, bound, depth", [
+    ORACLE_CASES = [
         (Schreier(ONE), Fraction(1, 2), 5, 3),
         (Schreier(ONE), Fraction(1, 2), 6, 3),
         (Schreier(ONE), Fraction(1, 2), 7, 3),
@@ -362,8 +363,11 @@ class TestNormingSet:
         (FineSchreier(OMEGA), Fraction(9, 10), 5, 3),
         (Schreier(OMEGA), Fraction(1, 3), 5, 3),  # prefix states
         (Schreier(OMEGA), Fraction(9, 10), 5, 3),
-    ], ids=["S1-5", "S1-6", "S1-7", "S2-6", "F5-6", "Fw-5", "explicit-5",
-            "S1-5-c1/3", "S1-5-c9/10", "Fw-5-c1/3", "Fw-5-c9/10", "Sw-5-c1/3", "Sw-5-c9/10"])
+    ]
+    ORACLE_IDS = ["S1-5", "S1-6", "S1-7", "S2-6", "F5-6", "Fw-5", "explicit-5",
+                  "S1-5-c1/3", "S1-5-c9/10", "Fw-5-c1/3", "Fw-5-c9/10", "Sw-5-c1/3", "Sw-5-c9/10"]
+
+    @pytest.mark.parametrize("family, c, bound, depth", ORACLE_CASES, ids=ORACLE_IDS)
     @pytest.mark.parametrize("signed", [True, False], ids=["signed", "unsigned"])
     def test_matches_oracle(self, family, c, bound, depth, signed):
         params = NormParams(family, c)
@@ -390,6 +394,50 @@ class TestNormingSet:
             ours(size - 1)
         with pytest.raises(NormError, match="budget of 9 exceeded at depth 0: 10 functionals held"):
             ours(9)
+
+    @pytest.mark.parametrize("family, c, bound, depth", ORACLE_CASES, ids=ORACLE_IDS)
+    def test_signed_set_is_the_sign_flips(self, family, c, bound, depth):
+        # every sign pattern of every unsigned functional, at its depth,
+        # each made once
+        params = NormParams(family, c)
+        unsigned = norming_set(params, bound, depth, signed=False).depths
+        fs = norming_set(params, bound, depth)
+        assert all(v > 0 for f in unsigned for _, v in f.entries)
+        flips = {}
+        for f, d in unsigned.items():
+            for signs in product((1, -1), repeat=len(f)):
+                flips[SparseVec([(i, s * v) for (i, v), s in zip(f.entries, signs)])] = d
+        assert fs.depths == flips
+        assert len(fs) == len(flips)
+
+    def test_budget_within_sign_patterns(self):
+        # S_1 on [1..5] at depth 1: 10 coordinate functionals, then, in
+        # this order, 4 sign patterns each of {2, 3}, {2, 4}, {2, 5}, {3, 4},
+        # 8 of {3, 4, 5} and 4 each of {3, 5}, {4, 5}; every budget from 11
+        # to 41 but 14, 18, 22, 26, 34 and 38 runs out partway through one
+        # support's patterns, and the count held is the one of making them
+        # one at a time
+        ours = lambda budget: norming_set(S1, 5, 1, budget=budget)
+        assert len(ours(42)) == 42
+        for budget in range(10, 42):
+            with pytest.raises(NormError, match="budget of %d exceeded at depth 1: %d "
+                               "functionals held$" % (budget, budget + 1)):
+                ours(budget)
+        unsigned = lambda budget: norming_set(S1, 5, 3, signed=False, budget=budget)
+        size = len(unsigned(2_000_000))
+        assert _passes(unsigned, size) and not _passes(unsigned, size - 1)
+
+    def test_depth_past_the_bound(self):
+        # a functional first made at depth d has d + 1 entries or more, so
+        # a depth past bound - 1 adds nothing (and builds no table of c^d
+        # for every d up to it)
+        assert norming_set(S1, 3, 10 ** 9).depths == norming_set(S1, 3, 2).depths
+
+    def test_negative_depth_and_budget(self):
+        with pytest.raises(NormError, match="depth must be nonnegative, got -1"):
+            norming_set(S1, 3, -1)
+        with pytest.raises(NormError, match="budget must be nonnegative, got -1"):
+            norming_set(S1, 3, 1, budget=-1)
 
     def test_example_functional_present(self):
         # c*(e2* + e3*) is one admissible combination
@@ -523,6 +571,10 @@ class TestPricingOracle:
 
 
 class TestFunctionalNorm:
+    def test_negative_depth(self):
+        with pytest.raises(NormError, match="depth must be nonnegative, got -1"):
+            norm_via_functionals(S1, SparseVec([(1, Fraction(1))]), depth=-1)
+
     def test_matches_dp(self):
         rng = random.Random(3)
         for _ in range(20):
@@ -724,8 +776,7 @@ class TestDualNormBudget:
         assert calls[0] <= 3 * budget
 
     def test_bound_1500_in_round_one(self):
-        # the master over [1..1500] holds a 1500 x 1501 tableau, the budget
-        # runs out in the first pricing round as before
+        # the budget runs out in the first pricing round
         with pytest.raises(BudgetExceeded) as exc:
             dual_norm(S1, SparseVec([(1, Fraction(1))]), 1500, 1)
         assert str(exc.value) == ("dual gauge pricing ran out of budget in round 1: 100000 "
@@ -772,12 +823,46 @@ class TestDualNormBudget:
             dual_norm(unvouched, g, 30, 1, budget=20)
         assert str(priced.value) == message % 20
         self._no_master(monkeypatch)
+        rounds = []
+        price = functionals._price_column
+
+        def counting(*args):
+            rounds.append(None)
+            return price(*args)
+
+        monkeypatch.setattr(functionals, "_price_column", counting)
         for bound, budget in ((30, 20), (1000, 20), (1000, 999)):
             with pytest.raises(BudgetExceeded) as guarded:
                 dual_norm(S1, g, bound, 1, budget=budget)
             assert str(guarded.value) == message % budget
-        with pytest.raises(AssertionError, match="master was built"):
+        assert not rounds
+        # within the budget round 1 is priced, still without the master,
+        # which is built once a round finds a column
+        with pytest.raises(BudgetExceeded) as within:
             dual_norm(S1, g, 30, 1, budget=30)
+        assert str(within.value) == message % 30
+        assert len(rounds) == 1
+        with pytest.raises(AssertionError, match="master was built"):
+            dual_norm(S1, g, 10, 1)
+
+    def test_bound_3000_in_round_one_without_the_master(self, monkeypatch):
+        # B^-1 over [1..3000] would hold 9,000,000 integers; the first
+        # round, priced on the signs of g, spends the budget before it
+        self._no_master(monkeypatch)
+        with pytest.raises(BudgetExceeded) as exc:
+            dual_norm(S1, SparseVec([(1, Fraction(1))]), 3000, 1)
+        assert str(exc.value) == ("dual gauge pricing ran out of budget in round 1: 100000 "
+                                  "signature-DP nodes used, 0 of them in the earlier rounds")
+
+    def test_round_one_without_a_column_builds_no_master(self, monkeypatch):
+        # on [1..4] every functional of K_1 pairs with y = +-1 to at most 1
+        # ({3, 4, 5} would pair to 3/2), so the gauge is sum |g_i| and no
+        # master is built
+        g = parse_vec("2:3,4:-1/2")
+        self._no_master(monkeypatch)
+        assert dual_norm(S1, g, 4, 1) == Fraction(7, 2)
+        with pytest.raises(AssertionError, match="master was built"):
+            dual_norm(S1, g, 5, 1)
 
 
 def _counting_steps():
