@@ -153,14 +153,13 @@ def family_cb_index(args):
 # -- norm commands ----------------------------------------------------------
 
 def _params(args, prefix=""):
-    from fractions import Fraction
-
     from .norms import NormError, NormParams
+    from .vectors import parse_rational
 
     fam = _family(args, prefix)
     text = getattr(args, prefix + "c")
     try:
-        c = Fraction(text)
+        c = parse_rational(text)
     except (ValueError, ZeroDivisionError):
         raise NormError("cannot parse constant %r" % text)
     return NormParams(fam, c)
@@ -342,7 +341,8 @@ def _admissible_options(sub):
 def _structure_options(sub):
     _family_options(sub)
     sub.add_argument("--bound", type=int, required=True)
-    sub.add_argument("--budget", type=int, default=2_000_000)
+    sub.add_argument("--budget", type=int, default=2_000_000,
+                     help="members enumerated within the bound before giving up (exit 3)")
 
 
 def _cb_index_options(sub):

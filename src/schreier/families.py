@@ -396,30 +396,41 @@ def is_maximal(fam, a):
 def enumerate_family(fam, bound, maximal_only=False, budget=1_000_000):
     """All members (or all maximal members) within [1..bound], in lex order.
 
-    Walks the member trie depth-first; heredity guarantees that every prefix
-    of a member is a member, so pruning at non-members is complete.
+    Walks the member trie depth-first through the residual states; heredity
+    makes pruning at non-members complete.  With a right-stable gap g,
+    prefix u {n} has the same membership for every n >= max(prefix) + g, so
+    the scan of n stops at the first refused n past that point.  The budget
+    counts visited members.
     """
     if bound < 1:
         raise FamilyError("bound must be >= 1")
     if budget < 0:
         raise FamilyError("budget must be >= 0, got %d" % budget)
-    out = []
-    steps = 0
+    gap = fam.right_stable_gap
 
-    def visit(prefix):
-        nonlocal steps
-        steps += 1
-        if steps > budget:
+    def children(prefix, state):
+        top = prefix[-1] if prefix else 0
+        for n in range(top + 1, bound + 1):
+            after = fam.step(state, n)
+            if after is not None:
+                yield prefix + (n,), after
+            elif gap is not None and n >= top + gap:
+                return
+
+    out = []
+    # one iterator of children per level, so long members need no recursion
+    stack = [iter([((), fam.initial_state())] if fam.contains(()) else [])]
+    while stack:
+        prefix, state = next(stack[-1], (None, None))
+        if prefix is None:
+            stack.pop()
+            continue
+        budget -= 1
+        if budget < 0:
             raise BudgetExceeded("enumeration budget exhausted at bound %d" % bound)
         if not maximal_only or is_maximal(fam, prefix):
             out.append(prefix)
-        start = prefix[-1] + 1 if prefix else 1
-        for n in range(start, bound + 1):
-            if fam.contains(prefix + (n,)):
-                visit(prefix + (n,))
-
-    if fam.contains(()):
-        visit(())
+        stack.append(children(prefix, state))
     return out
 
 
@@ -439,27 +450,23 @@ def residual(fam, prefix):
 
 
 def check_structure(fam, bound, budget=2_000_000):
-    """Exhaustively verify hereditary/spreading/no-chain structure in [1..bound].
+    """Verify hereditary/spreading/no-chain structure of the members within
+    [1..bound] that `enumerate_family` lists under `budget`.
+
+    Heredity: every member minus one element is a member; by induction this
+    reaches every subset.  Spreading: raising one element by 1, where the set
+    stays increasing and within the bound, gives a member; raising the last
+    element, then the one before it, and so on, reaches every such spread.
 
     The chain check is the finite shadow of compactness: no member may extend
     greedily (always appending max+1) past the horizon while staying inside
     the family.
     """
     members = set(enumerate_family(fam, bound, budget=budget))
-    hereditary = all(
-        all(tuple(sub) in members for r in range(len(m)) for sub in itertools.combinations(m, r))
-        for m in members
-    )
-    spreading_ok = True
-    for m in members:
-        if not m:
-            continue
-        for spread in itertools.combinations(range(1, bound + 1), len(m)):
-            if is_spread(m, spread) and spread not in members:
-                spreading_ok = False
-                break
-        if not spreading_ok:
-            break
+    hereditary = all(m[:i] + m[i + 1:] in members for m in members for i in range(len(m)))
+    spreading_ok = all(m[:i] + (x + 1,) + m[i + 1:] in members
+                       for m in members for i, x in enumerate(m)
+                       if x + 1 < (m[i + 1] if i + 1 < len(m) else bound + 1))
     no_chain = True
     horizon = bound + DEFAULT_HORIZON
     for m in members:

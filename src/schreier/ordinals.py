@@ -206,11 +206,12 @@ def fundamental_seq(lam, n):
 # -- parsing and formatting -------------------------------------------------
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([w^()*+]))")
+MAX_NESTING = 100
 
 
 def _tokenize(text):
     tokens = []
-    pos = 0
+    pos = depth = 0
     while pos < len(text):
         if text[pos].isspace():
             pos += 1
@@ -219,9 +220,15 @@ def _tokenize(text):
         if not m or m.end() == pos:
             raise OrdinalParseError("unexpected character %r" % text[pos], pos)
         if m.group(1) is not None:
-            tokens.append(("num", int(m.group(1)), m.start(1)))
+            try:
+                tokens.append(("num", int(m.group(1)), m.start(1)))
+            except ValueError as exc:  # more digits than int() converts
+                raise OrdinalParseError(str(exc), m.start(1))
         else:
             tokens.append((m.group(2), None, m.start(2)))
+            depth += {"(": 1, ")": -1}.get(m.group(2), 0)
+            if depth > MAX_NESTING:  # only w^ opens a parenthesis
+                raise OrdinalParseError("nested deeper than %d levels" % MAX_NESTING, pos)
         pos = m.end()
     tokens.append(("end", None, len(text)))
     return tokens
@@ -285,7 +292,9 @@ class _Parser:
 def parse_ordinal(text):
     """Parse an ordinal expression and return its CNF normalization.
 
-    Grammar: `0` | `w` | `w^k` | `w^(<expr>)` | `<atom>*<nat>` | `<expr>+<expr>`.
+    Grammar: `0` | `w` | `w^k` | `w^(<expr>)` | `<atom>*<nat>` | `<expr>+<expr>`,
+    with at most `MAX_NESTING` levels of `w^(...)`: parsing, comparison and
+    sums recurse a few frames a level, and stay far below the recursion limit.
     """
     parser = _Parser(text)
     value = parser.parse_expr()

@@ -25,7 +25,6 @@ from .families import (
     enumerate_family,
     fs_member,
     is_maximal,
-    is_spread,
     residual,
     schreier_member,
 )
@@ -232,17 +231,12 @@ GRID_ORDINALS = (
 
 
 def check_hereditary_spreading(bound=10):
-    """Heredity and spread closure of F_alpha on a small exhaustive grid."""
+    """Heredity and spread closure of F_alpha over the sample grid."""
     for alpha in GRID_ORDINALS:
-        members = {a for a in _subsets(bound, 6) if fs_member(alpha, a)}
-        for a in members:
-            for r in range(len(a)):
-                for sub in itertools.combinations(a, r):
-                    if sub not in members and not fs_member(alpha, sub):
-                        return (False, "heredity fails: %s sub %s at %s" % (sub, a, alpha))
-            for spread in itertools.combinations(range(1, bound + 1), len(a)):
-                if is_spread(a, spread) and not fs_member(alpha, spread):
-                    return (False, "spreading fails: %s -> %s at %s" % (a, spread, alpha))
+        report = check_structure(FineSchreier(alpha), bound)
+        for prop in ("hereditary", "spreading"):
+            if not report[prop]:
+                return (False, "%s fails at %s" % (prop, alpha))
     return (True, None)
 
 

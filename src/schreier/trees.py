@@ -19,7 +19,6 @@ from .families import (
     cb_derivative,
     enumerate_family,
     finset,
-    is_maximal,
     is_spread,
     is_successive,
 )
@@ -261,17 +260,6 @@ def min_set(bt):
     return Oracle(lambda a: _minset_member(bt, a), name, right_stable_gap=gap)
 
 
-def _cb_iterate_members(fam, steps, bound):
-    """Members of the steps-fold CB derivative within [1..bound].
-
-    The iterated derivative of a hereditary right-stable family is again
-    hereditary, so the member trie can be walked with pruning."""
-    current = fam
-    for _ in range(steps):
-        current = cb_derivative(current)
-    return set(enumerate_family(current, bound))
-
-
 def lemma47_check(bt, n, bound):
     """Finite-scale inclusion of iterated derivatives through compression:
 
@@ -281,13 +269,15 @@ def lemma47_check(bt, n, bound):
     """
     if bt.closure != "spreading":
         raise TreeError("the check requires a spreading-closure tree")
-    mins = min_set(bt)
-    lhs = _cb_iterate_members(mins, 2 * n + 2, bound)
+    # derivatives of a hereditary right-stable family stay hereditary
+    lhs = min_set(bt)
+    for _ in range(2 * n + 2):
+        lhs = cb_derivative(lhs)
     derived = bt
     for _ in range(n + 1):
         derived = block_derivative(derived)
     rhs_fam = min_set(derived)
-    return all(rhs_fam.contains(f) for f in lhs)
+    return all(rhs_fam.contains(f) for f in enumerate_family(lhs, bound))
 
 
 def prop43_verify(alpha, witness, target, extension_pred, bound):
@@ -299,26 +289,16 @@ def prop43_verify(alpha, witness, target, extension_pred, bound):
     extensions (x_(F u {n})) for n in (max F, bound] must satisfy
     `extension_pred`.  Returns (ok, first_violation_or_None).
     """
-    fam = FineSchreier(alpha)
-    members = [m for m in enumerate_family(fam, bound) if m]
-    for f_set in members:
+    members = enumerate_family(FineSchreier(alpha), bound)  # lex order, from the empty set
+    tails = {}  # the witnesses of each member's one-point extensions, in order
+    for f_set in members[1:]:
         if f_set not in witness:
             return (False, ("missing witness", f_set))
-        seq = tuple(witness[f_set[: k + 1]] for k in range(len(f_set)))
-        if any(f_set[: k + 1] not in witness for k in range(len(f_set))):
-            return (False, ("missing witness prefix", f_set))
-        if seq not in target:
+        # the prefixes of f_set are members listed before it, so witnessed
+        if tuple(witness[f_set[: k + 1]] for k in range(len(f_set))) not in target:
             return (False, ("sequence not in target tree", f_set))
-    for f_set in [()] + members:
-        if fam.contains(f_set) and not is_maximal(fam, f_set):
-            start = f_set[-1] + 1 if f_set else 1
-            tail = []
-            for m in range(start, bound + 1):
-                ext = f_set + (m,)
-                if fam.contains(ext):
-                    if ext not in witness:
-                        return (False, ("missing witness", ext))
-                    tail.append(witness[ext])
-            if tail and not extension_pred(tail):
-                return (False, ("extension predicate fails", f_set))
+        tails.setdefault(f_set[:-1], []).append(witness[f_set])
+    for f_set, tail in tails.items():
+        if not extension_pred(tail):
+            return (False, ("extension predicate fails", f_set))
     return (True, None)

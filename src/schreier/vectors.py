@@ -118,6 +118,13 @@ def basis_vec(i, coeff=1):
     return SparseVec([(i, Fraction(coeff))])
 
 
+def parse_rational(text):
+    """`num`, `num/den` or a decimal; no exponent, which Fraction expands."""
+    if "e" in text.lower():
+        raise ValueError("exponent notation is not accepted: %r" % text)
+    return Fraction(text)
+
+
 def parse_vec(text):
     """Parse the `idx:num/den,...` text form, e.g. `3:1,4:1,5:-2/3`."""
     text = text.strip()
@@ -127,7 +134,7 @@ def parse_vec(text):
     for part in text.split(","):
         try:
             idx, coeff = part.split(":")
-            entries.append((int(idx), Fraction(coeff)))
+            entries.append((int(idx), parse_rational(coeff)))
         except (ValueError, ZeroDivisionError):
             raise VectorError("bad vector component %r" % part)
     return SparseVec(entries)

@@ -8,6 +8,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import schreier
 from schreier import cache
@@ -54,6 +55,19 @@ def run(*args):
                            stderr=err.getvalue(), exception=exception)
 
 
+def run_process(*args, timeout=60):
+    """Run the CLI as `python -m schreier.cli` in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(schreier.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "schreier.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=timeout)
+
+
+# 400 levels of w^( used to overflow the parser's recursion
+DEEP_NESTING = "w^(" * 400 + "1" + ")" * 400
+
+
 class TestOrd:
     def test_nsum(self):
         result = run("ord", "nsum", "w*2+1", "w+2")
@@ -78,6 +92,12 @@ class TestOrd:
 
     def test_parse_error(self):
         assert run("ord", "add", "w^", "1").exit_code == 2
+
+    def test_deep_nesting_is_usage_error(self):
+        result = run("ord", "nsum", DEEP_NESTING, "1")
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: nested deeper than")
 
 
 class TestFamily:
@@ -142,6 +162,9 @@ class TestFamily:
         ["family", "enumerate", "--schreier", "1", "--bound", "4", "--budget", "-1"],
         ["family", "structure", "--schreier", "1", "--bound", "4", "--budget", "-1"],
         ["norm", "--schreier", "1", "--c", "abc", "--vec", "1:1"],
+        # Fraction would expand these exponents into billion-digit integers
+        ["norm", "--schreier", "1", "--c", "1e-999999999", "--vec", "1:1"],
+        ["norm", "--schreier", "1", "--c", "1/2", "--vec", "1:1E999999999"],
     ])
     def test_bad_input_is_usage_error(self, tmp_path, args):
         (tmp_path / "bad.json").write_text("[[1, 2]")
@@ -183,6 +206,35 @@ class TestFamily:
         result = run("family", "cb-index", "--fine", "30")
         assert result.exit_code == 0
         assert result.output.strip() == "31"
+
+
+class TestBoundedFamilySearches:
+    """Searches that once ran for minutes; each ends within seconds in a
+    fresh interpreter, under a generous timeout."""
+
+    def test_structure_fine_3_bound_60(self):
+        proc = run_process("family", "structure", "--fine", "3", "--bound", "60",
+                           "--budget", "100000")
+        assert proc.returncode == 0
+        assert proc.stdout == "hereditary: yes\nspreading: yes\ncompact_no_chain: yes\n"
+
+    def test_structure_schreier_2_bound_14(self):
+        # the greedy chain passes DEFAULT_HORIZON, so S_2 reads as non-compact
+        proc = run_process("family", "structure", "--schreier", "2", "--bound", "14")
+        assert proc.returncode == 1
+        assert proc.stdout == "hereditary: yes\nspreading: yes\ncompact_no_chain: no\n"
+
+    def test_enumerate_schreier_1_bound_20000(self):
+        proc = run_process("family", "enumerate", "--schreier", "1", "--bound", "20000",
+                           "--budget", "1000")
+        assert proc.returncode == 3
+        assert proc.stderr == "error: enumeration budget exhausted at bound 20000\n"
+
+    def test_enumerate_members_longer_than_recursion_limit(self):
+        proc = run_process("family", "enumerate", "--fine", "2000", "--bound", "3000",
+                           "--budget", "5000")
+        assert proc.returncode == 3
+        assert proc.stderr == "error: enumeration budget exhausted at bound 3000\n"
 
 
 class TestNorm:
@@ -264,13 +316,8 @@ class TestNorm:
         assert run(*args[:-4], "--bound", "4", "--depth", "2", "--budget", "-1").exit_code == 2
 
     def test_dualnorm_large_bound_ends(self):
-        src = os.path.dirname(os.path.dirname(schreier.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "schreier.cli", "dualnorm", "--schreier", "1", "--c", "1/2",
-             "--vec", "1:1", "--bound", "16", "--depth", "2"],
-            capture_output=True, text=True, env=env, timeout=10)
+        proc = run_process("dualnorm", "--schreier", "1", "--c", "1/2", "--vec", "1:1",
+                           "--bound", "16", "--depth", "2", timeout=10)
         assert proc.returncode in (0, 3)
         assert "Traceback" not in proc.stderr
 
@@ -444,6 +491,29 @@ class TestParser:
         from schreier.suites import SUITES
 
         assert list(SUITE_CHOICES) == sorted(SUITES) + ["all"]
+
+
+DRAWN = st.text(max_size=40) | st.text(alphabet="0123456789w^()+*-,:/.e ", max_size=40)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(command=st.sampled_from(["classify", "member", "norm"]), text=DRAWN,
+       c=st.sampled_from(["1/2", "2/3"]) | DRAWN)
+@example(command="classify", text=DEEP_NESTING, c="1/2")
+@example(command="member", text=",".join(map(str, range(3000, 6001))), c="1/2")
+@example(command="norm", text="1:1/2,3:-1,5:2", c="1e-999999999")
+def test_drawn_input_keeps_the_exit_contract(command, text, c):
+    args = {
+        "classify": ["ord", "classify", text],
+        "member": ["family", "member", "--schreier", "1", "--set", text],
+        "norm": ["norm", "--schreier", "1", "--c", c, "--vec", text],
+    }[command]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            main(args=args)
+    assert (exc.value.code or 0) in (0, 2)
+    assert sum("error:" in line for line in err.getvalue().splitlines()) <= 1
 
 
 def test_package_exports_resolve():

@@ -1,6 +1,7 @@
 import functools
 import gc
 import itertools
+import random
 import sys
 import time
 
@@ -10,11 +11,14 @@ from schreier.ordinals import (
     OMEGA, ONE, add, classify, from_int, fundamental_seq, mul, omega_pow, parse_ordinal,
 )
 from schreier.families import (
+    DEFAULT_HORIZON,
     BudgetExceeded,
+    Derived,
     Explicit,
     FamilyError,
     FineSchreier,
     Oracle,
+    Residual,
     Schreier,
     cb_derivative,
     cb_index_finite,
@@ -30,6 +34,8 @@ from schreier.families import (
     residual,
     schreier_member,
 )
+from schreier.suites import random_block_tree
+from schreier.trees import min_set
 
 
 def subsets(bound, max_size):
@@ -227,6 +233,82 @@ class TestMaximal:
         assert not is_maximal(fam, (1,))
 
 
+# -- exhaustive references for enumeration and structure --------------------
+
+def scan_members(fam, bound):
+    """The member trie walked with every n tried up to the bound: the scan
+    `enumerate_family` makes without its right-stable early stop."""
+    out = []
+
+    def visit(prefix):
+        out.append(prefix)
+        for n in range((prefix[-1] if prefix else 0) + 1, bound + 1):
+            if fam.contains(prefix + (n,)):
+                visit(prefix + (n,))
+
+    if fam.contains(()):
+        visit(())
+    return out
+
+
+def exhaustive_structure(fam, bound):
+    """The structure check by exhaustive scans: every subset of each member,
+    and every size-|m| subset of [1..bound] that spreads m; the greedy chain
+    check is the one `check_structure` runs."""
+    members = set(scan_members(fam, bound))
+    hereditary = all(
+        all(tuple(sub) in members for r in range(len(m)) for sub in itertools.combinations(m, r))
+        for m in members
+    )
+    spreading_ok = all(
+        spread in members
+        for m in members
+        if m
+        for spread in itertools.combinations(range(1, bound + 1), len(m))
+        if is_spread(m, spread)
+    )
+    no_chain = True
+    horizon = bound + DEFAULT_HORIZON
+    for m in members:
+        chain = m
+        while fam.contains(chain + ((chain[-1] + 1) if chain else 1,)):
+            chain = chain + ((chain[-1] + 1) if chain else 1,)
+            if chain[-1] > horizon:
+                no_chain = False
+                break
+        if not no_chain:
+            break
+    return {"hereditary": hereditary, "spreading": spreading_ok, "compact_no_chain": no_chain}
+
+
+def not_hereditary_oracle():
+    """{ {}, {1}, {2}, {1,3} }: {3} is missing, yet the trie reaches {1,3}."""
+    members = {(), (1,), (2,), (1, 3)}
+    return Oracle(members.__contains__, "not hereditary")
+
+
+def min_set_oracles():
+    """`min_set` families of seeded random spreading block trees: oracles
+    with a right-stable gap, some of them not spreading."""
+    return [min_set(random_block_tree(random.Random(seed))) for seed in range(12)]
+
+
+STRUCTURE_CASES = [
+    (FineSchreier(from_int(2)), 10),
+    (FineSchreier(from_int(3)), 10),
+    (FineSchreier(OMEGA), 10),
+    (FineSchreier(add(OMEGA, ONE)), 10),
+    (FineSchreier(mul(OMEGA, from_int(2))), 10),
+    (FineSchreier(OMEGA_SQ), 10),
+    (Schreier(from_int(2)), 8),
+    # every set of at most two elements of [1..6]: spreading inside bound 6
+    (Explicit(itertools.combinations(range(1, 7), 2)), 6),
+    (Explicit([(1, 2)]), 4),
+    (Explicit([(2, 5), (3,)]), 7),
+    (not_hereditary_oracle(), 4),
+] + [(fam, 8) for fam in min_set_oracles()]
+
+
 class TestEnumerate:
     def test_fine_one(self):
         got = enumerate_family(FineSchreier(ONE), 3)
@@ -244,6 +326,44 @@ class TestEnumerate:
         got = enumerate_family(FineSchreier(from_int(2)), 6)
         expected = [a for a in subsets(6, 2)]
         assert sorted(got) == sorted(expected)
+
+
+class TestEnumerateEarlyStop:
+    FAMILIES = [
+        Schreier(ONE),
+        Schreier(from_int(2)),
+        FineSchreier(from_int(3)),
+        Derived(Schreier(ONE)),
+        Residual(Schreier(from_int(2)), ()),
+    ] + min_set_oracles()
+
+    @pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.descriptor())
+    def test_lists_match_the_full_scan(self, fam):
+        for bound in (6, 10):
+            assert enumerate_family(fam, bound) == scan_members(fam, bound)
+
+    def test_stop_pinned_by_predicate_calls(self):
+        s1 = Schreier(ONE)
+        calls = []
+
+        def counted(a):
+            calls.append(a)
+            return s1.contains(a)
+
+        fam = Oracle(counted, "counted S1", right_stable_gap=1)
+        with pytest.raises(BudgetExceeded):
+            enumerate_family(fam, 20000, budget=1000)
+        # without the stop, the first visit alone would ask 20000 questions
+        assert len(calls) == 1999
+
+    def test_members_longer_than_the_recursion_limit(self):
+        k = sys.getrecursionlimit() + 100
+        segments = Oracle(lambda a: a == tuple(range(1, len(a) + 1)), "initial segments",
+                          right_stable_gap=2)
+        assert enumerate_family(segments, k) == [tuple(range(1, j + 1)) for j in range(k + 1)]
+        # the walk reaches depth k before the budget runs out
+        with pytest.raises(BudgetExceeded):
+            enumerate_family(FineSchreier(from_int(k)), k + 5, budget=k + 1)
 
 
 class TestAdmissible:
@@ -279,6 +399,22 @@ class TestResidual:
 
 
 class TestStructure:
+    @pytest.mark.parametrize("fam, bound", STRUCTURE_CASES,
+                             ids=[fam.descriptor() for fam, _ in STRUCTURE_CASES])
+    def test_one_step_moves_match_exhaustive_scans(self, fam, bound):
+        assert check_structure(fam, bound) == exhaustive_structure(fam, bound)
+
+    def test_cases_cover_both_verdicts(self):
+        reports = [exhaustive_structure(fam, bound) for fam, bound in STRUCTURE_CASES]
+        for key in ("hereditary", "spreading", "compact_no_chain"):
+            assert {r[key] for r in reports} == {True, False}, key
+
+    def test_non_hereditary_oracle(self):
+        fam = not_hereditary_oracle()
+        assert enumerate_family(fam, 4) == [(), (1,), (1, 3), (2,)]
+        assert check_structure(fam, 4) == {
+            "hereditary": False, "spreading": False, "compact_no_chain": True}
+
     def test_schreier_one(self):
         report = check_structure(Schreier(ONE), 8)
         assert report == {"hereditary": True, "spreading": True, "compact_no_chain": True}

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from schreier.ordinals import (
+    MAX_NESTING,
     OMEGA,
     ONE,
     ZERO,
@@ -54,6 +55,26 @@ class TestParsing:
         for bad in ["", "w^", "w^w", "w*0", "+1", "w**2", "2w"]:
             with pytest.raises(OrdinalParseError):
                 parse_ordinal(bad)
+
+    def test_operations_within_recursion_limit_at_nesting_cap(self):
+        deep = "w^(" * MAX_NESTING + "%s" + ")" * MAX_NESTING
+        a, b = parse_ordinal(deep % 1), parse_ordinal(deep % 2)
+        assert compare(a, b) == "less" and compare(b, b) == "equal"
+        assert parse_ordinal(format_ordinal(a)) == a
+        assert natural_sum(a, b) == add(b, a)
+        assert fundamental_seq(a, 3) < a
+
+    @pytest.mark.parametrize("levels", [MAX_NESTING + 1, 400])
+    def test_deeper_nesting_is_a_parse_error(self, levels):
+        with pytest.raises(OrdinalParseError) as exc:
+            parse_ordinal("w^(" * levels + "1" + ")" * levels)
+        # the parenthesis that opens level MAX_NESTING + 1
+        assert exc.value.position == 3 * MAX_NESTING + 2
+
+    def test_number_too_long_for_int_is_a_parse_error(self):
+        with pytest.raises(OrdinalParseError) as exc:
+            parse_ordinal("w+" + "1" * 5000)
+        assert exc.value.position == 2
 
     @given(ords)
     def test_roundtrip_random(self, a):

@@ -142,3 +142,15 @@ class TestProp43:
         ok, why = prop43_verify(from_int(2), witness, target, lambda t: True, 4)
         assert not ok
         assert why[0] == "sequence not in target tree"
+
+    def test_extension_tails(self):
+        target = BlockTree([[(1,), (2,)]])
+        members = [f for f in enumerate_family(FineSchreier(from_int(2)), 5) if f]
+        witness = {f: (f[-1],) for f in members}
+        seen = []
+        ok, _ = prop43_verify(from_int(2), witness, target, lambda t: not seen.append(t), 5)
+        assert ok
+        # one tail per member with extensions within the bound, in lex order
+        assert seen == [[(n,) for n in range(m + 1, 6)] for m in range(5)]
+        ok, why = prop43_verify(from_int(2), witness, target, lambda t: t[0] == (1,), 5)
+        assert (ok, why) == (False, ("extension predicate fails", (1,)))
