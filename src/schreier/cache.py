@@ -1,25 +1,24 @@
-"""Persistent norm cache: one JSON record per line.
+"""Persistent norm cache: one JSON file per record.
 
-Records have the shape {family, c, vec, value, cert}, keyed by the first
-three, with `cert` the JSON form of the norm's partition certificate.  A
-lookup returns the stored value and certificate; the caller re-verifies the
-certificate before serving the value (`norms.norm_value`), and treats a
-record whose certificate does not give its value as a miss.  A store
-appends a record; on load the last record for a key wins, so a corrected
-record appended after a bad one replaces it.  Lines that do not decode are
-skipped.
+A record has the shape {family, c, vec, value, cert}, keyed by the first
+three, with `cert` the JSON form of the norm's partition certificate.  It
+lives in the cache directory in a file named by a checksum of its key, so a
+lookup opens that one file.  A missing file, a file that does not decode and
+a file holding another key (two keys with one checksum) are all misses.  The
+caller re-verifies the certificate before serving the value
+(`norms.norm_value`), and treats a record whose certificate does not give
+its value as a miss.  A store writes a uniquely named temporary file and
+renames it over the record, so the last store wins and a write cut short
+leaves the old record or none (and at worst a stray `.tmp` file).
 """
 
 from __future__ import annotations
 
 import json
 import os
-import threading
+import zlib
 
 ENV_VAR = "SCHREIER_CACHE_DIR"
-
-_lock = threading.Lock()
-_loaded = {}  # path -> dict[(family, c, vec)] = (value_str, cert_json)
 
 
 class CacheMismatch(RuntimeError):
@@ -27,50 +26,33 @@ class CacheMismatch(RuntimeError):
 
 
 def cache_path(cache_dir=None):
+    """The cache directory (created if missing), or None without one."""
     cache_dir = cache_dir or os.environ.get(ENV_VAR)
     if not cache_dir:
         return None
     os.makedirs(cache_dir, exist_ok=True)
-    return os.path.join(cache_dir, "norms.jsonl")
+    return cache_dir
 
 
-def _load(path):
-    with _lock:
-        if path in _loaded:
-            return _loaded[path]
-        table = {}
-        if os.path.exists(path):
-            with open(path) as fh:
-                for line in fh:
-                    try:
-                        rec = json.loads(line)
-                        table[(rec["family"], rec["c"], rec["vec"])] = (rec["value"], rec["cert"])
-                    except (ValueError, KeyError, TypeError, RecursionError):
-                        continue  # a blank, truncated or foreign line is no record
-        _loaded[path] = table
-        return table
+def _record_file(path, family, c, vec):
+    key = json.dumps([family, c, vec]).encode()
+    return os.path.join(path, "%08x%08x.json" % (zlib.crc32(key), zlib.adler32(key)))
 
 
 def lookup(path, family, c, vec):
-    if path is None:
-        return None
-    return _load(path).get((family, c, vec))
+    try:
+        with open(_record_file(path, family, c, vec)) as fh:
+            rec = json.load(fh)
+        if (rec["family"], rec["c"], rec["vec"]) == (family, c, vec):
+            return rec["value"], rec["cert"]
+    except (OSError, ValueError, KeyError, TypeError, RecursionError):
+        pass  # a missing, truncated or foreign file is no record
+    return None
 
 
 def store(path, family, c, vec, value, cert):
-    if path is None:
-        return
-    table = _load(path)
-    key = (family, c, vec)
-    with _lock:
-        table[key] = (value, cert)
-        line = json.dumps(
-            {"family": family, "c": c, "vec": vec, "value": value, "cert": cert}
-        ).encode() + b"\n"
-        with open(path, "a+b") as fh:
-            # start a fresh line after a truncated last record
-            if fh.seek(0, os.SEEK_END):
-                fh.seek(-1, os.SEEK_END)
-                if fh.read(1) != b"\n":
-                    line = b"\n" + line
-            fh.write(line)
+    target = _record_file(path, family, c, vec)
+    tmp = "%s.%s.tmp" % (target, os.urandom(8).hex())
+    with open(tmp, "x") as fh:
+        json.dump({"family": family, "c": c, "vec": vec, "value": value, "cert": cert}, fh)
+    os.replace(tmp, target)

@@ -172,13 +172,12 @@ def norm_cmd(args):
 
     params = _params(args)
     x = parse_vec(args.vec)
-    if args.cert is None and args.cache_dir is not None:
+    if args.cert is None:
         print(norm_value(params, x, cache_dir=args.cache_dir))
         return
     value, cert = norm(params, x)
-    if args.cert is not None:
-        with open(args.cert, "w") as fh:
-            json.dump(cert.to_json(), fh, indent=2)
+    with open(args.cert, "w") as fh:
+        json.dump(cert.to_json(), fh, indent=2)
     print(value)
 
 

@@ -31,6 +31,7 @@ from .ordinals import Ordinal, ZERO, omega_pow
 # How far past the bound `check_structure` follows a member's greedy chain
 # (always appending max + 1) before it reports an infinite chain.
 DEFAULT_HORIZON = 64
+EXPLICIT_CAP = 1 << 16  # most members an explicit family's downward closure may hold
 
 
 class FamilyError(SchreierError, ValueError):
@@ -241,19 +242,26 @@ class Schreier(FineSchreier):
 
 
 class Explicit(FamilyHandle):
-    """A finite family stored fully materialized and downward closed."""
+    """A finite family stored fully materialized and downward closed, with
+    at most EXPLICIT_CAP members."""
 
     def __init__(self, members, already_closed=False):
-        closed = set()
+        closed = {()}
         for m in members:
             m = finset(m)
             if already_closed:
                 closed.add(m)
+            elif 1 << len(m) > EXPLICIT_CAP:
+                raise FamilyError("a row of %d elements has 2^%d subsets, past the cap of %d "
+                                  "members" % (len(m), len(m), EXPLICIT_CAP))
             else:
                 for r in range(len(m) + 1):
                     closed.update(itertools.combinations(m, r))
-        closed.add(())
+            if len(closed) > EXPLICIT_CAP:
+                raise FamilyError("the downward closure passes the cap of %d members"
+                                  % EXPLICIT_CAP)
         self.members = frozenset(closed)
+        self.elements = sorted({x for m in closed for x in m})
 
     @classmethod
     def from_json_file(cls, path):
@@ -386,8 +394,8 @@ def is_maximal(fam, a):
     a = tuple(a)
     if not fam.contains(a):
         raise FamilyError("%s is not a member of %s" % (format_finset(a), fam.descriptor()))
-    if isinstance(fam, Explicit):
-        return not any(len(m) > len(a) and set(a) <= set(m) for m in fam.members)
+    if isinstance(fam, Explicit):  # downward closed: probe the one-point extensions
+        return not any(fam.contains(tuple(sorted(a + (x,)))) for x in fam.elements if x not in a)
     if not fam.spreading:
         raise FamilyError("maximality probe requires a spreading family")
     return not fam.contains(a + ((a[-1] if a else 0) + fam.right_stable_gap,))

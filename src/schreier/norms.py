@@ -76,9 +76,6 @@ class Leaf:
         self.index = index
         self.value = Fraction(value)
 
-    def indices(self):
-        return (self.index,)
-
     def to_json(self):
         return {"leaf": self.index, "value": str(self.value)}
 
@@ -92,9 +89,6 @@ class Node:
         self.blocks = tuple(tuple(b) for b in blocks)
         self.children = tuple(children)
         self.value = Fraction(value)
-
-    def indices(self):
-        return tuple(i for b in self.blocks for i in b)
 
     def to_json(self):
         return {
@@ -304,16 +298,19 @@ def norm_value(params, x, cache_dir=None):
     """Norm value with optional persistent caching.
 
     The cache directory comes from `cache_dir` or the SCHREIER_CACHE_DIR
-    environment variable; without either this is just `norm(...)[0]`.  A
-    cached value is served only if its stored certificate verifies to it;
-    otherwise the norm is recomputed and a corrected record appended.  A
-    certificate proves a lower bound, so a record whose certificate is
-    valid but not optimal is still served.
+    environment variable; without either this is just `norm(...)[0]`.  The
+    directory holds one JSON file per record (see `cache`).  A cached value
+    is served only if its stored certificate verifies to it; otherwise the
+    norm is recomputed and its record replaced.  A certificate proves a
+    lower bound, so a record whose certificate is valid but not optimal is
+    still served.
     """
     from . import cache
     from .vectors import format_vec
 
     path = cache.cache_path(cache_dir)
+    if path is None:  # skip the key: an explicit family's descriptor lists every member
+        return norm(params, x)[0]
     family_key, c_key = params.key()
     vec_key = format_vec(x)
     hit = cache.lookup(path, family_key, c_key, vec_key)

@@ -467,7 +467,7 @@ def check_equivalence_report(rng, cases=100):
 # -- index checks -----------------------------------------------------------
 
 def check_order_identity(rng, cases=60):
-    """Iterative leaf removal equals the recursive height, on random trees."""
+    """1 + the longest sequence equals the recursive height, on random trees."""
     for _ in range(cases):
         seqs = []
         for _ in range(rng.randint(1, 12)):
@@ -475,7 +475,7 @@ def check_order_identity(rng, cases=60):
             seqs.append(tuple(rng.randint(0, 3) for _ in range(length)))
         tree = ExplicitTree(seqs)
         if order(tree) != order_recursive(tree):
-            return (False, "order mismatch on %s" % (sorted(tree.members),))
+            return (False, "order mismatch on %s" % (sorted(tree.sequences),))
     return (True, None)
 
 
@@ -607,7 +607,7 @@ def _norm_checks():
 
 def _index_checks():
     return [
-        ("idx-order-identity", "iterative and recursive tree order agree",
+        ("idx-order-identity", "tree order (1 + longest sequence) equals the recursive height",
          lambda rng: check_order_identity(rng)),
         ("idx-block-derivative", "block derivative decreasing and monotone",
          lambda rng: check_block_derivative_props(rng)),

@@ -31,16 +31,12 @@ class TreeError(SchreierError, ValueError):
 # -- explicit trees ---------------------------------------------------------
 
 class ExplicitTree:
-    """A finite prefix-closed set of finite sequences over arbitrary labels."""
+    """A finite prefix-closed set of finite sequences over arbitrary labels,
+    kept as the sequences it was given: the tree is their prefix closure
+    (with the empty sequence)."""
 
     def __init__(self, members):
-        closed = set()
-        for seq in members:
-            seq = tuple(seq)
-            for k in range(len(seq) + 1):
-                closed.add(seq[:k])
-        closed.add(())
-        self.members = frozenset(closed)
+        self.sequences = tuple(tuple(seq) for seq in members)
 
     @classmethod
     def from_json(cls, data):
@@ -52,35 +48,23 @@ class ExplicitTree:
             raise TreeError("a tree is a JSON array of arrays of scalar labels")
         return cls(data)
 
-    def __contains__(self, seq):
-        return tuple(seq) in self.members
-
-    def __len__(self):
-        return len(self.members)
-
 
 def order(tree):
-    """Height of a finite tree: steps of leaf removal until empty."""
-    current = tree.members
-    steps = 0
-    while current:
-        current = {x for x in current if any(y != x and y[: len(x)] == x for y in current)}
-        steps += 1
-    return steps
+    """Height of a finite tree: 1 + the length of its longest sequence (the
+    empty sequence is always a node, and a longest sequence is a longest
+    branch)."""
+    return 1 + max(map(len, tree.sequences), default=0)
 
 
 def order_recursive(tree):
     """Height computed by the recursive identity 1 + max over children."""
 
     def height(prefix):
-        children = {
-            seq[len(prefix)]
-            for seq in tree.members
-            if len(seq) > len(prefix) and seq[: len(prefix)] == prefix
-        }
+        k = len(prefix)
+        children = {seq[k] for seq in tree.sequences if len(seq) > k and seq[:k] == prefix}
         return 1 + max((height(prefix + (ch,)) for ch in children), default=0)
 
-    return height(()) if tree.members else 0
+    return height(())
 
 
 # -- block trees ------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import schreier
-from schreier import cache
+from schreier import cache, norms
 from schreier.cli import SUITE_CHOICES, main
 from schreier.families import Schreier
 from schreier.functionals import norm_via_functionals
@@ -117,6 +117,14 @@ class TestFamily:
         path.write_text(json.dumps([[2, 5]]))
         result = run("family", "member", "--explicit", str(path), "--set", "5")
         assert result.output.strip() == "yes"  # downward closure applied
+
+    def test_explicit_row_past_the_cap(self, tmp_path):
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps([list(range(1, 41))]))
+        result = run("family", "member", "--explicit", str(path), "--set", "1")
+        assert result.exit_code == 2
+        assert result.output.startswith("error: a row of 40 elements")
+        assert len(result.output.splitlines()) == 1
 
     def test_maximal(self):
         assert run("family", "maximal", "--schreier", "1",
@@ -259,24 +267,37 @@ class TestNorm:
         cold = run(*args)
         warm = run(*args)
         assert cold.output == warm.output == "3/2\n"
+        assert len(list(tmp_path.iterdir())) == 1
 
-    def test_cache_edited_record_is_recomputed(self, tmp_path, monkeypatch):
+    def test_cache_edited_record_is_recomputed(self, tmp_path):
         # the certificate stored with the record gives 1, not the edited 7:
-        # the record is a miss, and a corrected record is appended
+        # the record is a miss, and the corrected record replaces it
         args = ("norm", "--schreier", "1", "--c", "1/2", "--vec", "1:1,2:1,3:1",
                 "--cache-dir", str(tmp_path))
         assert run(*args).output == "1\n"
-        path = tmp_path / "norms.jsonl"
+        (path,) = tmp_path.iterdir()
         record = json.loads(path.read_text())
         assert record["value"] == "1"
         record["value"] = "7"
-        path.write_text(json.dumps(record) + "\n")
+        path.write_text(json.dumps(record))
         for _ in range(2):
-            monkeypatch.setattr(cache, "_loaded", {})  # as a fresh process reads it
             result = run(*args)
             assert result.exit_code == 0 and result.output == "1\n"
-            values = [json.loads(line)["value"] for line in path.read_text().splitlines()]
-            assert values == ["7", "1"]
+            assert json.loads(path.read_text())["value"] == "1"
+            assert list(tmp_path.iterdir()) == [path]
+
+    def test_cache_from_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(cache.ENV_VAR, str(tmp_path / "env"))
+        args = ("norm", "--schreier", "1", "--c", "1/2", "--vec", "1:1,2:1")
+        assert run(*args).output == "1\n"
+        assert cache.lookup(str(tmp_path / "env"), "schreier:1", "1/2", "1:1,2:1")[0] == "1"
+
+        def no_recompute(*args):
+            raise AssertionError("a cached norm was recomputed")
+
+        monkeypatch.setattr(norms, "norm", no_recompute)
+        result = run(*args)
+        assert result.exit_code == 0 and result.output == "1\n"
 
     def test_dualnorm(self):
         result = run("dualnorm", "--schreier", "1", "--c", "1/2",
@@ -569,7 +590,7 @@ def test_cold_start_loads_only_the_layers_a_command_runs(tmp_path):
     norm_args = ("norm", "--schreier", "1", "--c", "1/2", "--vec", "3:1,4:1,5:1",
                  "--cache-dir", str(tmp_path))
     miss = _cold_modules(*norm_args)
-    assert (tmp_path / "norms.jsonl").exists()
+    assert len(list(tmp_path.glob("*.json"))) == 1
     hit = _cold_modules(*norm_args)
     equiv = _cold_modules("equiv-sample", "--alpha", "1", "--n", "2", "--bound", "5",
                           "--samples", "3")

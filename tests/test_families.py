@@ -12,6 +12,7 @@ from schreier.ordinals import (
 )
 from schreier.families import (
     DEFAULT_HORIZON,
+    EXPLICIT_CAP,
     BudgetExceeded,
     Derived,
     Explicit,
@@ -207,6 +208,20 @@ class TestHandles:
         assert fam.contains((2, 5))
         assert not fam.contains((5,))
 
+    def test_explicit_cap(self):
+        # a row's 2^len subsets are refused before they are listed
+        with pytest.raises(FamilyError, match="2\\^17 subsets"):
+            Explicit([tuple(range(1, 18))])
+        # rows within the cap whose closures together pass it
+        with pytest.raises(FamilyError, match="closure passes the cap"):
+            Explicit([tuple(range(1, 17)), tuple(range(17, 33))])
+        with pytest.raises(FamilyError, match="closure passes the cap"):
+            Explicit([(i,) for i in range(1, EXPLICIT_CAP + 1)], already_closed=True)
+        # closures and closed dumps up to the cap still load
+        assert len(Explicit([tuple(range(1, 17))]).members) == EXPLICIT_CAP
+        dump = enumerate_family(Explicit([tuple(range(1, 13))]), 12)
+        assert Explicit(dump, already_closed=True).members == frozenset(dump)
+
     def test_descriptor_distinguishes(self):
         assert FineSchreier(OMEGA).descriptor() != Schreier(ONE).descriptor()
         # S_1 = F_(w^1): one family under two descriptors
@@ -326,6 +341,22 @@ class TestEnumerate:
         got = enumerate_family(FineSchreier(from_int(2)), 6)
         expected = [a for a in subsets(6, 2)]
         assert sorted(got) == sorted(expected)
+
+
+EXPLICIT_CASES = [fam for fam, _ in STRUCTURE_CASES if isinstance(fam, Explicit)] + [
+    Explicit([(1, 2), (3,)]),
+    Explicit([(2, 4, 6), (3, 5), (1, 7, 8)]),
+    Explicit([(1, 2), (2, 5), (3, 4), (1, 3, 6)]),
+]
+
+
+@pytest.mark.parametrize("fam", EXPLICIT_CASES, ids=lambda f: f.descriptor())
+def test_explicit_maximal_only_matches_a_superset_scan(fam):
+    members = enumerate_family(fam, 8)
+    assert members == sorted(fam.members)
+    maximal = [m for m in members
+               if not any(len(o) > len(m) and set(m) <= set(o) for o in fam.members)]
+    assert enumerate_family(fam, 8, maximal_only=True) == maximal
 
 
 class TestEnumerateEarlyStop:

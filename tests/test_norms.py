@@ -1,5 +1,9 @@
 import json
+import os
 import random
+import subprocess
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -227,47 +231,122 @@ class TestDomination:
 
 
 class TestCache:
+    KEY = ("schreier:1", "1/2", "2:1,3:1")
+
     def test_transparent(self, tmp_path):
         x = vec("3:1,4:1,5:1")
         cold = norm_value(S1, x, cache_dir=str(tmp_path))
         warm = norm_value(S1, x, cache_dir=str(tmp_path))
         plain = norm(S1, x)[0]
         assert cold == warm == plain
-        lines = (tmp_path / "norms.jsonl").read_text().strip().splitlines()
-        assert len(lines) == 1
-        record = json.loads(lines[0])
+        (record_file,) = tmp_path.iterdir()  # one file per record, no temporary left
+        assert record_file.suffix == ".json"
+        record = json.loads(record_file.read_text())
         assert record["value"] == str(plain)
         assert set(record) == {"family", "c", "vec", "value", "cert"}
         assert verify_certificate(S1, x, cert_from_json(record["cert"])) == plain
 
     @pytest.mark.parametrize("cert", ["x", 5, {"leaf": 9, "value": "7"}, {"blocks": [[2]]}])
-    def test_unreadable_certificate_is_a_miss(self, tmp_path, monkeypatch, cert):
+    def test_unreadable_certificate_is_a_miss(self, tmp_path, cert):
         x = vec("2:1,3:1")
-        record = {"family": "schreier:1", "c": "1/2", "vec": "2:1,3:1", "value": "7", "cert": cert}
-        (tmp_path / "norms.jsonl").write_text(json.dumps(record) + "\n")
-        monkeypatch.setattr(cache, "_loaded", {})
+        cache.store(str(tmp_path), *self.KEY, "7", cert)
         assert norm_value(S1, x, cache_dir=str(tmp_path)) == norm(S1, x)[0] == 1
-        assert cache._load(str(tmp_path / "norms.jsonl"))[("schreier:1", "1/2", "2:1,3:1")][0] == "1"
+        assert cache.lookup(str(tmp_path), *self.KEY)[0] == "1"
+        assert len(list(tmp_path.iterdir())) == 1
 
     def test_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SCHREIER_CACHE_DIR", str(tmp_path))
         x = vec("2:1,3:1")
         assert norm_value(S1, x) == norm(S1, x)[0]
-        assert (tmp_path / "norms.jsonl").exists()
+        assert cache.lookup(str(tmp_path), *self.KEY)[0] == "1"
 
     def test_no_cache_dir(self, monkeypatch):
         monkeypatch.delenv("SCHREIER_CACHE_DIR", raising=False)
+        monkeypatch.setattr(cache, "lookup", None)  # never consulted without a directory
         assert norm_value(S1, vec("3:1")) == 1
 
-    def test_truncated_line_is_skipped(self, tmp_path, monkeypatch):
+    def test_truncated_record_is_a_miss(self, tmp_path):
+        y = vec("2:1,3:1")
+        norm_value(S1, y, cache_dir=str(tmp_path))
+        (record_file,) = tmp_path.iterdir()
+        text = record_file.read_text()
+        record_file.write_text(text[: len(text) // 2])  # a write cut off mid-record
+        assert cache.lookup(str(tmp_path), *self.KEY) is None
+        assert norm_value(S1, y, cache_dir=str(tmp_path)) == norm(S1, y)[0]
+        assert record_file.read_text() == text
+        assert len(list(tmp_path.iterdir())) == 1
+
+    def test_file_holding_another_key_is_a_miss(self, tmp_path):
         x, y = vec("3:1,4:1,5:1"), vec("2:1,3:1")
         norm_value(S1, x, cache_dir=str(tmp_path))
-        path = tmp_path / "norms.jsonl"
-        with open(path, "a") as fh:
-            fh.write('{"family": "schreier:1", "c": "1/')  # cut off mid-record
-        monkeypatch.setattr(cache, "_loaded", {})
-        assert norm_value(S1, y, cache_dir=str(tmp_path)) == norm(S1, y)[0]
-        monkeypatch.setattr(cache, "_loaded", {})
-        table = cache._load(str(path))
-        assert len(table) == 2
-        assert table[("schreier:1", "1/2", "2:1,3:1")][0] == str(norm(S1, y)[0])
+        (x_file,) = tmp_path.iterdir()
+        norm_value(S1, y, cache_dir=str(tmp_path))
+        (y_file,) = set(tmp_path.iterdir()) - {x_file}
+        y_file.write_text(x_file.read_text())  # two keys with one checksum
+        assert cache.lookup(str(tmp_path), *self.KEY) is None
+        assert norm_value(S1, y, cache_dir=str(tmp_path)) == norm(S1, y)[0] == 1
+        assert cache.lookup(str(tmp_path), *self.KEY)[0] == "1"
+
+    def test_last_store_wins(self, tmp_path):
+        cache.store(str(tmp_path), *self.KEY, "7", "first")
+        cache.store(str(tmp_path), *self.KEY, "1", "second")
+        assert cache.lookup(str(tmp_path), *self.KEY) == ("1", "second")
+        assert len(list(tmp_path.iterdir())) == 1
+
+    def test_concurrent_stores_leave_whole_records(self, tmp_path):
+        values = [str(v) for v in range(8)]
+        seen, errors = [], []
+
+        def work(value):
+            try:
+                for _ in range(50):
+                    cache.store(str(tmp_path), *self.KEY, value, value)
+                    seen.append(cache.lookup(str(tmp_path), *self.KEY))
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(v,)) for v in values]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and not errors
+        # every read finds one store's whole record, never a torn one
+        assert len(seen) == 400 and all(hit[0] in values and hit[1] == hit[0] for hit in seen)
+        assert len(list(tmp_path.iterdir())) == 1
+
+    def test_lookup_opens_one_file(self, tmp_path):
+        for i in range(1, 201):
+            norm_value(S1, vec("%d:1,%d:1/2" % (i, i + 1)), cache_dir=str(tmp_path))
+        assert len(list(tmp_path.iterdir())) == 200
+        # audit hooks cannot be removed, so count in a fresh interpreter
+        src = os.path.dirname(os.path.dirname(cache.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _COUNT_OPENS, str(tmp_path), "schreier:1", "1/2",
+             "100:1,101:1/2"],
+            capture_output=True, text=True, env=env, timeout=60)
+        hit, miss = (json.loads(line) for line in proc.stdout.splitlines())
+        assert hit == {"found": True, "open": 1, "listed": 0}, proc.stderr
+        assert miss == {"found": False, "open": 1, "listed": 0}
+
+
+# Prints, for a hit on the key in argv and then a miss, whether the lookup
+# found a record, how many files it opened and how many directories it listed.
+_COUNT_OPENS = """
+import json, sys
+from schreier import cache
+events = []
+sys.addaudithook(lambda event, args: events.append(event))
+for key in (sys.argv[2:], ["schreier:1", "1/2", "1:1"]):
+    events.clear()
+    found = cache.lookup(sys.argv[1], *key) is not None
+    print(json.dumps({"found": found, "open": events.count("open"),
+                      "listed": events.count("os.listdir") + events.count("os.scandir")}))
+"""

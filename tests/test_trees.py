@@ -29,6 +29,13 @@ class TestOrder:
 
     def test_empty_sequence_only(self):
         assert order(ExplicitTree([()])) == 1
+        assert order(ExplicitTree([])) == 1
+
+    def test_long_path(self):
+        # the given sequences are kept, not their 20,001 prefixes
+        tree = ExplicitTree.from_json([list(range(20000))])
+        assert len(tree.sequences) == 1
+        assert order(tree) == 20001
 
     def test_agrees_with_recursion(self):
         rng = random.Random(2)
