@@ -32,6 +32,7 @@ from .ordinals import Ordinal, ZERO, omega_pow
 # (always appending max + 1) before it reports an infinite chain.
 DEFAULT_HORIZON = 64
 EXPLICIT_CAP = 1 << 16  # most members an explicit family's downward closure may hold
+FS_CACHE_CAP = 1 << 16  # most entries `_fs_cache` holds before it starts afresh
 
 
 class FamilyError(SchreierError, ValueError):
@@ -118,7 +119,8 @@ def _fine_step(beta, n):
     return ordinals.classify(beta)[1]
 
 
-# Memo of the search at limits lam >= w^w, keyed by (lam, rest of the set).
+# Memo of the search at limits lam >= w^w, keyed by (lam, rest of the set);
+# cleared when an insertion would pass FS_CACHE_CAP.
 _fs_cache = {}
 
 
@@ -133,8 +135,11 @@ def fs_member(alpha, a):
         if alpha.is_limit and not _below_omega_omega(alpha):
             key = (alpha, a[i:])
             if key not in _fs_cache:
-                _fs_cache[key] = any(fs_member(ordinals.fundamental_seq(alpha, m), a[i:])
-                                     for m in range(1, n + 1))
+                found = any(fs_member(ordinals.fundamental_seq(alpha, m), a[i:])
+                            for m in range(1, n + 1))
+                if len(_fs_cache) >= FS_CACHE_CAP:
+                    _fs_cache.clear()
+                _fs_cache[key] = found
             return _fs_cache[key]
         alpha = _fine_step(alpha, n)
         if alpha is None:
@@ -243,25 +248,25 @@ class Schreier(FineSchreier):
 
 class Explicit(FamilyHandle):
     """A finite family stored fully materialized and downward closed, with
-    at most EXPLICIT_CAP members."""
+    at most EXPLICIT_CAP members, and named by its maximal members."""
 
-    def __init__(self, members, already_closed=False):
-        closed = {()}
+    def __init__(self, members):
+        closed = {(): False}  # member -> is it a proper subset of a row?
         for m in members:
             m = finset(m)
-            if already_closed:
-                closed.add(m)
-            elif 1 << len(m) > EXPLICIT_CAP:
+            if 1 << len(m) > EXPLICIT_CAP:
                 raise FamilyError("a row of %d elements has 2^%d subsets, past the cap of %d "
                                   "members" % (len(m), len(m), EXPLICIT_CAP))
-            else:
-                for r in range(len(m) + 1):
-                    closed.update(itertools.combinations(m, r))
+            for r in range(len(m)):
+                closed.update(dict.fromkeys(itertools.combinations(m, r), True))
+            closed.setdefault(m, False)
             if len(closed) > EXPLICIT_CAP:
                 raise FamilyError("the downward closure passes the cap of %d members"
                                   % EXPLICIT_CAP)
         self.members = frozenset(closed)
-        self.elements = sorted({x for m in closed for x in m})
+        # a row is maximal iff no one-point extension of it lies in the
+        # closure, that is iff it is a proper subset of no row
+        self.maximal = frozenset(m for m, proper in closed.items() if not proper)
 
     @classmethod
     def from_json_file(cls, path):
@@ -277,7 +282,7 @@ class Explicit(FamilyHandle):
         return a in self.members
 
     def descriptor(self):
-        return "explicit:%s" % ";".join(format_finset(m) for m in sorted(self.members))
+        return "explicit:%s" % ";".join(format_finset(m) for m in sorted(self.maximal))
 
 
 class Residual(FamilyHandle):
@@ -394,8 +399,8 @@ def is_maximal(fam, a):
     a = tuple(a)
     if not fam.contains(a):
         raise FamilyError("%s is not a member of %s" % (format_finset(a), fam.descriptor()))
-    if isinstance(fam, Explicit):  # downward closed: probe the one-point extensions
-        return not any(fam.contains(tuple(sorted(a + (x,)))) for x in fam.elements if x not in a)
+    if isinstance(fam, Explicit):
+        return a in fam.maximal
     if not fam.spreading:
         raise FamilyError("maximality probe requires a spreading family")
     return not fam.contains(a + ((a[-1] if a else 0) + fam.right_stable_gap,))

@@ -309,7 +309,7 @@ def norm_value(params, x, cache_dir=None):
     from .vectors import format_vec
 
     path = cache.cache_path(cache_dir)
-    if path is None:  # skip the key: an explicit family's descriptor lists every member
+    if path is None:  # no cache, so no key to build
         return norm(params, x)[0]
     family_key, c_key = params.key()
     vec_key = format_vec(x)

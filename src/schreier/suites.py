@@ -512,10 +512,13 @@ def check_fk_lift_index(kmax=4, bound=8):
     for k in range(kmax + 1):
         members = enumerate_family(FineSchreier(from_int(k)), bound)
         gens = [[(m,) for m in f] for f in members]
-        bt = BlockTree(gens)
-        got = block_index_finite(bt, budget=kmax + 3)
-        if got != (k + 1, True):
-            return (False, "index of F_%d lift = %s" % (k, got))
+        bt = derived = BlockTree(gens)
+        steps = 0
+        while derived.generators:
+            derived, steps = block_derivative(derived), steps + 1
+        index = block_index_finite(bt)
+        if not index == steps == k + 1:
+            return (False, "index of F_%d lift = %d after %d derivatives" % (k, index, steps))
     return (True, None)
 
 

@@ -5,6 +5,11 @@ tree is a tree of successive sequences of finite sets; the spreading-closure
 representation stores generators and answers membership for every
 subsequence-spread, which is the smallest finite encoding in which "one
 extension implies infinitely many" is sound.
+
+Both membership questions, of a block sequence in the tree and of a set of
+minima in its min-set family, match their items into a subsequence of one
+generator (`_embeds`).  A block derivative drops the last block of every
+generator, so the block index is 1 + the longest generator.
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ import json
 
 from . import SchreierError
 from .families import (
-    Explicit,
     FineSchreier,
     Oracle,
     cb_derivative,
@@ -117,34 +121,29 @@ class BlockTree:
             "closure": self.closure,
         }
 
-    @property
-    def is_empty(self):
-        return not self.generators
-
     def contains(self, seq):
         seq = tuple(tuple(b) for b in seq)
-        if self.is_empty:
-            return False
         if any(not b for b in seq) or not is_successive(seq):
             return False
         if self.closure == "explicit":
             return any(g[: len(seq)] == seq for g in self.generators)
-        return any(_embeds_spread(seq, g) for g in self.generators)
+        return any(_embeds(seq, g, is_spread) for g in self.generators)
 
     def __contains__(self, seq):
         return self.contains(seq)
 
 
-def _embeds_spread(seq, gen):
-    """Can seq be matched to a subsequence of gen, blockwise by spreads?"""
-    t = 0
-    for block in seq:
-        while t < len(gen) and not is_spread(gen[t], block):
-            t += 1
-        if t == len(gen):
-            return False
-        t += 1
-    return True
+def _embeds(items, gen, fits):
+    """Can the items be matched, in order, to a subsequence of the blocks of
+    gen with fits(block, item) for each pair?
+
+    Each item takes the first block left that fits it.  This is as good as
+    any matching: if some matching puts item i at block p_i, induction on i
+    shows that the greedy choice for item i is at or before p_i, so a block
+    that fits item i + 1 is still left.
+    """
+    blocks = iter(gen)
+    return all(any(fits(block, item) for block in blocks) for item in items)
 
 
 def block_derivative(bt):
@@ -159,89 +158,64 @@ def block_derivative(bt):
     return BlockTree([g[:-1] for g in bt.generators if g], "spreading")
 
 
-def block_index_finite(bt, budget=32):
-    """Steps of block derivation until empty; (steps, exact)."""
-    current = bt
-    for k in range(budget):
-        if current.is_empty:
-            return (k, True)
-        current = block_derivative(current)
-    return (budget, False)
+def block_index_finite(bt):
+    """The block index: the number of block derivatives that empty the tree.
 
-
-def _minset_member(bt, f_set):
-    """Is f_set = {min A_i} realizable by a member sequence of the closure?
-
-    Blocks are placed greedily: block t gets minimum f_t and must fit inside
-    [f_t, f_(t+1)) pointwise above its generator block; the last block has
-    unbounded room to the right.
+    A derivative drops the last block of every generator (and the empty
+    generator), so this is 1 + the length of the longest generator, or 0
+    for the empty tree.
     """
-    f_set = tuple(f_set)
-    if not f_set:
-        return not bt.is_empty
-    k = len(f_set)
+    if bt.closure != "spreading":
+        raise TreeError("block index requires a spreading-closure tree")
+    return 1 + max(map(len, bt.generators)) if bt.generators else 0
 
-    def fits(block, lo, hi):
-        # exists A with min A = lo, A pointwise >= block, A inside [lo, hi)
-        if lo < block[0]:
-            return False
-        size = len(block)
-        if hi is None:
-            return True
-        if hi - lo < size:
-            return False
-        # best placement: lo then the size-1 largest values below hi
-        for t in range(1, size):
-            if hi - size + t < block[t]:
-                return False
-        return hi - size + 1 > lo or size == 1
 
-    for gen in bt.generators:
-        # match f_1..f_k to a subsequence of gen
-        n = len(gen)
-        reach = [[False] * (n + 1) for _ in range(k + 1)]
-        reach[0] = [True] * (n + 1)
-        for t in range(1, k + 1):
-            lo = f_set[t - 1]
-            hi = f_set[t] if t < k else None
-            for j in range(1, n + 1):
-                if reach[t - 1][j - 1] and fits(gen[j - 1], lo, hi):
-                    reach[t][j] = True
-                elif reach[t][j - 1]:
-                    reach[t][j] = True
-        if reach[k][n]:
-            return True
-    return False
+def _room(block, span):
+    """Is there a spread A of block with min A = lo inside [lo, hi), where
+    span = (lo, hi) and hi is None for unbounded room to the right?"""
+    lo, hi = span
+    if hi is None:
+        return lo >= block[0]
+    # best placement: lo, then the len(block) - 1 largest values below hi
+    top = hi - len(block)
+    return top >= lo and is_spread(block, (lo,) + tuple(range(top + 1, hi)))
 
 
 def min_set(bt):
-    """The family { {min A_i} : (A_i) in bt } as a queryable handle.
+    """The family { {min A_i} : (A_i) in bt } as a queryable `Oracle`.
 
-    For spreading-closure trees the family is hereditary (the
-    tree being hereditary by construction of the closure); a bound is
-    required to enumerate it but not to query it.
+    In the spreading closure f_1 < ... < f_k is a member iff some generator
+    has a subsequence whose t-th block has a spread with minimum f_t inside
+    [f_t, f_(t+1)) (the last block has unbounded room); the family is
+    hereditary, the tree being hereditary by construction of the closure.
+    In the explicit closure it is a member iff it is the minima of a prefix
+    of some generator.  Either way the family has a right-stable gap, so
+    enumeration stops at the gap; it need not be spreading, so `is_maximal`
+    refuses it.  A bound is required to enumerate it but not to query it.
     """
+    gens = bt.generators
     if bt.closure == "explicit":
-        members = set()
-        for g in bt.generators:
-            for k in range(len(g) + 1):
-                members.add(tuple(b[0] for b in g[:k]))
-        # heredity of bt (the caller's precondition) makes this downward closed
-        return Explicit(members, already_closed=True)
-    name = "minset(%s)" % ";".join(
-        "|".join(",".join(map(str, b)) for b in g) for g in bt.generators
-    )
+        def member(f_set):
+            return any(tuple(b[0] for b in g[: len(f_set)]) == f_set for g in gens)
+    else:
+        def member(f_set):
+            spans = tuple(zip(f_set, f_set[1:] + (None,)))
+            return any(_embeds(spans, g, _room) for g in gens)
+    name = "minset(%s%s)" % ("explicit:" if bt.closure == "explicit" else "", ";".join(
+        "|".join(",".join(map(str, b)) for b in g) for g in gens
+    ))
     # Once a step clears every generator value and block size, every block
     # fits on either side of it: membership of F u {n} is the same for all
     # n >= max(F) + gap, and so is that of F followed by any chain whose
     # steps are all at least the gap, which makes the derived families
     # right-stable too.  (The family need not be spreading: interior blocks
-    # require room between consecutive minima.)
+    # require room between consecutive minima.)  In the explicit closure no
+    # n past every generator value is a block minimum.
     gap = 1 + max(
-        (max(max(b) for b in g) + sum(len(b) for b in g) for g in bt.generators if g),
+        (max(max(b) for b in g) + sum(len(b) for b in g) for g in gens if g),
         default=1,
     )
-    return Oracle(lambda a: _minset_member(bt, a), name, right_stable_gap=gap)
+    return Oracle(member, name, right_stable_gap=gap)
 
 
 def lemma47_check(bt, n, bound):

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from schreier import families
 from schreier.ordinals import (
     OMEGA, ONE, add, classify, from_int, fundamental_seq, mul, omega_pow, parse_ordinal,
 )
@@ -176,6 +177,25 @@ class TestResidualStates:
         for a in subsets(10, 5):
             assert read_states(Schreier(OMEGA), a) == Schreier(OMEGA).contains(a)
 
+    def test_search_memo_is_bounded(self, monkeypatch):
+        class Recorder(dict):
+            most = clears = 0
+
+            def __setitem__(self, key, value):
+                super().__setitem__(key, value)
+                Recorder.most = max(Recorder.most, len(self))
+
+            def clear(self):
+                Recorder.clears += 1
+                super().clear()
+
+        monkeypatch.setattr(families, "FS_CACHE_CAP", 40)
+        monkeypatch.setattr(families, "_fs_cache", Recorder())
+        for alpha in (OMEGA_OMEGA, add(OMEGA_OMEGA, OMEGA), mul(OMEGA_OMEGA, from_int(2))):
+            for a in subsets(10, 5):
+                assert fs_member(alpha, a) == oracle_member(alpha, a), (alpha, a)
+        assert Recorder.clears > 0 and Recorder.most <= 40
+
     def test_large_indices(self):
         # an eager set-valued state would hold about a million ordinals here
         s3 = Schreier(from_int(3))
@@ -203,11 +223,6 @@ class TestHandles:
             assert fam.contains(a)
         assert not fam.contains((3,))
 
-    def test_explicit_already_closed(self):
-        fam = Explicit([(), (2,), (2, 5)], already_closed=True)
-        assert fam.contains((2, 5))
-        assert not fam.contains((5,))
-
     def test_explicit_cap(self):
         # a row's 2^len subsets are refused before they are listed
         with pytest.raises(FamilyError, match="2\\^17 subsets"):
@@ -216,11 +231,24 @@ class TestHandles:
         with pytest.raises(FamilyError, match="closure passes the cap"):
             Explicit([tuple(range(1, 17)), tuple(range(17, 33))])
         with pytest.raises(FamilyError, match="closure passes the cap"):
-            Explicit([(i,) for i in range(1, EXPLICIT_CAP + 1)], already_closed=True)
+            Explicit([(i,) for i in range(1, EXPLICIT_CAP + 1)])
         # closures and closed dumps up to the cap still load
         assert len(Explicit([tuple(range(1, 17))]).members) == EXPLICIT_CAP
         dump = enumerate_family(Explicit([tuple(range(1, 13))]), 12)
-        assert Explicit(dump, already_closed=True).members == frozenset(dump)
+        assert Explicit(dump).members == frozenset(dump)
+
+    def test_explicit_named_by_maximal_members(self):
+        row = tuple(range(1, 17))
+        assert Explicit([row]).descriptor() == "explicit:" + format_finset(row)
+        assert Explicit([]).descriptor() == Explicit([()]).descriptor() == "explicit:-"
+        # row lists with one closure name one family
+        dump = enumerate_family(Explicit([(1, 2, 4), (3, 5)]), 6)
+        for rows in ([(3, 5), (1, 2, 4), (2, 4), ()], dump):
+            fam = Explicit(rows)
+            assert fam.maximal == {(1, 2, 4), (3, 5)}
+            assert fam == Explicit([(1, 2, 4), (3, 5)])
+            assert hash(fam) == hash(Explicit([(1, 2, 4), (3, 5)]))
+        assert Explicit([(1, 2, 4)]) != Explicit([(1, 2, 4), (3, 5)])
 
     def test_descriptor_distinguishes(self):
         assert FineSchreier(OMEGA).descriptor() != Schreier(ONE).descriptor()
@@ -246,6 +274,16 @@ class TestMaximal:
         assert is_maximal(fam, (1, 2))
         assert is_maximal(fam, (3,))
         assert not is_maximal(fam, (1,))
+
+    def test_explicit_agrees_with_one_point_extensions(self):
+        rng = random.Random(5)
+        for _ in range(30):
+            fam = Explicit(tuple(sorted(rng.sample(range(1, 9), rng.randint(0, 4))))
+                           for _ in range(rng.randint(0, 5)))
+            for a in fam.members:
+                probe = any(tuple(sorted(a + (x,))) in fam.members
+                            for x in range(1, 9) if x not in a)
+                assert is_maximal(fam, a) is not probe, a
 
 
 # -- exhaustive references for enumeration and structure --------------------
@@ -343,6 +381,14 @@ class TestEnumerate:
         assert sorted(got) == sorted(expected)
 
 
+def case_id(fam):
+    """A test id: the family's descriptor, except that an explicit family is
+    named by every member of its closure, not only the maximal ones."""
+    if isinstance(fam, Explicit):
+        return "explicit:" + ";".join(format_finset(m) for m in sorted(fam.members))
+    return fam.descriptor()
+
+
 EXPLICIT_CASES = [fam for fam, _ in STRUCTURE_CASES if isinstance(fam, Explicit)] + [
     Explicit([(1, 2), (3,)]),
     Explicit([(2, 4, 6), (3, 5), (1, 7, 8)]),
@@ -350,7 +396,7 @@ EXPLICIT_CASES = [fam for fam, _ in STRUCTURE_CASES if isinstance(fam, Explicit)
 ]
 
 
-@pytest.mark.parametrize("fam", EXPLICIT_CASES, ids=lambda f: f.descriptor())
+@pytest.mark.parametrize("fam", EXPLICIT_CASES, ids=case_id)
 def test_explicit_maximal_only_matches_a_superset_scan(fam):
     members = enumerate_family(fam, 8)
     assert members == sorted(fam.members)
@@ -431,7 +477,7 @@ class TestResidual:
 
 class TestStructure:
     @pytest.mark.parametrize("fam, bound", STRUCTURE_CASES,
-                             ids=[fam.descriptor() for fam, _ in STRUCTURE_CASES])
+                             ids=[case_id(fam) for fam, _ in STRUCTURE_CASES])
     def test_one_step_moves_match_exhaustive_scans(self, fam, bound):
         assert check_structure(fam, bound) == exhaustive_structure(fam, bound)
 

@@ -246,6 +246,15 @@ class TestCache:
         assert set(record) == {"family", "c", "vec", "value", "cert"}
         assert verify_certificate(S1, x, cert_from_json(record["cert"])) == plain
 
+    def test_explicit_family_record_is_small(self, tmp_path):
+        # the key names the family by its one maximal member, not its 2^16
+        params = NormParams(Explicit([tuple(range(1, 17))]), Fraction(1, 2))
+        x = vec("1:1,2:1,3:1")
+        assert norm_value(params, x, cache_dir=str(tmp_path)) == norm(params, x)[0]
+        (record_file,) = tmp_path.iterdir()
+        assert record_file.stat().st_size < 400
+        assert norm_value(params, x, cache_dir=str(tmp_path)) == norm(params, x)[0]
+
     @pytest.mark.parametrize("cert", ["x", 5, {"leaf": 9, "value": "7"}, {"blocks": [[2]]}])
     def test_unreadable_certificate_is_a_miss(self, tmp_path, cert):
         x = vec("2:1,3:1")

@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import pytest
 
 from schreier.ordinals import from_int
 from schreier.families import FineSchreier, enumerate_family
+from schreier.suites import random_block_tree
 from schreier.trees import (
     BlockTree,
     ExplicitTree,
@@ -84,12 +86,20 @@ class TestBlockDerivative:
             block_derivative(BlockTree([[(1,)]], closure="explicit"))
 
     def test_index(self):
-        assert block_index_finite(BlockTree([[(1,), (2,)]])) == (3, True)
-        assert block_index_finite(BlockTree([])) == (0, True)
+        assert block_index_finite(BlockTree([[(1,), (2,)]])) == 3
+        assert block_index_finite(BlockTree([[]])) == 1
+        assert block_index_finite(BlockTree([])) == 0
+        for gens in ([[(1,)]], []):
+            with pytest.raises(TreeError):
+                block_index_finite(BlockTree(gens, closure="explicit"))
 
-    def test_index_budget(self):
-        got = block_index_finite(BlockTree([[(1,), (2,)]]), budget=2)
-        assert got == (2, False)
+    def test_index_counts_derivatives(self):
+        for seed in range(200):
+            bt = derived = random_block_tree(random.Random(seed))
+            steps = 0
+            while derived.generators:
+                derived, steps = block_derivative(derived), steps + 1
+            assert block_index_finite(bt) == steps
 
 
 class TestMinSet:
@@ -100,6 +110,13 @@ class TestMinSet:
             assert fam.contains(a)
         assert not fam.contains((5,))
 
+    def test_closures_name_different_families(self):
+        gens = [[(2, 3), (5, 9)]]
+        explicit, spreading = (min_set(BlockTree(gens, c)) for c in ("explicit", "spreading"))
+        assert explicit.contains((2, 5)) and not explicit.contains((3, 5))
+        assert spreading.contains((3, 5))
+        assert explicit != spreading and explicit == min_set(BlockTree(gens, "explicit"))
+
     def test_spreading_not_necessarily_spreading_family(self):
         # minima {1,5} is realizable but its spread {4,5} leaves no room
         # for the two-element first block
@@ -108,6 +125,57 @@ class TestMinSet:
         assert fam.contains((1, 5))
         assert not fam.contains((4, 5))
         assert fam.contains((4, 6))
+
+
+def brute_realizations(bt, count):
+    """Every member sequence of `count` blocks that the tree's closure makes
+    from one generator, listed by trying every increasing choice of generator
+    positions; the blocks of a spread are drawn from [1..VALUES + 1]."""
+    for g in bt.generators:
+        for pos in itertools.combinations(range(len(g)), count):
+            if bt.closure == "explicit":
+                if pos == tuple(range(count)):
+                    yield tuple(g[p] for p in pos)
+                continue
+            choices = [[a for a in itertools.combinations(range(1, VALUES + 2), len(g[p]))
+                        if all(x <= y for x, y in zip(g[p], a))] for p in pos]
+            for seq in itertools.product(*choices):
+                if all(x[-1] < y[0] for x, y in zip(seq, seq[1:])):
+                    yield seq
+
+
+# Queries stay inside [1..VALUES].  Generator values stay below VALUES and
+# blocks have at most two elements, so a spread whose minimum is at most
+# VALUES has one inside [1..VALUES + 1].
+VALUES = 11
+
+
+class TestAgainstBruteForce:
+    """Block membership and min-set membership against the member sequences
+    listed by `brute_realizations`, which shares no code with the matcher."""
+
+    TREES = [random_block_tree(random.Random(seed), max_len=3, max_block=2, value_bound=4)
+             for seed in range(25)]
+
+    @pytest.mark.parametrize("closure", ["spreading", "explicit"])
+    def test_membership(self, closure):
+        for tree in self.TREES:
+            bt = BlockTree(tree.generators, closure)
+            fam = min_set(bt)
+            for count in range(4):
+                members = set(brute_realizations(bt, count))
+                minima = {tuple(b[0] for b in seq) for seq in members}
+                for f_set in itertools.combinations(range(1, VALUES + 1), count):
+                    assert fam.contains(f_set) == (f_set in minima), (bt.generators, f_set)
+                for seq in members:
+                    assert bt.contains(seq), (bt.generators, seq)
+                # neighbours: a member with one block shifted by one
+                for seq in members:
+                    for i, block in enumerate(seq):
+                        for d in (-1, 1):
+                            other = seq[:i] + (tuple(x + d for x in block),) + seq[i + 1:]
+                            if other[i][0] >= 1 and other[i][-1] <= VALUES + 1:
+                                assert bt.contains(other) == (other in members), other
 
 
 class TestLemma47:
