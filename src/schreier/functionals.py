@@ -18,12 +18,17 @@ only each summand's support signature (min, max), so a level walks chains
 of signature groups, reads their minima through the family's residual
 state (`initial_state`/`step`) once per chain of groups, and makes the
 product of the groups, each functional the concatenation of its summands'
-scaled entries.  For a spreading family F, at depth >= |supp(x)| the
-supremum over the set equals the norm (tested, not assumed).  Without
-spreading it can fall short: a block's norm need not use the block's
-minimum, so the matching functional's support minima can lie to the right
-of the block minima, and only spreading keeps them admissible.
-`norm_via_functionals` therefore rejects non-spreading families.
+scaled entries.  `norming_set` returns the signed functionals as a plain
+list in that order.  Over n indices no level past n - 1 makes a new
+functional, as a functional first made at depth d has at least d + 1
+entries, so generation and the dual gauge cap the depth at bound - 1 and
+the functional norm at |supp(x)| - 1.  For a spreading family F, at depth
+>= |supp(x)| - 1 the supremum over the set equals the norm (tested, not
+assumed).  Without spreading it can fall short: a block's norm need not
+use the block's minimum, so the matching functional's support minima can
+lie to the right of the block minima, and only spreading keeps them
+admissible.  `norm_via_functionals` therefore rejects non-spreading
+families.
 
 The best functional against a given vector is found without generating the
 set, by a dynamic program over the same signatures, on integers.  It merges
@@ -53,40 +58,21 @@ from .norms import NormError
 from .vectors import SparseVec
 
 
-class FunctionalSet:
-    """Generated norming functionals over a bounded index range, in the
-    order of generation.
-
-    `depths` maps each functional (a SparseVec) to the generation depth at
-    which it first appeared; it is built on first use.
-    """
-
-    def __init__(self, functionals, starts):
-        self._functionals = functionals
-        self._starts = starts  # where each depth begins in the list
-        self._depths = None
-
-    def __iter__(self):
-        return iter(self._functionals)
-
-    def __len__(self):
-        return len(self._functionals)
-
-    def __contains__(self, f):
-        return f in self.depths
-
-    @property
-    def depths(self):
-        if self._depths is None:
-            ends = self._starts[1:] + [len(self._functionals)]
-            self._depths = {f: d for d, (lo, hi) in enumerate(zip(self._starts, ends))
-                            for f in self._functionals[lo:hi]}
-        return self._depths
+def _depth_cap(depth, size):
+    """`depth`, checked nonnegative, capped at size - 1: over `size`
+    indices no level deeper makes a new functional, as a functional first
+    made at depth d has at least d + 1 entries (every combination has two
+    summands or more)."""
+    if depth < 0:
+        raise NormError("generation depth must be nonnegative, got %d" % depth)
+    return min(depth, max(size - 1, 0))
 
 
-def _generate(family, c, indices, depth, signed, budget):
-    """The functionals of K_depth over `indices` as SparseVecs in the order
-    of generation, and the position in that list where each depth starts.
+def norming_set(params, bound, depth, budget=2_000_000):
+    """The signed functionals of K_depth over indices [1..bound] as a list
+    of SparseVecs in the order of generation, depth by depth; NormError
+    once more than `budget` functionals are held.  A depth past bound - 1
+    makes the set of depth bound - 1.
 
     The level walk runs on one positive functional per sign class: the set
     is closed under sign flips of single entries, and a combination's
@@ -94,28 +80,27 @@ def _generate(family, c, indices, depth, signed, budget):
     the combinations of the classes before it.  A level makes the product
     of each chain of signature groups that holds a group of the previous
     level.  The signed functionals are made at the end, each class's 2^k
-    sign patterns of its k entries in `itertools.product` order.  Raises
-    NormError once more than `budget` (signed) functionals are held,
-    counting a class as its 2^k patterns, so the count held is the one of
-    making the patterns one at a time."""
-    indices = sorted(indices)
-    # a functional first made at depth d has at least d + 1 entries, as
-    # every combination has two summands or more
-    depth = min(depth, max(len(indices) - 1, 0))
-    # a class is held as a tuple of integer codes, one per entry: index i
-    # with coefficient c^d is i * width + d (injective as 0 < c < 1), so
-    # scaling by c adds 1 to every code
-    width = depth + 1
-    made = [(i * width,) for i in indices]
-    starts = [0]
-    held = 2 * len(made) if signed else len(made)
+    sign patterns of its k entries in `itertools.product` order.  The
+    budget counts a class as its 2^k patterns, so the count held is the
+    one of making the patterns one at a time."""
+    family, c = params.family, params.c
+    depth = _depth_cap(depth, bound)
+    if budget < 0:
+        raise NormError("functional generation budget must be nonnegative, got %d" % budget)
 
     def hold(level, count):
         if count > budget:
             raise NormError("functional generation budget of %d exceeded at depth %d: %d "
                             "functionals held" % (budget, level, count))
 
+    held = 2 * max(bound, 0)
     hold(0, held)
+    indices = range(1, bound + 1)
+    # a class is held as a tuple of integer codes, one per entry: index i
+    # with coefficient c^d is i * width + d (injective as 0 < c < 1), so
+    # scaling by c adds 1 to every code
+    width = depth + 1
+    made = [(i * width,) for i in indices]
     start = family.initial_state()
     pool = {}  # (support minimum, support maximum) -> [functionals scaled by c]
     fresh = made
@@ -153,7 +138,7 @@ def _generate(family, c, indices, depth, signed, budget):
                         for f in ext:
                             if f not in new:
                                 new[f] = None
-                                held += 1 << len(f) if signed else 1
+                                held += 1 << len(f)
                                 if held > budget:
                                     # the pattern that passed the budget
                                     hold(level, budget + 1)
@@ -164,39 +149,32 @@ def _generate(family, c, indices, depth, signed, budget):
             break
         for sig, group in latest.items():
             pool.setdefault(sig, []).extend(group)
-        starts.append(len(made))
         fresh = list(new)
         made += fresh
     # each entry's choices of (index, +-c^d) pair, from one shared table
-    choices = []
-    for d in range(width):
-        power = c ** d
-        choices.append((power, -power) if signed else (power,))
-    table = [tuple([(i, v) for v in choice])
-             for i in range(indices[-1] + 1 if indices else 0) for choice in choices]
-    vecs, offsets = [], []
-    for lo, hi in zip(starts, starts[1:] + [len(made)]):
-        offsets.append(len(vecs))
-        for f in made[lo:hi]:
-            vecs += map(SparseVec._canonical, product(*[table[e] for e in f]))
-    return vecs, offsets
+    powers = [c ** d for d in range(width)]
+    table = [((i, v), (i, -v)) for i in range(bound + 1) for v in powers]
+    vecs = []
+    for f in made:
+        vecs += map(SparseVec._canonical, product(*[table[e] for e in f]))
+    return vecs
 
 
-def norming_set(params, bound, depth, signed=True, budget=2_000_000):
-    """The functional set K_depth over indices [1..bound]; NormError once
-    more than `budget` functionals are held."""
-    if depth < 0:
-        raise NormError("generation depth must be nonnegative, got %d" % depth)
-    if budget < 0:
-        raise NormError("functional generation budget must be nonnegative, got %d" % budget)
-    return FunctionalSet(*_generate(params.family, params.c, range(1, bound + 1), depth,
-                                    signed, budget))
+def _leaves(tree):
+    """The (index, depth) of each leaf of a maximiser's tree (a coordinate
+    index at a leaf, a tuple of subtrees at a combination), left to right."""
+    stack = [(tree, 0)]
+    while stack:
+        node, d = stack.pop()
+        if isinstance(node, int):
+            yield node, d
+        else:
+            stack += [(child, d + 1) for child in reversed(node)]
 
 
-def _best_functional(params, x, depth, budget=float("inf")):
+def _best_functional(params, x, depth):
     """Maximum of <f, x> over the signed functional set K_depth, a
-    functional attaining it, and the number of DP nodes visited.  Raises
-    BudgetExceeded once more than `budget` nodes are visited.
+    functional attaining it, and the number of DP nodes visited.
 
     Uses sign symmetry of the generated set: the supremum over all signed
     functionals equals the supremum of <f, |x|> over positive ones, and the
@@ -220,18 +198,8 @@ def _best_functional(params, x, depth, budget=float("inf")):
     c = params.c
     scale = lcm(*(v.denominator for _, v in x.entries)) * c.denominator ** depth
     leaves = {i: abs(v.numerator) * (scale // v.denominator) for i, v in x.entries}
-    value, tree, nodes = _signature_dp(params.family, c, leaves, depth, budget)
-
-    entries = []
-
-    def unfold(node, coeff):
-        if isinstance(node, int):
-            entries.append((node, coeff if x[node] > 0 else -coeff))
-        else:
-            for child in node:
-                unfold(child, coeff * c)
-
-    unfold(tree, Fraction(1))
+    value, tree, nodes = _signature_dp(params.family, c, leaves, depth, float("inf"))
+    entries = [(i, c ** d if x[i] > 0 else -c ** d) for i, d in _leaves(tree)]
     return Fraction(value, scale), SparseVec(entries), nodes
 
 
@@ -273,7 +241,7 @@ def _signature_dp(fam, c, leaves, depth, budget, steps=None):
     extended by every later minimum its state admits.  A node is one such
     admitted extension, so `budget` bounds the classes times the minima; in
     a spreading family a class that the largest minimum cannot extend is
-    not scanned further (see `_generate`).
+    not scanned further (see `norming_set`).
     """
     p, q = c.numerator, c.denominator
     # a signature (min, max) is coded as min * width + max, in the same order
@@ -336,16 +304,14 @@ def _signature_dp(fam, c, leaves, depth, budget, steps=None):
 
 def norm_via_functionals(params, x, depth=None):
     """Norm of x as the supremum of <f, x> over the generated functional set
-    K_depth (by default depth |supp(x)|, where the supremum is the norm).
-    The family must be spreading."""
+    K_depth, the depth capped at |supp(x)| - 1, where the supremum is the
+    norm (the default).  The family must be spreading."""
     if not params.family.spreading:
         raise NormError("the functional route needs a spreading family, not %s"
                         % params.family.descriptor())
     if depth is None:
         depth = len(x)
-    if depth < 0:
-        raise NormError("generation depth must be nonnegative, got %d" % depth)
-    return _best_functional(params, x, depth)[0]
+    return _best_functional(params, x, _depth_cap(depth, len(x)))[0]
 
 
 def _price_column(params, duals, det, depth, budget, steps=None):
@@ -368,16 +334,9 @@ def _price_column(params, duals, det, depth, budget, steps=None):
     if value <= det * lift:
         return None, lift, nodes
     column = [0] * len(duals)
-
-    def unfold(node, d):
-        if isinstance(node, int):
-            coeff = p ** d * q ** (depth - d)
-            column[node - 1] = coeff if duals[node - 1] > 0 else -coeff
-        else:
-            for child in node:
-                unfold(child, d + 1)
-
-    unfold(tree, 0)
+    for i, d in _leaves(tree):
+        coeff = p ** d * q ** (depth - d)
+        column[i - 1] = coeff if duals[i - 1] > 0 else -coeff
     return column, lift, nodes
 
 
@@ -386,7 +345,9 @@ def dual_norm(params, g, bound, depth, functionals=None, budget=100_000):
 
     Exact minimum of sum lam_j over decompositions g = sum lam_j f_j with
     lam_j >= 0 and f_j in norming_set(params, bound, depth); at sufficient
-    depth this is the dual norm restricted to the span.
+    depth this is the dual norm restricted to the span.  As in
+    `norming_set`, a depth past bound - 1 is priced as bound - 1, which
+    gives the same set.
 
     Solved by column generation: a restricted master LP over the columns
     found so far, starting from the coordinate functionals +-e_i (so it is
@@ -423,8 +384,7 @@ def dual_norm(params, g, bound, depth, functionals=None, budget=100_000):
     """
     if bound < 1:
         raise NormError("functional bound must be at least 1, got %d" % bound)
-    if depth < 0:
-        raise NormError("generation depth must be nonnegative, got %d" % depth)
+    depth = _depth_cap(depth, bound)
     if budget < 0:
         raise NormError("pricing budget must be nonnegative, got %d" % budget)
     if not g:

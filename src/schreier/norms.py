@@ -382,7 +382,8 @@ def domination_search(params_u, params_v, bound, budget=2000):
             best_ratio = ratio
             best_witness = vec
 
-    indices = list(range(1, bound + 1))
+    # each support visited costs an evaluation, so none passes [1..budget]
+    indices = range(1, min(bound, budget) + 1)
     for size in range(1, min(5, bound) + 1):
         for supp in itertools.combinations(indices, size):
             if evals >= budget:

@@ -22,9 +22,10 @@ row r updates every other row by exact integer division,
     t[i][j]  <-  (p t[i][j] - t[i][col] t[r][j]) / det,    det <-  p,
 
 since each entry times the determinant is a minor of the integer data.
-A rational column enters once, as integers over the least common multiple
-of its denominators, and that multiple becomes its cost, so the column's
-weight is scaled and the duals are not; the target is scaled the same way.
+A column a / cost enters once, as the integers a L over L cost, where L
+is the least common multiple of the denominators of a, and L cost becomes
+its stored cost, so the column's weight is scaled and the duals are not;
+the target is scaled the same way.
 Every comparison of the simplex (signs of reduced costs, the ratio test by
 cross-multiplication, Bland's ties) is the one a Fraction tableau makes,
 so the pivot path is the same.  `value`, `weights` and `duals` become
@@ -129,14 +130,13 @@ class Master:
                         best, best_a, best_rhs = r, a, rhs
             self.det = _pivot(tableau, basis, best, col, entering, det)
 
-    def add_column(self, column, cost=None):
-        """Add one column and restore optimality by pivots from the current
-        basis.  Without `cost` the column is m rationals; with it, m
-        integers standing for column / cost."""
-        m = self.m
-        if cost is None:
-            column, cost = _integral(column[:m])
-        a = [(i, -v if self.flipped[i] else v) for i, v in enumerate(column[:m]) if v]
+    def add_column(self, column, cost=1):
+        """Add the column / cost, m rationals (ints or Fractions) over a
+        positive integer, and restore optimality by pivots from the current
+        basis."""
+        column, scale = _integral(column[:self.m])
+        cost *= scale
+        a = [(i, -v if self.flipped[i] else v) for i, v in enumerate(column) if v]
         for line in self.tableau:
             line.insert(-1, sum(line[i] * v for i, v in a))
         self.tableau[-1][-2] += cost * self.det

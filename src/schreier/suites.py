@@ -421,7 +421,7 @@ def check_duality(rng, bound=6, depth=3, pairs=200):
     pattern; invariance itself is asserted on a sample.
     """
     params = NormParams(Schreier(ONE), Fraction(1, 2))
-    fs = norming_set(params, bound, depth, signed=True)
+    fs = norming_set(params, bound, depth)
     reps = {}
     for f in fs:
         reps.setdefault(f.abs(), f)

@@ -227,6 +227,8 @@ def lemma47_check(bt, n, bound):
     """
     if bt.closure != "spreading":
         raise TreeError("the check requires a spreading-closure tree")
+    if n < 0:
+        raise TreeError("the derivative count n must be nonnegative, got %d" % n)
     # derivatives of a hereditary right-stable family stay hereditary
     lhs = min_set(bt)
     for _ in range(2 * n + 2):

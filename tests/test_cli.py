@@ -342,6 +342,15 @@ class TestNorm:
         assert proc.returncode in (0, 3)
         assert "Traceback" not in proc.stderr
 
+    def test_dominate_bound_past_the_budget(self):
+        # each support visited costs an evaluation, so indices past the
+        # budget are never reached and need not be listed
+        args = ("dominate", "--u-schreier", "1", "--u-c", "1/2", "--v-schreier", "2",
+                "--v-c", "1/2", "--budget", "200", "--bound")
+        huge = run(*args, "99999999999")
+        assert huge.exit_code == 0
+        assert huge.output == run(*args, "200").output
+
     def test_dominate_trivial(self):
         result = run("dominate", "--u-schreier", "1", "--u-c", "1/2",
                      "--v-schreier", "1", "--v-c", "1/2",
@@ -403,6 +412,7 @@ class TestIndices:
         ("compress --bound 4", '{"generators": [[[0]]]}'),
         ("lemma47 --n 1 --bound 4", '{"generators": 3}'),
         ("lemma47 --n 1 --bound 4", '{"generators": [[[1]]], "closure": "explicit"}'),
+        ("lemma47 --n -1 --bound 4", '{"generators": [[[1], [2, 3]]]}'),
         ("witness --alpha 1 --bound 3 --witness {good}", "[[[1]]]"),
         ("witness --alpha 1 --bound 3 --tree {good} --witness {bad}", "[1]"),
         ("witness --alpha 1 --bound 3 --tree {good} --witness {bad}", '{"1": 1}'),

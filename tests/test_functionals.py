@@ -23,7 +23,7 @@ S1 = NormParams(Schreier(ONE), Fraction(1, 2))
 def generate_oracle(family, c, indices, depth, signed, budget):
     """Reference generation: every combination rebuilt through SparseVec
     arithmetic, admissibility asked of `contains` on the whole prefix of
-    minima.  Returns the depths map, as `norming_set(...).depths`."""
+    minima.  Returns the depth at which each functional first appears."""
     indices = tuple(sorted(indices))
     base = [SparseVec([(i, Fraction(1))]) for i in indices]
     if signed:
@@ -327,15 +327,15 @@ class TestSimplex:
 
 class TestNormingSet:
     def test_depth_zero_is_coordinates(self):
-        fs = norming_set(S1, 4, 0, signed=False)
-        assert len(fs) == 4
-        assert all(len(f.support) == 1 for f in fs)
+        # +-e_i for each index in turn, the positive one first
+        assert norming_set(S1, 4, 0) == [SparseVec([(i, Fraction(s))])
+                                         for i in range(1, 5) for s in (1, -1)]
 
     def test_signed_doubles_depth_zero(self):
-        assert len(norming_set(S1, 4, 0, signed=True)) == 8
+        assert len(norming_set(S1, 4, 0)) == 8
 
     def test_growth_with_depth(self):
-        sizes = [len(norming_set(S1, 5, d, signed=False)) for d in range(3)]
+        sizes = [len(norming_set(S1, 5, d)) for d in range(3)]
         assert sizes[0] < sizes[1] <= sizes[2]
 
     @pytest.mark.parametrize("bound, size", [(5, 202), (6, 1204), (7, 6762)])
@@ -345,6 +345,9 @@ class TestNormingSet:
     def test_budget(self):
         with pytest.raises(NormError):
             norming_set(S1, 6, 3, budget=50)
+        # the coordinate functionals are counted before any is made
+        with pytest.raises(NormError, match="exceeded at depth 0: 2000000000000 functionals"):
+            norming_set(S1, 10 ** 12, 1)
 
     # a non-spreading family: {2, 5} is a member, its spread {3, 5} is not
     NON_SPREADING = Explicit([(1, 2), (2, 5), (3, 4), (1, 3, 6)])
@@ -370,13 +373,20 @@ class TestNormingSet:
     @pytest.mark.parametrize("family, c, bound, depth", ORACLE_CASES, ids=ORACLE_IDS)
     @pytest.mark.parametrize("signed", [True, False], ids=["signed", "unsigned"])
     def test_matches_oracle(self, family, c, bound, depth, signed):
+        # at each depth d, the list against the oracle's functionals of
+        # depth <= d: all of them, or (unsigned) their positive ones
+        # against the oracle run on positive coordinates only
         params = NormParams(family, c)
-        fs = norming_set(params, bound, depth, signed=signed)
         oracle = generate_oracle(family, c, range(1, bound + 1), depth, signed, 2_000_000)
-        assert fs.depths == oracle
+        for d in range(depth + 1):
+            fs = norming_set(params, bound, d)
+            assert len(set(fs)) == len(fs)
+            if not signed:
+                fs = [f for f in fs if all(v > 0 for _, v in f.entries)]
+            assert set(fs) == {f for f, k in oracle.items() if k <= d}
         assert all(type(v) is Fraction for f in fs for _, v in f.entries)
         # a functional first made at depth d has coefficients +-c^k, k <= d
-        for f, d in fs.depths.items():
+        for f, d in oracle.items():
             assert all(abs(v) in {c ** k for k in range(d + 1)} for _, v in f.entries)
 
     def test_budget_matches_oracle(self):
@@ -397,18 +407,19 @@ class TestNormingSet:
 
     @pytest.mark.parametrize("family, c, bound, depth", ORACLE_CASES, ids=ORACLE_IDS)
     def test_signed_set_is_the_sign_flips(self, family, c, bound, depth):
-        # every sign pattern of every unsigned functional, at its depth,
-        # each made once
+        # the list is, depth by depth, each positive functional followed by
+        # its other sign patterns in `itertools.product` order, each made
+        # once; a shallower set is a prefix of a deeper one
         params = NormParams(family, c)
-        unsigned = norming_set(params, bound, depth, signed=False).depths
         fs = norming_set(params, bound, depth)
-        assert all(v > 0 for f in unsigned for _, v in f.entries)
-        flips = {}
-        for f, d in unsigned.items():
-            for signs in product((1, -1), repeat=len(f)):
-                flips[SparseVec([(i, s * v) for (i, v), s in zip(f.entries, signs)])] = d
-        assert fs.depths == flips
-        assert len(fs) == len(flips)
+        positive = [f for f in fs if all(v > 0 for _, v in f.entries)]
+        flips = [SparseVec([(i, s * v) for (i, v), s in zip(f.entries, signs)])
+                 for f in positive for signs in product((1, -1), repeat=len(f))]
+        assert fs == flips
+        assert len(set(fs)) == len(fs)
+        for d in range(depth):
+            shallow = norming_set(params, bound, d)
+            assert fs[:len(shallow)] == shallow
 
     def test_budget_within_sign_patterns(self):
         # S_1 on [1..5] at depth 1: 10 coordinate functionals, then, in
@@ -423,15 +434,16 @@ class TestNormingSet:
             with pytest.raises(NormError, match="budget of %d exceeded at depth 1: %d "
                                "functionals held$" % (budget, budget + 1)):
                 ours(budget)
-        unsigned = lambda budget: norming_set(S1, 5, 3, signed=False, budget=budget)
-        size = len(unsigned(2_000_000))
-        assert _passes(unsigned, size) and not _passes(unsigned, size - 1)
+        # the positive functionals of the list come with all their patterns
+        deep = norming_set(S1, 5, 3)
+        positive = [f for f in deep if all(v > 0 for _, v in f.entries)]
+        assert len(deep) == sum(2 ** len(f) for f in positive)
 
     def test_depth_past_the_bound(self):
         # a functional first made at depth d has d + 1 entries or more, so
         # a depth past bound - 1 adds nothing (and builds no table of c^d
         # for every d up to it)
-        assert norming_set(S1, 3, 10 ** 9).depths == norming_set(S1, 3, 2).depths
+        assert norming_set(S1, 3, 10 ** 9) == norming_set(S1, 3, 2)
 
     def test_negative_depth_and_budget(self):
         with pytest.raises(NormError, match="depth must be nonnegative, got -1"):
@@ -440,10 +452,10 @@ class TestNormingSet:
             norming_set(S1, 3, 1, budget=-1)
 
     def test_example_functional_present(self):
-        # c*(e2* + e3*) is one admissible combination
-        fs = norming_set(S1, 3, 1, signed=False)
+        # c*(e2* + e3*) is one admissible combination, and so are its flips
+        fs = norming_set(S1, 3, 1)
         f = SparseVec([(2, Fraction(1, 2)), (3, Fraction(1, 2))])
-        assert f in fs
+        assert f in fs and f.scale(-1) in fs
 
 
 class TestPricingOracle:
@@ -585,6 +597,24 @@ class TestFunctionalNorm:
     def test_empty(self):
         assert norm_via_functionals(S1, SparseVec([])) == 0
 
+    def test_depth_capped_at_the_support(self, monkeypatch):
+        # the DP over n leaves is at its fixed point by depth n - 1, so no
+        # deeper one is run (or scaled by q^depth)
+        x = parse_vec("1:1,3:-2,4:1/2,7:3")
+        want = norm(S1, x)[0]
+        depths = []
+        best = functionals._best_functional
+
+        def recording(params, x, depth):
+            depths.append(depth)
+            return best(params, x, depth)
+
+        monkeypatch.setattr(functionals, "_best_functional", recording)
+        assert norm_via_functionals(S1, x, depth=10 ** 9) == want
+        assert norm_via_functionals(S1, x) == want
+        norm_via_functionals(S1, x, depth=2)
+        assert depths == [3, 3, 2]
+
 
 class TestDualNorm:
     def test_functional_in_ball(self):
@@ -600,7 +630,7 @@ class TestDualNorm:
 
     def test_pairing_inequality(self):
         rng = random.Random(5)
-        fs = norming_set(S1, 6, 2, signed=True)
+        fs = norming_set(S1, 6, 2)
         flist = sorted(fs, key=lambda f: f.entries)
         for _ in range(30):
             f = rng.choice(flist)
@@ -612,6 +642,22 @@ class TestDualNorm:
     def test_support_outside_bound(self):
         with pytest.raises(NormError):
             dual_norm(S1, SparseVec([(9, Fraction(1))]), 6, 2)
+
+    def test_depth_past_the_bound(self, monkeypatch):
+        # K_depth over [1..5] stops growing at depth 4, so a deeper gauge is
+        # priced at depth 4: its columns cost q^4, not q^(10^5)
+        g = parse_vec("1:1,2:1,3:1")
+        costs = []
+        add = Master.add_column
+
+        def recording(self, column, cost=1):
+            costs.append(cost)
+            return add(self, column, cost)
+
+        monkeypatch.setattr(Master, "add_column", recording)
+        deep = dual_norm(S1, g, 5, 10 ** 5)
+        assert costs and all(cost == 2 ** 4 for cost in costs)
+        assert deep == dual_norm(S1, g, 5, 4) == 3
 
     def test_empty(self):
         assert dual_norm(S1, SparseVec([]), 6, 2) == 0
