@@ -32,7 +32,7 @@ from .ordinals import Ordinal, ZERO, omega_pow
 # (always appending max + 1) before it reports an infinite chain.
 DEFAULT_HORIZON = 64
 EXPLICIT_CAP = 1 << 16  # most members an explicit family's downward closure may hold
-FS_CACHE_CAP = 1 << 16  # most entries `_fs_cache` holds before it starts afresh
+FS_CACHE_CAP = 1 << 16  # most entries `_fs_cache` holds; the oldest half goes at the cap
 
 
 class FamilyError(SchreierError, ValueError):
@@ -119,8 +119,9 @@ def _fine_step(beta, n):
     return ordinals.classify(beta)[1]
 
 
-# Memo of the search at limits lam >= w^w, keyed by (lam, rest of the set);
-# cleared when an insertion would pass FS_CACHE_CAP.
+# Memo of the search at limits lam >= w^w, keyed by (lam, rest of the set).
+# When an insertion would pass FS_CACHE_CAP, the older half of the entries,
+# in insertion order, is dropped: the newer half is the search's working set.
 _fs_cache = {}
 
 
@@ -138,7 +139,8 @@ def fs_member(alpha, a):
                 found = any(fs_member(ordinals.fundamental_seq(alpha, m), a[i:])
                             for m in range(1, n + 1))
                 if len(_fs_cache) >= FS_CACHE_CAP:
-                    _fs_cache.clear()
+                    for old in list(itertools.islice(_fs_cache, (len(_fs_cache) + 1) // 2)):
+                        del _fs_cache[old]
                 _fs_cache[key] = found
             return _fs_cache[key]
         alpha = _fine_step(alpha, n)

@@ -353,6 +353,18 @@ def check_right_dominant(params, x, spread_map, evaluate=None):
     return evaluate(x) <= evaluate(x.map_indices(spread_map))
 
 
+def _supports(last, size, first=1):
+    """The `size`-subsets of [first..last] as sorted tuples, in the order of
+    `itertools.combinations`, made one at a time: the range is never listed,
+    so `last` may be far larger than memory."""
+    if size == 0:
+        yield ()
+        return
+    for i in range(first, last - size + 2):
+        for rest in _supports(last, size - 1, i + 1):
+            yield (i,) + rest
+
+
 def domination_search(params_u, params_v, bound, budget=2000):
     """Certified lower bound for the least C with ||x||_U <= C ||x||_V.
 
@@ -361,7 +373,6 @@ def domination_search(params_u, params_v, bound, budget=2000):
     with 0), then refines the best witness coordinatewise.  The witness
     attains the reported ratio exactly.
     """
-    import itertools
     import random
 
     if bound < 1 or budget < 1:
@@ -383,9 +394,9 @@ def domination_search(params_u, params_v, bound, budget=2000):
             best_witness = vec
 
     # each support visited costs an evaluation, so none passes [1..budget]
-    indices = range(1, min(bound, budget) + 1)
+    last = min(bound, budget)
     for size in range(1, min(5, bound) + 1):
-        for supp in itertools.combinations(indices, size):
+        for supp in _supports(last, size):
             if evals >= budget:
                 break
             consider(SparseVec([(i, Fraction(1)) for i in supp]))

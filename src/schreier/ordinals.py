@@ -4,6 +4,14 @@ An ordinal is represented as a finite sum  w^e1 * c1 + ... + w^ek * ck
 with exponents e1 > e2 > ... > ek (themselves ordinals) and positive
 integer coefficients.  The empty sum is 0.  All values are immutable
 and hashable; all operations are pure.
+
+Each ordinal is classified once, when it is made: `is_zero`, `is_finite`,
+`is_limit` and `is_successor` are stored values, as is the hash.  The public
+constructor `Ordinal(terms)` checks its terms, since they may come from
+outside; the arithmetic here (`add`, `mul`, `natural_sum`, `omega_pow`,
+`from_int`, `classify`, `fundamental_seq`, and through them the parser)
+builds its results in canonical form and makes them by `_make`, which
+trusts its terms and checks nothing.
 """
 
 from __future__ import annotations
@@ -28,9 +36,16 @@ class OrdinalParseError(OrdinalError):
 
 @functools.total_ordering
 class Ordinal:
-    """A countable ordinal below epsilon_0 in Cantor Normal Form."""
+    """A countable ordinal below epsilon_0 in Cantor Normal Form.
 
-    __slots__ = ("terms", "_hash")
+    `terms` is the tuple of (exponent, coefficient) pairs, exponents strictly
+    decreasing.  `is_zero`, `is_finite`, `is_limit` and `is_successor` are
+    computed once, when the ordinal is made.  `Ordinal(terms)` rejects an
+    exponent that is not an Ordinal, a coefficient that is not a positive
+    integer, and exponents that do not strictly decrease.
+    """
+
+    __slots__ = ("terms", "_hash", "is_zero", "is_finite", "is_limit", "is_successor")
 
     def __init__(self, terms=()):
         terms = tuple(terms)
@@ -40,31 +55,34 @@ class Ordinal:
             if not isinstance(coeff, int) or coeff < 1:
                 raise OrdinalError("coefficient must be a positive integer: %r" % (coeff,))
         for (e1, _), (e2, _) in zip(terms, terms[1:]):
-            if not e1 > e2:
+            if _cmp(e1, e2) <= 0:
                 raise OrdinalError("exponents must be strictly decreasing")
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_hash", hash(terms))
+        _fill(self, terms)
 
     def __setattr__(self, name, value):
+        raise AttributeError("Ordinal is immutable")
+
+    def __delattr__(self, name):
         raise AttributeError("Ordinal is immutable")
 
     # -- comparison ---------------------------------------------------------
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, Ordinal):
             return NotImplemented
-        return self.terms == other.terms
+        return self._hash == other._hash and self.terms == other.terms
 
     def __lt__(self, other):
         if not isinstance(other, Ordinal):
             return NotImplemented
-        # Lexicographic comparison of the CNF term lists.
-        for (e1, c1), (e2, c2) in zip(self.terms, other.terms):
-            if e1 != e2:
-                return e1 < e2
-            if c1 != c2:
-                return c1 < c2
-        return len(self.terms) < len(other.terms)
+        return _cmp(self, other) < 0
+
+    def __gt__(self, other):
+        if not isinstance(other, Ordinal):
+            return NotImplemented
+        return _cmp(self, other) > 0
 
     def __hash__(self):
         return self._hash
@@ -75,24 +93,6 @@ class Ordinal:
     def __str__(self):
         return format_ordinal(self)
 
-    # -- structure ----------------------------------------------------------
-
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    @property
-    def is_finite(self):
-        return not self.terms or (len(self.terms) == 1 and self.terms[0][0].is_zero)
-
-    @property
-    def is_limit(self):
-        return bool(self.terms) and not self.terms[-1][0].is_zero
-
-    @property
-    def is_successor(self):
-        return bool(self.terms) and self.terms[-1][0].is_zero
-
     def as_int(self):
         """The natural number this ordinal denotes; error if infinite."""
         if self.is_zero:
@@ -102,29 +102,71 @@ class Ordinal:
         return self.terms[0][1]
 
 
-ZERO = Ordinal()
-ONE = Ordinal(((ZERO, 1),))
-OMEGA = Ordinal(((ONE, 1),))
+# The slots' own setters, bound once: `__setattr__` refuses every write, and
+# object.__setattr__ costs a lookup by name on each of the six stores.
+_new = object.__new__
+_set_terms = Ordinal.terms.__set__
+_set_hash = Ordinal._hash.__set__
+_set_zero = Ordinal.is_zero.__set__
+_set_finite = Ordinal.is_finite.__set__
+_set_limit = Ordinal.is_limit.__set__
+_set_successor = Ordinal.is_successor.__set__
+
+
+def _fill(self, terms):
+    """Store `terms` (a tuple in canonical form), its hash and its classification."""
+    successor = bool(terms) and terms[-1][0].is_zero
+    _set_terms(self, terms)
+    _set_hash(self, hash(terms))
+    _set_zero(self, not terms)
+    _set_finite(self, not terms or (successor and len(terms) == 1))
+    _set_limit(self, bool(terms) and not successor)
+    _set_successor(self, successor)
+
+
+def _make(terms):
+    """The ordinal with `terms`, a tuple already in canonical form; no checks."""
+    self = _new(Ordinal)
+    _fill(self, terms)
+    return self
+
+
+def _cmp(a, b):
+    """-1, 0 or 1 as a < b, a == b or a > b: the CNF term lists compared
+    lexicographically."""
+    if a is b:
+        return 0
+    for (e1, c1), (e2, c2) in zip(a.terms, b.terms):
+        if e1 is not e2:
+            order = _cmp(e1, e2)
+            if order:
+                return order
+        if c1 != c2:
+            return -1 if c1 < c2 else 1
+    return (len(a.terms) > len(b.terms)) - (len(a.terms) < len(b.terms))
+
+
+ZERO = _make(())
+ONE = _make(((ZERO, 1),))
+OMEGA = _make(((ONE, 1),))
 
 
 def from_int(n):
     if not isinstance(n, int) or n < 0:
         raise OrdinalError("expected a non-negative integer, got %r" % (n,))
-    return ZERO if n == 0 else Ordinal(((ZERO, n),))
+    return ZERO if n == 0 else _make(((ZERO, n),))
 
 
 def omega_pow(a):
     """w raised to the ordinal a."""
-    return Ordinal(((a, 1),))
+    if not isinstance(a, Ordinal):
+        raise OrdinalError("exponent must be an Ordinal: %r" % (a,))
+    return _make(((a, 1),))
 
 
 def compare(a, b):
     """Three-way comparison; returns 'less', 'equal' or 'greater'."""
-    if a < b:
-        return "less"
-    if a == b:
-        return "equal"
-    return "greater"
+    return ("less", "equal", "greater")[_cmp(a, b) + 1]
 
 
 def add(a, b):
@@ -132,11 +174,11 @@ def add(a, b):
     if b.is_zero:
         return a
     lead = b.terms[0][0]
-    kept = [t for t in a.terms if t[0] > lead]
+    kept = [t for t in a.terms if _cmp(t[0], lead) > 0]
     if len(kept) < len(a.terms) and a.terms[len(kept)][0] == lead:
         merged = (lead, a.terms[len(kept)][1] + b.terms[0][1])
-        return Ordinal(tuple(kept) + (merged,) + b.terms[1:])
-    return Ordinal(tuple(kept) + b.terms)
+        return _make(tuple(kept) + (merged,) + b.terms[1:])
+    return _make(tuple(kept) + b.terms)
 
 
 def mul(a, b):
@@ -149,10 +191,10 @@ def mul(a, b):
         if exp.is_zero:
             # a * n  =  w^e1*(c1*n) + (rest of a)   for n >= 1
             head = (lead_exp, a.terms[0][1] * coeff)
-            result = add(result, Ordinal((head,) + a.terms[1:]))
+            result = add(result, _make((head,) + a.terms[1:]))
         else:
             # a * w^exp * n  =  w^(e1 + exp) * n
-            result = add(result, Ordinal(((add(lead_exp, exp), coeff),)))
+            result = add(result, _make(((add(lead_exp, exp), coeff),)))
     return result
 
 
@@ -162,7 +204,13 @@ def natural_sum(a, b):
     for exp, coeff in a.terms + b.terms:
         coeffs[exp] = coeffs.get(exp, 0) + coeff
     terms = tuple((exp, coeffs[exp]) for exp in sorted(coeffs, reverse=True))
-    return Ordinal(terms)
+    return _make(terms)
+
+
+def _less_one_last(a):
+    """a's terms with one copy of its last term w^g taken away."""
+    exp, coeff = a.terms[-1]
+    return a.terms[:-1] if coeff == 1 else a.terms[:-1] + ((exp, coeff - 1),)
 
 
 def classify(a):
@@ -170,12 +218,7 @@ def classify(a):
     if a.is_zero:
         return ("zero", None)
     if a.is_successor:
-        exp, coeff = a.terms[-1]
-        if coeff == 1:
-            pred = Ordinal(a.terms[:-1])
-        else:
-            pred = Ordinal(a.terms[:-1] + ((exp, coeff - 1),))
-        return ("successor", pred)
+        return ("successor", _make(_less_one_last(a)))
     return ("limit", None)
 
 
@@ -191,13 +234,10 @@ def fundamental_seq(lam, n):
         raise OrdinalError("fundamental sequence index must be a positive integer")
     if not lam.is_limit:
         raise OrdinalError("not a limit ordinal: %s" % lam)
-    last_exp, last_coeff = lam.terms[-1]
-    if last_coeff == 1:
-        head = Ordinal(lam.terms[:-1])
-    else:
-        head = Ordinal(lam.terms[:-1] + ((last_exp, last_coeff - 1),))
-    kind, pred = classify(last_exp)
-    if kind == "successor":
+    head = _make(_less_one_last(lam))
+    last_exp = lam.terms[-1][0]
+    if last_exp.is_successor:
+        pred = _make(_less_one_last(last_exp))
         return add(head, mul(omega_pow(pred), from_int(n)))
     # last_exp is itself a limit (it is nonzero here)
     return add(head, omega_pow(fundamental_seq(last_exp, n)))

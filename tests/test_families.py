@@ -178,23 +178,27 @@ class TestResidualStates:
             assert read_states(Schreier(OMEGA), a) == Schreier(OMEGA).contains(a)
 
     def test_search_memo_is_bounded(self, monkeypatch):
+        # at the cap the older half of the memo goes, in insertion order
         class Recorder(dict):
-            most = clears = 0
+            inserted, sizes = [], []
 
             def __setitem__(self, key, value):
                 super().__setitem__(key, value)
-                Recorder.most = max(Recorder.most, len(self))
+                Recorder.inserted.append(key)
+                Recorder.sizes.append(len(self))
 
-            def clear(self):
-                Recorder.clears += 1
-                super().clear()
-
+        cases = [(alpha, a) for alpha in (OMEGA_OMEGA, add(OMEGA_OMEGA, OMEGA),
+                                          mul(OMEGA_OMEGA, from_int(2)))
+                 for a in subsets(10, 5)]
+        monkeypatch.setattr(families, "_fs_cache", {})
+        uncapped = [fs_member(alpha, a) for alpha, a in cases]
         monkeypatch.setattr(families, "FS_CACHE_CAP", 40)
         monkeypatch.setattr(families, "_fs_cache", Recorder())
-        for alpha in (OMEGA_OMEGA, add(OMEGA_OMEGA, OMEGA), mul(OMEGA_OMEGA, from_int(2))):
-            for a in subsets(10, 5):
-                assert fs_member(alpha, a) == oracle_member(alpha, a), (alpha, a)
-        assert Recorder.clears > 0 and Recorder.most <= 40
+        for (alpha, a), expected in zip(cases, uncapped):
+            assert fs_member(alpha, a) == expected == oracle_member(alpha, a), (alpha, a)
+        sizes, memo = Recorder.sizes, families._fs_cache
+        assert max(sizes) == 40 and min(sizes[sizes.index(40):]) == 21
+        assert list(memo) == Recorder.inserted[-len(memo):]
 
     def test_large_indices(self):
         # an eager set-valued state would hold about a million ordinals here

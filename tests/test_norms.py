@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import random
@@ -224,10 +225,46 @@ class TestBasisProperties:
 
 
 class TestDomination:
+    S2 = NormParams(Schreier(from_int(2)), Fraction(1, 2))
+
     def test_same_norm_gives_one(self):
         ratio, witness = domination_search(S1, S1, bound=4, budget=50)
         assert ratio == 1
         assert witness
+
+    @staticmethod
+    def stub_norm(monkeypatch, limit=None):
+        """Replace `norm` by a constant that records each support it sees
+        (once per vector) and raises `Stop` after `limit` vectors."""
+        seen = []
+
+        def fake(params, x):
+            if params is S1:
+                if limit is not None and len(seen) >= limit:
+                    raise TestDomination.Stop
+                seen.append(x.support)
+            return (Fraction(1), None)
+
+        monkeypatch.setattr("schreier.norms.norm", fake)
+        return seen
+
+    class Stop(Exception):
+        pass
+
+    def test_huge_bound_and_budget_walk_lazily(self, monkeypatch):
+        # the walk never lists [1..10^11]
+        seen = self.stub_norm(monkeypatch, limit=100)
+        with pytest.raises(self.Stop):
+            domination_search(S1, self.S2, bound=10 ** 11, budget=10 ** 11)
+        # each support is tried as the all-ones vector and twice with drawn coefficients
+        assert seen[::3] == [(i,) for i in range(1, 35)]
+
+    def test_supports_in_combinations_order(self, monkeypatch):
+        seen = self.stub_norm(monkeypatch)
+        domination_search(S1, self.S2, bound=7, budget=10 ** 6)
+        expected = [supp for size in range(1, 6)
+                    for supp in itertools.combinations(range(1, 8), size) for _ in range(3)]
+        assert seen[:len(expected)] == expected
 
 
 class TestCache:

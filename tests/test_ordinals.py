@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,6 +8,8 @@ from schreier.ordinals import (
     OMEGA,
     ONE,
     ZERO,
+    Ordinal,
+    OrdinalError,
     OrdinalParseError,
     add,
     classify,
@@ -18,6 +22,7 @@ from schreier.ordinals import (
     omega_pow,
     parse_ordinal,
 )
+from schreier.suites import random_ordinal
 
 
 def o(text):
@@ -166,3 +171,48 @@ class TestFundamentalSeq:
         a = fundamental_seq(lam, n)
         b = fundamental_seq(lam, n + 1)
         assert a < b < lam
+
+
+class TestConstruction:
+    @staticmethod
+    def results(rng):
+        """Every kind of result the arithmetic builds, from seeded inputs."""
+        a, b = random_ordinal(rng), random_ordinal(rng)
+        yield from (add(a, b), mul(a, b), natural_sum(a, b), omega_pow(a))
+        kind, pred = classify(a)
+        if kind == "successor":
+            yield pred
+        if kind == "limit":
+            yield from (fundamental_seq(a, n) for n in range(1, 6))
+
+    def test_results_pass_the_public_checks(self):
+        # arithmetic makes its results without the public constructor's checks
+        rng = random.Random(20)
+        count = 0
+        for _ in range(300):
+            for r in self.results(rng):
+                assert Ordinal(r.terms) == r
+                terms = r.terms
+                assert r.is_zero == (not terms)
+                assert r.is_finite == (not terms or (len(terms) == 1 and terms[0][0] == ZERO))
+                assert r.is_limit == (bool(terms) and terms[-1][0] != ZERO)
+                assert r.is_successor == (bool(terms) and terms[-1][0] == ZERO)
+                count += 1
+        assert count > 1200
+
+    @pytest.mark.parametrize("terms", [((1, 1),), ((ZERO, 0),), ((ONE, 1), (OMEGA, 1)),
+                                       ((ONE, 1), (ONE, 2))],
+                             ids=["exponent-not-ordinal", "coefficient-0",
+                                  "exponents-increase", "exponents-repeat"])
+    def test_public_constructor_rejects(self, terms):
+        with pytest.raises(OrdinalError):
+            Ordinal(terms)
+
+    def test_immutable(self):
+        three = from_int(3)
+        for name in ("terms", "is_limit"):
+            with pytest.raises(AttributeError):
+                setattr(three, name, ())
+            with pytest.raises(AttributeError):
+                delattr(three, name)
+        assert three.terms == ((ZERO, 3),) and not three.is_limit
