@@ -21,10 +21,6 @@ import zlib
 ENV_VAR = "SCHREIER_CACHE_DIR"
 
 
-class CacheMismatch(RuntimeError):
-    """A cached value disagrees with recomputation (cache corruption)."""
-
-
 def cache_path(cache_dir=None):
     """The cache directory (created if missing), or None without one."""
     cache_dir = cache_dir or os.environ.get(ENV_VAR)

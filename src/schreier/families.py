@@ -314,21 +314,17 @@ class Oracle(FamilyHandle):
     """A family given by an arbitrary membership predicate.
 
     Used internally (e.g. for min-set families of block trees); the caller
-    vouches for heredity and, when given, the right-stable gap.
+    vouches for heredity and, when given, the right-stable gap.  Each query
+    asks the predicate once; no answer is kept.
     """
 
     def __init__(self, predicate, name, right_stable_gap=None):
         self.predicate = predicate
         self.name = name
         self.right_stable_gap = right_stable_gap
-        self._cache = {}
 
     def contains(self, a):
-        try:
-            return self._cache[a]
-        except KeyError:
-            result = self._cache[a] = self.predicate(a)
-            return result
+        return self.predicate(a)
 
     def descriptor(self):
         return "oracle:%s" % self.name
@@ -409,13 +405,14 @@ def is_maximal(fam, a):
 
 
 def enumerate_family(fam, bound, maximal_only=False, budget=1_000_000):
-    """All members (or all maximal members) within [1..bound], in lex order.
+    """Yield all members (or all maximal members) within [1..bound] in lex
+    order, each as the walk reaches it; bound and budget are checked first.
 
     Walks the member trie depth-first through the residual states; heredity
     makes pruning at non-members complete.  With a right-stable gap g,
     prefix u {n} has the same membership for every n >= max(prefix) + g, so
     the scan of n stops at the first refused n past that point.  The budget
-    counts visited members.
+    counts visited members, and those visited before it runs out are yielded.
     """
     if bound < 1:
         raise FamilyError("bound must be >= 1")
@@ -432,21 +429,22 @@ def enumerate_family(fam, bound, maximal_only=False, budget=1_000_000):
             elif gap is not None and n >= top + gap:
                 return
 
-    out = []
-    # one iterator of children per level, so long members need no recursion
-    stack = [iter([((), fam.initial_state())] if fam.contains(()) else [])]
-    while stack:
-        prefix, state = next(stack[-1], (None, None))
-        if prefix is None:
-            stack.pop()
-            continue
-        budget -= 1
-        if budget < 0:
-            raise BudgetExceeded("enumeration budget exhausted at bound %d" % bound)
-        if not maximal_only or is_maximal(fam, prefix):
-            out.append(prefix)
-        stack.append(children(prefix, state))
-    return out
+    def walk(budget):
+        # one iterator of children per level, so long members need no recursion
+        stack = [iter([((), fam.initial_state())] if fam.contains(()) else [])]
+        while stack:
+            prefix, state = next(stack[-1], (None, None))
+            if prefix is None:
+                stack.pop()
+                continue
+            budget -= 1
+            if budget < 0:
+                raise BudgetExceeded("enumeration budget exhausted at bound %d" % bound)
+            if not maximal_only or is_maximal(fam, prefix):
+                yield prefix
+            stack.append(children(prefix, state))
+
+    return walk(budget)
 
 
 def is_admissible(fam, blocks):
@@ -459,9 +457,7 @@ def is_admissible(fam, blocks):
     return fam.contains(tuple(b[0] for b in blocks))
 
 
-def residual(fam, prefix):
-    """The family {B : prefix < B, prefix u B in fam}."""
-    return Residual(fam, prefix)
+residual = Residual  # the family {B : prefix < B, prefix u B in fam}
 
 
 def check_structure(fam, bound, budget=2_000_000):
@@ -496,13 +492,7 @@ def check_structure(fam, bound, budget=2_000_000):
     return {"hereditary": hereditary, "spreading": spreading_ok, "compact_no_chain": no_chain}
 
 
-def cb_derivative(fam):
-    """The Cantor-Bendixson derivative of a right-stable hereditary family.
-
-    The j-th iterated derivative answers a set by one query to the first
-    base, a set j elements longer (see `Derived`).
-    """
-    return Derived(fam)
+cb_derivative = Derived  # the Cantor-Bendixson derivative of a right-stable family
 
 
 def cb_index_finite(fam, budget=32):

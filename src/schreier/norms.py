@@ -46,11 +46,13 @@ class NormParams:
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "c", c)
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, *args):
         raise AttributeError("NormParams is immutable")
 
-    def __delattr__(self, name):
-        raise AttributeError("NormParams is immutable")
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # copy and pickle rebuild through the checks
+        return (NormParams, (self.family, self.c))
 
     def __eq__(self, other):
         if type(other) is not NormParams:

@@ -59,11 +59,13 @@ class Ordinal:
                 raise OrdinalError("exponents must be strictly decreasing")
         _fill(self, terms)
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, *args):
         raise AttributeError("Ordinal is immutable")
 
-    def __delattr__(self, name):
-        raise AttributeError("Ordinal is immutable")
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # copy and pickle rebuild through the checks
+        return (Ordinal, (self.terms,))
 
     # -- comparison ---------------------------------------------------------
 

@@ -192,6 +192,7 @@ def min_set(bt):
     of some generator.  Either way the family has a right-stable gap, so
     enumeration stops at the gap; it need not be spreading, so `is_maximal`
     refuses it.  A bound is required to enumerate it but not to query it.
+    No answer is kept, so an enumeration holds only its current branch.
     """
     gens = bt.generators
     if bt.closure == "explicit":
@@ -249,9 +250,8 @@ def prop43_verify(alpha, witness, target, extension_pred, bound):
     extensions (x_(F u {n})) for n in (max F, bound] must satisfy
     `extension_pred`.  Returns (ok, first_violation_or_None).
     """
-    members = enumerate_family(FineSchreier(alpha), bound)  # lex order, from the empty set
     tails = {}  # the witnesses of each member's one-point extensions, in order
-    for f_set in members[1:]:
+    for f_set in filter(None, enumerate_family(FineSchreier(alpha), bound)):  # lex order
         if f_set not in witness:
             return (False, ("missing witness", f_set))
         # the prefixes of f_set are members listed before it, so witnessed

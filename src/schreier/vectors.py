@@ -45,8 +45,13 @@ class SparseVec:
         _set_entries(vec, entries)
         return vec
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, *args):
         raise AttributeError("SparseVec is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # copy and pickle rebuild through the checks
+        return (SparseVec, (self.entries,))
 
     @property
     def support(self):

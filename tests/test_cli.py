@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 import schreier
 from schreier import cache, norms
 from schreier.cli import SUITE_CHOICES, main
-from schreier.families import Schreier
+from schreier.families import Schreier, format_finset
 from schreier.functionals import norm_via_functionals
 from schreier.norms import NormParams, cert_from_json, verify_certificate
 from schreier.ordinals import ONE
@@ -62,6 +63,18 @@ def run_process(*args, timeout=60):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "schreier.cli", *args],
                           capture_output=True, text=True, env=env, timeout=timeout)
+
+
+def s1_members_in_lex_order(bound):
+    """S_1 = {A : |A| <= min A} within [1..bound], in lex order, by its
+    closed form: a prefix A extends only while |A| < min A."""
+    def walk(prefix):
+        yield prefix
+        if not prefix or len(prefix) < prefix[0]:
+            for n in range((prefix[-1] if prefix else 0) + 1, bound + 1):
+                yield from walk(prefix + (n,))
+
+    return walk(())
 
 
 # 400 levels of w^( used to overflow the parser's recursion
@@ -233,10 +246,14 @@ class TestBoundedFamilySearches:
         assert proc.stdout == "hereditary: yes\nspreading: yes\ncompact_no_chain: no\n"
 
     def test_enumerate_schreier_1_bound_20000(self):
+        # members print as the walk reaches them: stdout holds the 1000
+        # listed within the budget, first in lex order, before the error
         proc = run_process("family", "enumerate", "--schreier", "1", "--bound", "20000",
                            "--budget", "1000")
         assert proc.returncode == 3
         assert proc.stderr == "error: enumeration budget exhausted at bound 20000\n"
+        first = itertools.islice(s1_members_in_lex_order(20000), 1000)
+        assert proc.stdout == "".join(format_finset(a) + "\n" for a in first)
 
     def test_enumerate_members_longer_than_recursion_limit(self):
         proc = run_process("family", "enumerate", "--fine", "2000", "--bound", "3000",

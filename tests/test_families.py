@@ -4,6 +4,7 @@ import itertools
 import random
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -37,7 +38,7 @@ from schreier.families import (
     schreier_member,
 )
 from schreier.suites import random_block_tree
-from schreier.trees import min_set
+from schreier.trees import BlockTree, min_set
 
 
 def subsets(bound, max_size):
@@ -238,7 +239,7 @@ class TestHandles:
             Explicit([(i,) for i in range(1, EXPLICIT_CAP + 1)])
         # closures and closed dumps up to the cap still load
         assert len(Explicit([tuple(range(1, 17))]).members) == EXPLICIT_CAP
-        dump = enumerate_family(Explicit([tuple(range(1, 13))]), 12)
+        dump = list(enumerate_family(Explicit([tuple(range(1, 13))]), 12))
         assert Explicit(dump).members == frozenset(dump)
 
     def test_explicit_named_by_maximal_members(self):
@@ -246,7 +247,7 @@ class TestHandles:
         assert Explicit([row]).descriptor() == "explicit:" + format_finset(row)
         assert Explicit([]).descriptor() == Explicit([()]).descriptor() == "explicit:-"
         # row lists with one closure name one family
-        dump = enumerate_family(Explicit([(1, 2, 4), (3, 5)]), 6)
+        dump = list(enumerate_family(Explicit([(1, 2, 4), (3, 5)]), 6))
         for rows in ([(3, 5), (1, 2, 4), (2, 4), ()], dump):
             fam = Explicit(rows)
             assert fam.maximal == {(1, 2, 4), (3, 5)}
@@ -368,16 +369,16 @@ STRUCTURE_CASES = [
 
 class TestEnumerate:
     def test_fine_one(self):
-        got = enumerate_family(FineSchreier(ONE), 3)
+        got = list(enumerate_family(FineSchreier(ONE), 3))
         assert got == [(), (1,), (2,), (3,)]
 
     def test_maximal_only(self):
-        got = enumerate_family(Schreier(ONE), 2, maximal_only=True)
+        got = list(enumerate_family(Schreier(ONE), 2, maximal_only=True))
         assert got == [(1,)]
 
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
-            enumerate_family(Schreier(from_int(2)), 14, budget=10)
+            list(enumerate_family(Schreier(from_int(2)), 14, budget=10))
 
     def test_counts_match_closed_form(self):
         got = enumerate_family(FineSchreier(from_int(2)), 6)
@@ -402,11 +403,11 @@ EXPLICIT_CASES = [fam for fam, _ in STRUCTURE_CASES if isinstance(fam, Explicit)
 
 @pytest.mark.parametrize("fam", EXPLICIT_CASES, ids=case_id)
 def test_explicit_maximal_only_matches_a_superset_scan(fam):
-    members = enumerate_family(fam, 8)
+    members = list(enumerate_family(fam, 8))
     assert members == sorted(fam.members)
     maximal = [m for m in members
                if not any(len(o) > len(m) and set(m) <= set(o) for o in fam.members)]
-    assert enumerate_family(fam, 8, maximal_only=True) == maximal
+    assert list(enumerate_family(fam, 8, maximal_only=True)) == maximal
 
 
 class TestEnumerateEarlyStop:
@@ -421,7 +422,7 @@ class TestEnumerateEarlyStop:
     @pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.descriptor())
     def test_lists_match_the_full_scan(self, fam):
         for bound in (6, 10):
-            assert enumerate_family(fam, bound) == scan_members(fam, bound)
+            assert list(enumerate_family(fam, bound)) == scan_members(fam, bound)
 
     def test_stop_pinned_by_predicate_calls(self):
         s1 = Schreier(ONE)
@@ -433,7 +434,7 @@ class TestEnumerateEarlyStop:
 
         fam = Oracle(counted, "counted S1", right_stable_gap=1)
         with pytest.raises(BudgetExceeded):
-            enumerate_family(fam, 20000, budget=1000)
+            list(enumerate_family(fam, 20000, budget=1000))
         # without the stop, the first visit alone would ask 20000 questions
         assert len(calls) == 1999
 
@@ -441,10 +442,55 @@ class TestEnumerateEarlyStop:
         k = sys.getrecursionlimit() + 100
         segments = Oracle(lambda a: a == tuple(range(1, len(a) + 1)), "initial segments",
                           right_stable_gap=2)
-        assert enumerate_family(segments, k) == [tuple(range(1, j + 1)) for j in range(k + 1)]
+        assert (list(enumerate_family(segments, k))
+                == [tuple(range(1, j + 1)) for j in range(k + 1)])
         # the walk reaches depth k before the budget runs out
         with pytest.raises(BudgetExceeded):
-            enumerate_family(FineSchreier(from_int(k)), k + 5, budget=k + 1)
+            list(enumerate_family(FineSchreier(from_int(k)), k + 5, budget=k + 1))
+
+
+class TestEnumerateStreams:
+    """`enumerate_family` yields each member as the walk reaches it and holds
+    only the current branch."""
+
+    def test_arguments_checked_on_the_call(self):
+        with pytest.raises(FamilyError):
+            enumerate_family(Schreier(ONE), 0)
+        with pytest.raises(FamilyError):
+            enumerate_family(Schreier(ONE), 4, budget=-1)
+
+    def test_members_come_before_a_failing_query(self):
+        s1 = Schreier(ONE)
+        calls = itertools.count()
+
+        class Refused(Exception):
+            pass
+
+        def failing(a):
+            if next(calls) == 50:
+                raise Refused
+            return s1.contains(a)
+
+        got = []
+        with pytest.raises(Refused):
+            for a in enumerate_family(Oracle(failing, "S1 until query 50", right_stable_gap=1),
+                                      20):
+                got.append(a)
+        assert len(got) >= 10
+        assert got == list(itertools.islice(enumerate_family(s1, 20), len(got)))
+
+    def test_min_set_walk_holds_no_queries(self):
+        # 9,960 members from 78,002 queries; a per-query memo held them all
+        # (8.4 MB traced), the walk alone holds about 0.3 MB
+        fam = min_set(BlockTree([[(1,), (2, 3), (4, 5, 6)], [(2,), (5, 9)]]))
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in enumerate_family(fam, 40))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 9960
+        assert peak < 1 << 20
 
 
 class TestAdmissible:
@@ -492,7 +538,7 @@ class TestStructure:
 
     def test_non_hereditary_oracle(self):
         fam = not_hereditary_oracle()
-        assert enumerate_family(fam, 4) == [(), (1,), (1, 3), (2,)]
+        assert list(enumerate_family(fam, 4)) == [(), (1,), (1, 3), (2,)]
         assert check_structure(fam, 4) == {
             "hereditary": False, "spreading": False, "compact_no_chain": True}
 

@@ -1,6 +1,8 @@
+import copy
 import itertools
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -10,7 +12,9 @@ from fractions import Fraction
 import pytest
 
 from schreier import cache
-from schreier.ordinals import ONE, OMEGA, add, from_int, mul, omega_pow
+from schreier.ordinals import (
+    ONE, OMEGA, add, from_int, fundamental_seq, mul, omega_pow, parse_ordinal,
+)
 from schreier.families import Explicit, FineSchreier, Schreier
 from schreier.norms import (
     CertificateError,
@@ -73,6 +77,46 @@ class TestVectors:
         x = vec("1:1,2:1").add(vec("2:-1,3:2"))
         assert format_vec(x) == "1:1,3:2"
         assert format_vec(x.restrict([3])) == "3:2"
+
+    def test_immutable(self):
+        x = vec("1:1,2:1")
+        with pytest.raises(AttributeError):
+            x.entries = ()
+        with pytest.raises(AttributeError):
+            del x.entries
+        assert format_vec(x) == "1:1,2:1"
+
+
+class TestCopyAndPickle:
+    """Values copy and pickle through their checking constructors: the
+    default restore of slot state would write through their refusing
+    `__setattr__`."""
+
+    ROUND_TRIPS = [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))]
+
+    @pytest.mark.parametrize("make", [
+        lambda: parse_ordinal("w^(w+1)*3+w*2+5"),
+        lambda: add(OMEGA, parse_ordinal("w^(w)")),
+        lambda: fundamental_seq(parse_ordinal("w^(w*2)"), 3),
+        lambda: Schreier(parse_ordinal("w+1")),
+        lambda: FineSchreier(parse_ordinal("w^(w)+w")),
+        lambda: NormParams(Schreier(from_int(2)), Fraction(1, 3)),
+        lambda: vec("3:1,4:-2/3,9:5"),
+    ])
+    @pytest.mark.parametrize("round_trip", ROUND_TRIPS, ids=["copy", "deepcopy", "pickle"])
+    def test_values_keep_equality_and_hash(self, make, round_trip):
+        value = make()
+        again = round_trip(value)
+        assert type(again) is type(value)
+        assert again == value and hash(again) == hash(value)
+
+    @pytest.mark.parametrize("round_trip", ROUND_TRIPS, ids=["copy", "deepcopy", "pickle"])
+    def test_certificate(self, round_trip):
+        x = vec("3:1,4:1,5:1,9:-1/2")
+        value, cert = norm(S1, x)
+        again = round_trip(cert)
+        assert again.to_json() == cert.to_json()
+        assert verify_certificate(S1, x, again) == value
 
 
 class TestNormValues:
