@@ -10,6 +10,7 @@ loads only the modules it uses.
 
 import argparse
 import json
+import os
 import sys
 
 from . import SchreierError
@@ -30,12 +31,18 @@ def main(args=None, prog_name=None):
 
     Runs one command and always ends in SystemExit with the exit status.
     The error boundary: library errors print one `error:` line and exit 2,
-    an exhausted budget exits 3.
+    an exhausted budget exits 3.  A reader that closes stdout early (`| head`)
+    ends the command quietly with exit 0: stdout is pointed at the null
+    device, so the interpreter's final flush has nowhere left to fail.
     """
     argv = sys.argv[1:] if args is None else list(args)
     parsed = _parser(prog_name or "schreier", argv).parse_args(argv)
     try:
         code = parsed.run(parsed)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(0)
     except SchreierError as exc:
         _fail(exc, exc.exit_code)
     except json.JSONDecodeError as exc:

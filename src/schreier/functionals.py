@@ -42,20 +42,32 @@ fraction-free simplex master over the columns found so far, extended by the
 functional its duals rate highest.  Master and step table are built once
 per gauge, the master only once the first round finds a column, and the
 master resumes from its last basis after each column; the loop runs on
-integers and makes only the final value a Fraction.
+integers and makes only the final value a Fraction.  The first round
+prices unit duals, so its DP run depends only on (family, c, depth, bound):
+for fine Schreier and explicit families it is kept in a table of at most
+ROUND_ONE_CACHE_CAP entries, keyed with the family's spreading flag, that
+drops its older half when full.  A hit charges the nodes of the run it
+keeps against the gauge's budget, as a fresh run would.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from math import lcm
 
 from . import simplex
-from .families import BudgetExceeded
+from .families import BudgetExceeded, Explicit, FineSchreier, Schreier
 from .norms import NormError
 from .vectors import SparseVec
+
+ROUND_ONE_CACHE_CAP = 64  # most entries `_round_one_cache` holds; the older half goes at the cap
+# (value, tree, nodes) of completed pricing runs on unit dual numerators,
+# by (family, spreading, c, depth, bound); see `_price_column`
+_round_one_cache = {}
+# the handles that are equal exactly when their families are
+_SAME_FAMILY_TYPES = (FineSchreier, Schreier, Explicit)
 
 
 def _depth_cap(depth, size):
@@ -325,12 +337,38 @@ def _price_column(params, duals, det, depth, budget, steps=None):
     scaled by S = det q^depth, so the price exceeds 1 exactly when the
     value exceeds S.  A leaf at depth d of the maximiser's tree has the
     coefficient +-c^d, the integer +-p^d q^(depth - d) in the column.
-    `steps` is the gauge's `_Steps`, shared by its rounds."""
+    `steps` is the gauge's `_Steps`, shared by its rounds.
+
+    Unit numerators (every duals[i - 1] = +-1: the first round of every
+    gauge, and any later round whose numerators come out so) give every
+    leaf the value q^depth, so the DP's result depends only on (family, c,
+    depth, len(duals)).  For fine Schreier and explicit families, whose
+    handles are equal exactly when the families are, a completed run is
+    kept in `_round_one_cache` under that key and the family's `spreading`
+    flag, which decides how the DP scans.  A hit charges the stored nodes and
+    raises the BudgetExceeded a fresh run would raise when they pass
+    `budget`; the column takes its signs from the duals on every call.
+    Oracle, residual and derived families are priced afresh every time: an
+    oracle's handle is equal to any other of its name."""
     c = params.c
     p, q = c.numerator, c.denominator
     lift = q ** depth
+    fam = params.family
     leaves = {i: abs(y) * lift for i, y in enumerate(duals, 1) if y}
-    value, tree, nodes = _signature_dp(params.family, c, leaves, depth, budget, steps)
+    key = None
+    if type(fam) in _SAME_FAMILY_TYPES and set(map(abs, duals)) == {1}:
+        key = (fam, fam.spreading, c, depth, len(duals))
+    known = _round_one_cache.get(key)
+    if known is None:
+        known = _signature_dp(fam, c, leaves, depth, budget, steps)
+        if key is not None:
+            if len(_round_one_cache) >= ROUND_ONE_CACHE_CAP:
+                for old in list(islice(_round_one_cache, (len(_round_one_cache) + 1) // 2)):
+                    del _round_one_cache[old]
+            _round_one_cache[key] = known
+    elif known[2] > budget:
+        raise BudgetExceeded("signature DP ran past %d nodes" % budget)
+    value, tree, nodes = known
     if value <= det * lift:
         return None, lift, nodes
     column = [0] * len(duals)
@@ -365,20 +403,26 @@ def dual_norm(params, g, bound, depth, functionals=None, budget=100_000):
 
     The loop runs on integers: `_price_column` reads the master's dual
     numerators and returns the maximiser as an integer column with its cost.
+    Its first round depends only on (family, c, depth, bound), so for fine
+    Schreier and explicit families a later gauge with the same parameters
+    reads it from a table (see `_price_column`) and still counts its nodes.
 
     The pricing DP merges chains by residual state, so its nodes grow
     polynomially with `bound` (S_1, depth 2: 1,310 nodes for all-equal
     leaves on [1..14], 30,006 on [1..30]); `budget` caps its nodes over the
     whole call, and BudgetExceeded reports the round it stopped in.  At
     depth 2, g_i = (-1)^i (i mod 5 + 1) / (i mod 3 + 1) on [1..14] takes 43
-    rounds and about 0.06 s; on [1..20], 97 rounds, about 527,000 nodes
-    (past the default budget) and 0.85 s.  Below w^w the default budget is
-    spent in the first round in about 0.16 s at bound 800, 0.23 s at bound
-    1,500 and 0.32 s at bound 3,000, all of it pricing: the master, which
+    rounds and about 0.03 s; on [1..20], 97 rounds, about 527,000 nodes
+    (past the default budget) and 0.36 s.  Below w^w the default budget is
+    spent in the first round in about 0.04 s at bound 800, 0.08 s at bound
+    1,500 and 0.12 s at bound 3,000, all of it pricing: the master, which
     holds B^-1 (bound x bound integers), is not built in a round that runs
     out.  A bound past the budget raises before any list of length `bound`
     is made where the first round admits every minimum.  S_w spends the
-    budget in about 5 s at bound 50.
+    budget in about 2 s at bound 50.  (Single calls with an empty first-
+    round table, on a shared 2-vCPU machine with Python 3.11.7; a warm
+    table saves one DP run of the 43 or 97, and nothing where the first
+    round runs out, as only a completed run is kept.)
 
     `functionals` is accepted for compatibility and unused.
     """

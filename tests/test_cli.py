@@ -56,13 +56,18 @@ def run(*args):
                            stderr=err.getvalue(), exception=exception)
 
 
-def run_process(*args, timeout=60):
-    """Run the CLI as `python -m schreier.cli` in a fresh interpreter."""
+def process_env():
+    """The environment of a fresh interpreter that imports this schreier."""
     src = os.path.dirname(os.path.dirname(schreier.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_process(*args, timeout=60):
+    """Run the CLI as `python -m schreier.cli` in a fresh interpreter."""
     return subprocess.run([sys.executable, "-m", "schreier.cli", *args],
-                          capture_output=True, text=True, env=env, timeout=timeout)
+                          capture_output=True, text=True, env=process_env(), timeout=timeout)
 
 
 def s1_members_in_lex_order(bound):
@@ -151,6 +156,20 @@ class TestFamily:
         result = run("family", "enumerate", "--schreier", "2", "--bound", "14",
                      "--budget", "10")
         assert result.exit_code == 3
+
+    def test_enumerate_into_a_closed_pipe(self):
+        # 275,637 bytes of members, past any pipe buffer: the writes after
+        # the reader closes its end fail, and the command ends quietly
+        proc = subprocess.Popen([sys.executable, "-m", "schreier.cli", "family", "enumerate",
+                                 "--schreier", "1", "--bound", "20"], stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True, env=process_env())
+        assert proc.stdout.readline() == "-\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert stderr == ""
+        assert "Traceback" not in stderr
 
     def test_admissible(self):
         result = run("family", "admissible", "--schreier", "1", "--blocks", "2,3;5,9")
@@ -599,11 +618,8 @@ except SystemExit as exc:
 
 
 def _cold_modules(*args):
-    src = os.path.dirname(os.path.dirname(schreier.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", _COLD_CALL, json.dumps(args)],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=process_env(), timeout=60)
     code, modules = json.loads(proc.stdout.splitlines()[-1])
     assert code in (None, 0), proc.stderr
     return set(modules)

@@ -10,7 +10,8 @@ import pytest
 
 from schreier import functionals, simplex
 from schreier.ordinals import ONE, OMEGA, from_int
-from schreier.families import BudgetExceeded, Explicit, FineSchreier, Schreier
+from schreier.families import (BudgetExceeded, Explicit, FineSchreier, Oracle, Schreier,
+                               schreier_member)
 from schreier.functionals import (_best_functional, _price_column, _signature_dp,
                                   dual_norm, norm_via_functionals, norming_set)
 from schreier.norms import NormParams, NormError, norm
@@ -909,6 +910,162 @@ class TestDualNormBudget:
         assert dual_norm(S1, g, 4, 1) == Fraction(7, 2)
         with pytest.raises(AssertionError, match="master was built"):
             dual_norm(S1, g, 5, 1)
+
+
+@pytest.fixture
+def round_one_cache(monkeypatch):
+    """An empty `functionals._round_one_cache` for the test, the module's
+    own restored afterwards."""
+    monkeypatch.setattr(functionals, "_round_one_cache", {})
+    return functionals._round_one_cache
+
+
+@pytest.fixture
+def price_log(monkeypatch):
+    """(column, nodes) of every `_price_column` call."""
+    log = []
+    price = functionals._price_column
+
+    def recording(params, duals, det, depth, budget, steps=None):
+        result = price(params, duals, det, depth, budget, steps)
+        log.append((result[0], result[2]))
+        return result
+
+    monkeypatch.setattr(functionals, "_price_column", recording)
+    return log
+
+
+@pytest.fixture
+def dp_runs(monkeypatch):
+    """One entry per `_signature_dp` run."""
+    runs = []
+    dp = functionals._signature_dp
+
+    def counting(*args):
+        runs.append(None)
+        return dp(*args)
+
+    monkeypatch.setattr(functionals, "_signature_dp", counting)
+    return runs
+
+
+def _targets(seed, bound, count):
+    rng = random.Random(seed)
+    return [SparseVec([(i, Fraction(rng.choice([-5, -2, -1, 1, 3]), rng.choice([1, 2, 3])))
+                       for i in sorted(rng.sample(range(1, bound + 1), rng.randint(1, bound)))])
+            for _ in range(count)]
+
+
+class TestRoundOneCache:
+    """Round 1 prices unit duals, so its DP run is kept per (family,
+    spreading, c, depth, bound): a warm cache changes no value, column or
+    node count, and no family is answered for another."""
+
+    @pytest.mark.parametrize("family", [
+        Schreier(ONE), Schreier(from_int(2)), FineSchreier(from_int(5)), FineSchreier(OMEGA),
+        TestNormingSet.NON_SPREADING,
+    ], ids=["S1", "S2", "F5", "Fw", "explicit"])
+    @pytest.mark.parametrize("c, bound, depth", [(Fraction(1, 2), 6, 3),
+                                                 (Fraction(2, 3), 8, 2)])
+    def test_cold_and_warm_agree(self, round_one_cache, price_log, dp_runs, family, c,
+                                 bound, depth):
+        params = NormParams(family, c)
+
+        def gauge(g):
+            price_log.clear()
+            dp_runs.clear()
+            return dual_norm(params, g, bound, depth), list(price_log), len(dp_runs)
+
+        targets = _targets(family.descriptor(), bound, 4)
+        cold = []
+        for g in targets:
+            round_one_cache.clear()
+            cold.append(gauge(g))
+        for g, (value, log, runs) in zip(targets, cold):
+            assert runs == len(log)
+            assert gauge(g) == (value, log, runs - 1)
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("target", ["1:1", "2:3,5:-1/2", "1:1,3:-5/3,4:1/2,6:4"])
+    def test_budget_one_node_short(self, round_one_cache, price_log, warm, target):
+        g = parse_vec(target)
+        value = dual_norm(S1, g, 6, 3)
+        used = [nodes for _, nodes in price_log]
+        message = ("round %d: %d signature-DP nodes used, %d of them in the earlier rounds")
+        for budget, rounds in ((used[0] - 1, 1), (sum(used) - 1, len(used))):
+            if not warm:
+                round_one_cache.clear()
+            with pytest.raises(BudgetExceeded) as short:
+                dual_norm(S1, g, 6, 3, budget=budget)
+            assert message % (rounds, budget, sum(used[:rounds - 1])) in str(short.value)
+        if not warm:
+            round_one_cache.clear()
+        assert dual_norm(S1, g, 6, 3, budget=sum(used)) == value
+
+    @pytest.mark.parametrize("duals, det", [
+        ([1, -1, 1, 1, -1, 1, 1], 1), ([1, -1, 1, 1, -1, 1, 1], 2), ([1, -1, 1, 1, -1, 1, 1], 3),
+        ([1, -1, 0, 1, -1, 1, 1], 1), ([1, 0, 0, 0, 0, 0, 1], 1), ([2, -2, 2, 2, -2, 2, 2], 3),
+    ])
+    def test_only_unit_numerators_are_kept(self, round_one_cache, duals, det):
+        # with the unit numerators of the same length kept, a zero dual is
+        # still a leaf the DP leaves out, and det still scales the price
+        x = SparseVec([(i, Fraction(y, det)) for i, y in enumerate(duals, 1) if y])
+        price = best_functional_oracle(S1, x, 3)[0]
+        _price_column(S1, [1] * len(duals), 1, 3, float("inf"))
+        column, cost, _ = _price_column(S1, duals, det, 3, float("inf"))
+        if price <= 1:
+            assert column is None
+        else:
+            assert sum(Fraction(a * y, cost * det) for a, y in zip(column, duals)) == price
+
+    def test_unvouched_priced_in_full(self, round_one_cache, dp_runs):
+        # S_1 taken for a family the gauge cannot vouch for, after the
+        # vouched S_1 has warmed the cache at the same parameters: its
+        # first round runs the DP and is kept under a key of its own
+        g = parse_vec("1:1,4:-2")
+        want = dual_norm(S1, g, 12, 1)
+        unvouched = NormParams(Schreier(ONE), S1.c)
+        unvouched.family.spreading = False
+        fresh = len(dp_runs)
+        assert dual_norm(unvouched, g, 12, 1) == want
+        assert list(round_one_cache) == [(S1.family, True, S1.c, 1, 12),
+                                         (S1.family, False, S1.c, 1, 12)]
+        assert len(dp_runs) > fresh
+
+    def test_oracles_sharing_a_name(self, round_one_cache):
+        # oracle handles compare by name, so they are never keys
+        s1 = Oracle(lambda a: schreier_member(ONE, a), "same")
+        singletons = Oracle(lambda a: len(a) <= 1, "same")
+        assert s1 == singletons
+        g = parse_vec("1:1,2:1,3:1,4:1,5:1,6:1")
+        want = dual_norm(S1, g, 6, 3)
+        assert want < 6
+        for fam, value in ((s1, want), (singletons, 6), (s1, want)):
+            assert dual_norm(NormParams(fam, S1.c), g, 6, 3) == value
+        assert list(round_one_cache) == [(S1.family, True, S1.c, 3, 6)]
+
+    def test_bounded_table(self, round_one_cache, monkeypatch):
+        keys = [(Schreier(ONE), Fraction(1, 2), 6, 3), (Schreier(ONE), Fraction(2, 3), 6, 3),
+                (Schreier(from_int(2)), Fraction(1, 2), 7, 2),
+                (FineSchreier(OMEGA), Fraction(1, 2), 5, 2),
+                (TestNormingSet.NON_SPREADING, Fraction(2, 3), 6, 3)]
+        rng = random.Random(9)
+        calls = [(NormParams(fam, c), g, bound, depth)
+                 for fam, c, bound, depth in keys * 3 for g in _targets(rng.random(), bound, 2)]
+        rng.shuffle(calls)
+        want = [dual_norm(*call) for call in calls]
+        assert len(round_one_cache) == len(keys)
+        round_one_cache.clear()
+        monkeypatch.setattr(functionals, "ROUND_ONE_CACHE_CAP", 2)
+        for call, value in zip(calls, want):
+            assert dual_norm(*call) == value
+            assert len(round_one_cache) <= 2
+
+    def test_one_run_per_shared_first_round(self, round_one_cache, price_log, dp_runs):
+        # 6 gauges at (S_1, 1/2, 6, 3): round 1's DP runs once
+        for g in _targets(6, 6, 6):
+            dual_norm(S1, g, 6, 3)
+        assert len(dp_runs) == len(price_log) - 5
 
 
 def _counting_steps():
