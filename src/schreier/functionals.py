@@ -42,12 +42,15 @@ fraction-free simplex master over the columns found so far, extended by the
 functional its duals rate highest.  Master and step table are built once
 per gauge, the master only once the first round finds a column, and the
 master resumes from its last basis after each column; the loop runs on
-integers and makes only the final value a Fraction.  The first round
-prices unit duals, so its DP run depends only on (family, c, depth, bound):
-for fine Schreier and explicit families it is kept in a table of at most
-ROUND_ONE_CACHE_CAP entries, keyed with the family's spreading flag, that
-drops its older half when full.  A hit charges the nodes of the run it
-keeps against the gauge's budget, as a fresh run would.
+integers and makes only the final value a Fraction.  The pricing DP is
+positively homogeneous in its leaves: duals k times as large give the same
+nodes and tree and k times the value.  So for fine Schreier and explicit
+families a completed run is kept in `_pricing_memo`, by the family, its
+spreading flag, c, depth and the leaves divided by the gcd of the dual
+numerators; gauges and rounds whose duals agree up to scale and sign share
+it.  The memo holds at most PRICING_MEMO_CAP entries and drops its older
+half when full, and a hit charges the nodes of the run it keeps against
+the gauge's budget, as a fresh run would.
 """
 
 from __future__ import annotations
@@ -55,17 +58,18 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import islice, product
-from math import lcm
+from math import gcd, lcm
 
 from . import simplex
 from .families import BudgetExceeded, Explicit, FineSchreier, Schreier
 from .norms import NormError
 from .vectors import SparseVec
 
-ROUND_ONE_CACHE_CAP = 64  # most entries `_round_one_cache` holds; the older half goes at the cap
-# (value, tree, nodes) of completed pricing runs on unit dual numerators,
-# by (family, spreading, c, depth, bound); see `_price_column`
-_round_one_cache = {}
+PRICING_MEMO_CAP = 64  # most entries `_pricing_memo` holds; the older half goes at the cap
+# (value, tree, nodes) of completed pricing runs on leaves normalised by the
+# gcd of the dual numerators, by (family, spreading, c, depth, the
+# normalised (index, leaf) pairs); see `_price_column`
+_pricing_memo = {}
 # the handles that are equal exactly when their families are
 _SAME_FAMILY_TYPES = (FineSchreier, Schreier, Explicit)
 
@@ -333,43 +337,52 @@ def _price_column(params, duals, det, depth, budget, steps=None):
     (c = p/q), or None for the column when <f, y> <= 1; and the DP nodes
     visited.
 
-    The leaves of the signature DP are |duals[i - 1]| q^depth, the |y_i|
-    scaled by S = det q^depth, so the price exceeds 1 exactly when the
-    value exceeds S.  A leaf at depth d of the maximiser's tree has the
-    coefficient +-c^d, the integer +-p^d q^(depth - d) in the column.
-    `steps` is the gauge's `_Steps`, shared by its rounds.
+    The |y_i| scaled by S = det q^depth are |duals[i - 1]| q^depth, so the
+    price exceeds 1 exactly when the DP's value on those leaves exceeds S.
+    A leaf at depth d of the maximiser's tree has the coefficient +-c^d,
+    the integer +-p^d q^(depth - d) in the column.  `steps` is the gauge's
+    `_Steps`, shared by its rounds.
 
-    Unit numerators (every duals[i - 1] = +-1: the first round of every
-    gauge, and any later round whose numerators come out so) give every
-    leaf the value q^depth, so the DP's result depends only on (family, c,
-    depth, len(duals)).  For fine Schreier and explicit families, whose
-    handles are equal exactly when the families are, a completed run is
-    kept in `_round_one_cache` under that key and the family's `spreading`
-    flag, which decides how the DP scans.  A hit charges the stored nodes and
-    raises the BudgetExceeded a fresh run would raise when they pass
-    `budget`; the column takes its signs from the duals on every call.
-    Oracle, residual and derived families are priced afresh every time: an
-    oracle's handle is equal to any other of its name."""
+    The DP is positively homogeneous in its leaves: leaves k times as large
+    (k > 0) visit the same nodes, tie the same way, find the same tree and
+    give k times the value, as every step is a sum, a comparison or a
+    multiplication by c.  So the DP runs on those leaves divided by the gcd
+    g of the numerators, |duals[i - 1]| / g q^depth over the nonzero duals,
+    and the price is their value times g against S.  For fine Schreier and
+    explicit families, whose handles are equal exactly when the families
+    are, a completed run is kept in `_pricing_memo`, keyed by (family,
+    spreading flag, c, depth, the normalised (index, leaf) pairs): the
+    flag decides how the DP scans, and the DP reads nothing else, not the
+    gauge's bound or its `_Steps` numbering.  So a round of any gauge whose
+    duals agree with a kept run's up to scale and sign reads it, exactly.
+    A hit charges the stored nodes and raises the BudgetExceeded a fresh run
+    would raise when they pass `budget`; a run that runs out is not kept.
+    At PRICING_MEMO_CAP entries the older half goes.  The column takes its
+    signs from the duals on every call.  Oracle, residual and derived
+    families are priced afresh every time (an oracle's handle is equal to
+    any other of its name), as are all-zero duals, which `dual_norm` never
+    prices."""
     c = params.c
     p, q = c.numerator, c.denominator
     lift = q ** depth
     fam = params.family
-    leaves = {i: abs(y) * lift for i, y in enumerate(duals, 1) if y}
+    g = gcd(*duals) or 1
+    leaves = {i: abs(y) // g * lift for i, y in enumerate(duals, 1) if y}
     key = None
-    if type(fam) in _SAME_FAMILY_TYPES and set(map(abs, duals)) == {1}:
-        key = (fam, fam.spreading, c, depth, len(duals))
-    known = _round_one_cache.get(key)
+    if type(fam) in _SAME_FAMILY_TYPES and leaves:
+        key = (fam, fam.spreading, c, depth, tuple(leaves.items()))
+    known = _pricing_memo.get(key)
     if known is None:
         known = _signature_dp(fam, c, leaves, depth, budget, steps)
         if key is not None:
-            if len(_round_one_cache) >= ROUND_ONE_CACHE_CAP:
-                for old in list(islice(_round_one_cache, (len(_round_one_cache) + 1) // 2)):
-                    del _round_one_cache[old]
-            _round_one_cache[key] = known
+            if len(_pricing_memo) >= PRICING_MEMO_CAP:
+                for old in list(islice(_pricing_memo, (len(_pricing_memo) + 1) // 2)):
+                    del _pricing_memo[old]
+            _pricing_memo[key] = known
     elif known[2] > budget:
         raise BudgetExceeded("signature DP ran past %d nodes" % budget)
     value, tree, nodes = known
-    if value <= det * lift:
+    if value * g <= det * lift:
         return None, lift, nodes
     column = [0] * len(duals)
     for i, d in _leaves(tree):
@@ -403,9 +416,12 @@ def dual_norm(params, g, bound, depth, functionals=None, budget=100_000):
 
     The loop runs on integers: `_price_column` reads the master's dual
     numerators and returns the maximiser as an integer column with its cost.
-    Its first round depends only on (family, c, depth, bound), so for fine
-    Schreier and explicit families a later gauge with the same parameters
-    reads it from a table (see `_price_column`) and still counts its nodes.
+    For fine Schreier and explicit families a round whose duals agree up to
+    scale and sign with a run in the pricing memo, of this gauge or an
+    earlier one, reads that run (see `_price_column`) and still counts its
+    nodes.  A first round prices units on [1..bound], so it repeats whenever
+    an earlier gauge had the same family, c, depth and bound; on small
+    bounds most later rounds repeat too.
 
     The pricing DP merges chains by residual state, so its nodes grow
     polynomially with `bound` (S_1, depth 2: 1,310 nodes for all-equal
@@ -413,16 +429,18 @@ def dual_norm(params, g, bound, depth, functionals=None, budget=100_000):
     whole call, and BudgetExceeded reports the round it stopped in.  At
     depth 2, g_i = (-1)^i (i mod 5 + 1) / (i mod 3 + 1) on [1..14] takes 43
     rounds and about 0.03 s; on [1..20], 97 rounds, about 527,000 nodes
-    (past the default budget) and 0.36 s.  Below w^w the default budget is
+    (past the default budget) and 0.34 s.  Below w^w the default budget is
     spent in the first round in about 0.04 s at bound 800, 0.08 s at bound
     1,500 and 0.12 s at bound 3,000, all of it pricing: the master, which
     holds B^-1 (bound x bound integers), is not built in a round that runs
     out.  A bound past the budget raises before any list of length `bound`
     is made where the first round admits every minimum.  S_w spends the
-    budget in about 2 s at bound 50.  (Single calls with an empty first-
-    round table, on a shared 2-vCPU machine with Python 3.11.7; a warm
-    table saves one DP run of the 43 or 97, and nothing where the first
-    round runs out, as only a completed run is kept.)
+    budget in about 2 s at bound 50.  (Single calls with an empty pricing
+    memo, on a shared 2-vCPU machine with Python 3.11.7.  The 43 rounds
+    price 42 dual patterns, so the same gauge again runs no DP and takes
+    about 0.005 s; the 97 price 90, more than the memo holds, so a warm
+    memo saves nothing there, nor where the first round runs out, as only
+    a completed run is kept.)
 
     `functionals` is accepted for compatibility and unused.
     """

@@ -4,7 +4,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 
@@ -843,6 +843,19 @@ class TestDualNormBudget:
         assert dual_norm(S1, g, 14, 2) == Fraction(168, 13)
         assert len(rounds) == 43
 
+    def test_dense_target_at_bound_20(self, pricing_memo, price_log, dp_runs):
+        # the bound-20 target of the `dual_norm` docstring, past the default
+        # budget, by its value, rounds and nodes, from a cold pricing memo
+        # and again warm; its 90 dual patterns are more than the memo holds
+        g = SparseVec([(i, Fraction((-1) ** i * (i % 5 + 1), i % 3 + 1)) for i in range(1, 21)])
+        for memo in ("cold", "warm"):
+            price_log.clear()
+            dp_runs.clear()
+            assert dual_norm(S1, g, 20, 2, budget=10 ** 6) == Fraction(69, 5)
+            assert len(price_log) == 97
+            assert sum(nodes for _, _, nodes in price_log) == 527_157
+            assert len(dp_runs) == len(_patterns(price_log)) == 90
+
     @staticmethod
     def _no_master(monkeypatch):
         def fail(*args):
@@ -913,22 +926,22 @@ class TestDualNormBudget:
 
 
 @pytest.fixture
-def round_one_cache(monkeypatch):
-    """An empty `functionals._round_one_cache` for the test, the module's
-    own restored afterwards."""
-    monkeypatch.setattr(functionals, "_round_one_cache", {})
-    return functionals._round_one_cache
+def pricing_memo(monkeypatch):
+    """An empty `functionals._pricing_memo` for the test, the module's own
+    restored afterwards."""
+    monkeypatch.setattr(functionals, "_pricing_memo", {})
+    return functionals._pricing_memo
 
 
 @pytest.fixture
 def price_log(monkeypatch):
-    """(column, nodes) of every `_price_column` call."""
+    """(duals, column, nodes) of every `_price_column` call."""
     log = []
     price = functionals._price_column
 
     def recording(params, duals, det, depth, budget, steps=None):
         result = price(params, duals, det, depth, budget, steps)
-        log.append((result[0], result[2]))
+        log.append((tuple(duals), result[0], result[2]))
         return result
 
     monkeypatch.setattr(functionals, "_price_column", recording)
@@ -956,10 +969,34 @@ def _targets(seed, bound, count):
             for _ in range(count)]
 
 
+def _patterns(log):
+    """The distinct dual patterns up to scale and sign of logged pricing
+    calls: the (index, |y| / gcd) pairs of the nonzero numerators y."""
+    out = set()
+    for duals, _, _ in log:
+        g = gcd(*duals)
+        out.add(tuple((i, abs(y) // g) for i, y in enumerate(duals, 1) if y))
+    return out
+
+
+def _check_price(params, duals, det, depth, column, cost):
+    """The priced column against the Fraction oracle: None where the best
+    functional pairs with y = duals / det to at most 1, else a column
+    column / cost attaining the oracle's maximum."""
+    x = SparseVec([(i, Fraction(y, det)) for i, y in enumerate(duals, 1) if y])
+    price = best_functional_oracle(params, x, depth)[0]
+    if price <= 1:
+        assert column is None
+    else:
+        assert sum(Fraction(a * y, cost * det) for a, y in zip(column, duals)) == price
+
+
 class TestRoundOneCache:
-    """Round 1 prices unit duals, so its DP run is kept per (family,
-    spreading, c, depth, bound): a warm cache changes no value, column or
-    node count, and no family is answered for another."""
+    """The pricing memo, which grew from a table of round 1's unit duals:
+    a run is kept per (family, spreading, c, depth, dual pattern up to
+    scale and sign), so a warm memo changes no value, column or node count,
+    runs the DP once per pattern it does not hold, and answers no family
+    for another."""
 
     @pytest.mark.parametrize("family", [
         Schreier(ONE), Schreier(from_int(2)), FineSchreier(from_int(5)), FineSchreier(OMEGA),
@@ -967,7 +1004,7 @@ class TestRoundOneCache:
     ], ids=["S1", "S2", "F5", "Fw", "explicit"])
     @pytest.mark.parametrize("c, bound, depth", [(Fraction(1, 2), 6, 3),
                                                  (Fraction(2, 3), 8, 2)])
-    def test_cold_and_warm_agree(self, round_one_cache, price_log, dp_runs, family, c,
+    def test_cold_and_warm_agree(self, pricing_memo, price_log, dp_runs, family, c,
                                  bound, depth):
         params = NormParams(family, c)
 
@@ -979,60 +1016,73 @@ class TestRoundOneCache:
         targets = _targets(family.descriptor(), bound, 4)
         cold = []
         for g in targets:
-            round_one_cache.clear()
-            cold.append(gauge(g))
-        for g, (value, log, runs) in zip(targets, cold):
-            assert runs == len(log)
-            assert gauge(g) == (value, log, runs - 1)
+            pricing_memo.clear()
+            value, log, runs = gauge(g)
+            assert runs == len(_patterns(log))
+            # the same gauge at once finds every pattern in the memo
+            assert gauge(g) == (value, log, 0)
+            cold.append((value, log))
+        # one memo over the targets, which evicts nothing here: a gauge runs
+        # the DP once per pattern that no earlier gauge priced
+        assert len(set().union(*(_patterns(log) for _, log in cold))) < functionals.PRICING_MEMO_CAP
+        pricing_memo.clear()
+        seen = set()
+        for g, (value, log) in zip(targets, cold):
+            assert gauge(g) == (value, log, len(_patterns(log) - seen))
+            seen |= _patterns(log)
 
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
     @pytest.mark.parametrize("target", ["1:1", "2:3,5:-1/2", "1:1,3:-5/3,4:1/2,6:4"])
-    def test_budget_one_node_short(self, round_one_cache, price_log, warm, target):
+    def test_budget_one_node_short(self, pricing_memo, price_log, warm, target):
         g = parse_vec(target)
         value = dual_norm(S1, g, 6, 3)
-        used = [nodes for _, nodes in price_log]
+        used = [nodes for _, _, nodes in price_log]
         message = ("round %d: %d signature-DP nodes used, %d of them in the earlier rounds")
         for budget, rounds in ((used[0] - 1, 1), (sum(used) - 1, len(used))):
             if not warm:
-                round_one_cache.clear()
+                pricing_memo.clear()
             with pytest.raises(BudgetExceeded) as short:
                 dual_norm(S1, g, 6, 3, budget=budget)
             assert message % (rounds, budget, sum(used[:rounds - 1])) in str(short.value)
         if not warm:
-            round_one_cache.clear()
+            pricing_memo.clear()
         assert dual_norm(S1, g, 6, 3, budget=sum(used)) == value
 
     @pytest.mark.parametrize("duals, det", [
         ([1, -1, 1, 1, -1, 1, 1], 1), ([1, -1, 1, 1, -1, 1, 1], 2), ([1, -1, 1, 1, -1, 1, 1], 3),
         ([1, -1, 0, 1, -1, 1, 1], 1), ([1, 0, 0, 0, 0, 0, 1], 1), ([2, -2, 2, 2, -2, 2, 2], 3),
     ])
-    def test_only_unit_numerators_are_kept(self, round_one_cache, duals, det):
-        # with the unit numerators of the same length kept, a zero dual is
-        # still a leaf the DP leaves out, and det still scales the price
-        x = SparseVec([(i, Fraction(y, det)) for i, y in enumerate(duals, 1) if y])
-        price = best_functional_oracle(S1, x, 3)[0]
-        _price_column(S1, [1] * len(duals), 1, 3, float("inf"))
-        column, cost, _ = _price_column(S1, duals, det, 3, float("inf"))
-        if price <= 1:
-            assert column is None
-        else:
-            assert sum(Fraction(a * y, cost * det) for a, y in zip(column, duals)) == price
+    def test_only_unit_numerators_are_kept(self, pricing_memo, dp_runs, duals, det):
+        # numerators equal up to scale and sign on their support are kept
+        # as unit numerators, leaves q^depth, a zero dual left out; the
+        # unit duals on that support and the duals again read that run,
+        # and det still scales the price
+        units = [(y > 0) - (y < 0) for y in duals]
+        for ys in (duals, units, duals):
+            column, cost, _ = _price_column(S1, ys, det, 3, float("inf"))
+            _check_price(S1, ys, det, 3, column, cost)
+        leaves = tuple((i, 8) for i, y in enumerate(duals, 1) if y)
+        assert list(pricing_memo) == [(S1.family, True, S1.c, 3, leaves)]
+        assert len(dp_runs) == 1
 
-    def test_unvouched_priced_in_full(self, round_one_cache, dp_runs):
+    def test_unvouched_priced_in_full(self, pricing_memo, price_log, dp_runs):
         # S_1 taken for a family the gauge cannot vouch for, after the
-        # vouched S_1 has warmed the cache at the same parameters: its
-        # first round runs the DP and is kept under a key of its own
+        # vouched S_1 has warmed the memo at the same parameters: each of
+        # its patterns runs the DP and is kept under a key of its own
         g = parse_vec("1:1,4:-2")
         want = dual_norm(S1, g, 12, 1)
+        vouched = list(pricing_memo)
         unvouched = NormParams(Schreier(ONE), S1.c)
         unvouched.family.spreading = False
         fresh = len(dp_runs)
+        price_log.clear()
         assert dual_norm(unvouched, g, 12, 1) == want
-        assert list(round_one_cache) == [(S1.family, True, S1.c, 1, 12),
-                                         (S1.family, False, S1.c, 1, 12)]
-        assert len(dp_runs) > fresh
+        added = list(pricing_memo)[len(vouched):]
+        assert vouched and {key[:2] for key in vouched} == {(S1.family, True)}
+        assert {key[:2] for key in added} == {(S1.family, False)}
+        assert len(dp_runs) - fresh == len(added) == len(_patterns(price_log))
 
-    def test_oracles_sharing_a_name(self, round_one_cache):
+    def test_oracles_sharing_a_name(self, pricing_memo):
         # oracle handles compare by name, so they are never keys
         s1 = Oracle(lambda a: schreier_member(ONE, a), "same")
         singletons = Oracle(lambda a: len(a) <= 1, "same")
@@ -1040,11 +1090,14 @@ class TestRoundOneCache:
         g = parse_vec("1:1,2:1,3:1,4:1,5:1,6:1")
         want = dual_norm(S1, g, 6, 3)
         assert want < 6
+        keys = list(pricing_memo)
         for fam, value in ((s1, want), (singletons, 6), (s1, want)):
             assert dual_norm(NormParams(fam, S1.c), g, 6, 3) == value
-        assert list(round_one_cache) == [(S1.family, True, S1.c, 3, 6)]
+        assert list(pricing_memo) == keys
+        assert keys and all(type(key[0]) is Schreier and key[:2] == (S1.family, True)
+                            for key in keys)
 
-    def test_bounded_table(self, round_one_cache, monkeypatch):
+    def test_bounded_table(self, pricing_memo, price_log, monkeypatch):
         keys = [(Schreier(ONE), Fraction(1, 2), 6, 3), (Schreier(ONE), Fraction(2, 3), 6, 3),
                 (Schreier(from_int(2)), Fraction(1, 2), 7, 2),
                 (FineSchreier(OMEGA), Fraction(1, 2), 5, 2),
@@ -1053,19 +1106,131 @@ class TestRoundOneCache:
         calls = [(NormParams(fam, c), g, bound, depth)
                  for fam, c, bound, depth in keys * 3 for g in _targets(rng.random(), bound, 2)]
         rng.shuffle(calls)
-        want = [dual_norm(*call) for call in calls]
-        assert len(round_one_cache) == len(keys)
-        round_one_cache.clear()
-        monkeypatch.setattr(functionals, "ROUND_ONE_CACHE_CAP", 2)
+        want = []
+        priced = set()
+        for params, g, bound, depth in calls:
+            price_log.clear()
+            want.append(dual_norm(params, g, bound, depth))
+            assert len(pricing_memo) <= functionals.PRICING_MEMO_CAP
+            priced |= {(params.family, params.c, depth, pattern)
+                       for pattern in _patterns(price_log)}
+        # more patterns than the cap were priced, so it was reached
+        assert len(priced) > functionals.PRICING_MEMO_CAP
+        pricing_memo.clear()
+        monkeypatch.setattr(functionals, "PRICING_MEMO_CAP", 2)
         for call, value in zip(calls, want):
             assert dual_norm(*call) == value
-            assert len(round_one_cache) <= 2
+            assert len(pricing_memo) <= 2
 
-    def test_one_run_per_shared_first_round(self, round_one_cache, price_log, dp_runs):
-        # 6 gauges at (S_1, 1/2, 6, 3): round 1's DP runs once
+    def test_one_run_per_shared_first_round(self, pricing_memo, price_log, dp_runs):
+        # 6 gauges at (S_1, 1/2, 6, 3): 24 rounds over 8 patterns, one DP
+        # run each (the first-round table alone ran 19)
         for g in _targets(6, 6, 6):
             dual_norm(S1, g, 6, 3)
-        assert len(dp_runs) == len(price_log) - 5
+        assert len(price_log) == 24
+        assert len(dp_runs) == len(_patterns(price_log)) == 8
+
+
+class TestPricingMemo:
+    """The memo's key is the dual pattern up to scale and sign: what shares
+    an entry, and that sharing changes nothing."""
+
+    @pytest.mark.parametrize("family", [Schreier(ONE), TestNormingSet.NON_SPREADING],
+                             ids=["S1", "explicit"])
+    @pytest.mark.parametrize("duals, det", [([3, -3, 3, 3, 0, -3], 4), ([3, -6, 9, 3, 0, -3], 40),
+                                            ([5, 5, -5, 10, 5, 5], 11),
+                                            ([10, 5, -5, 10, 0, 10], 12)])
+    def test_scale(self, pricing_memo, dp_runs, family, duals, det):
+        # duals and det k times as large: the same column (a combination,
+        # or none) and nodes, one run
+        params = NormParams(family, Fraction(1, 2))
+        cold = []
+        for k in (1, 2, 7):
+            pricing_memo.clear()
+            ys = [k * y for y in duals]
+            cold.append(_price_column(params, ys, k * det, 3, float("inf")))
+            _check_price(params, ys, k * det, 3, cold[-1][0], cold[-1][1])
+        assert cold[0] == cold[1] == cold[2]
+        pricing_memo.clear()
+        dp_runs.clear()
+        for k in (1, 2, 7):
+            assert _price_column(params, [k * y for y in duals], k * det, 3,
+                                 float("inf")) == cold[0]
+        assert len(dp_runs) == len(pricing_memo) == 1
+
+    def test_signs(self, pricing_memo, dp_runs):
+        # equal magnitudes, two sign patterns: one entry, each call's own signs
+        a = [2, -1, 3, 1, -2, 4]
+        b = [-2, -1, 3, -1, 2, -4]
+        ca, cost, nodes = _price_column(S1, a, 3, 2, float("inf"))
+        cb, cost_b, nodes_b = _price_column(S1, b, 3, 2, float("inf"))
+        assert ca is not None and (cost, nodes) == (cost_b, nodes_b)
+        assert len(dp_runs) == len(pricing_memo) == 1
+        assert cb == [v if (x > 0) == (y > 0) else -v for v, x, y in zip(ca, a, b)]
+        _check_price(S1, a, 3, 2, ca, cost)
+        _check_price(S1, b, 3, 2, cb, cost)
+
+    def test_zero_duals(self, pricing_memo, price_log):
+        # the rounds of a gauge whose duals hold zeros are kept, by their
+        # nonzero support, and priced as the Fraction oracle prices them
+        rng = random.Random(5)
+        zeros = 0
+        for target in _targets(5, 8, 6):
+            pricing_memo.clear()
+            price_log.clear()
+            dual_norm(S1, target, 8, 2)
+            for duals, _, _ in price_log:
+                if 0 in duals:
+                    zeros += 1
+                    k = gcd(*duals)
+                    leaves = tuple((i, abs(y) // k * 4) for i, y in enumerate(duals, 1) if y)
+                    assert (S1.family, True, S1.c, 2, leaves) in pricing_memo
+                    for det in (1, rng.randint(2, 50)):
+                        column, cost, _ = _price_column(S1, duals, det, 2, float("inf"))
+                        _check_price(S1, duals, det, 2, column, cost)
+        assert zeros >= 5
+        # all-zero duals, which no gauge prices, fail in the DP on no
+        # leaves as before the memo, not by a division by their gcd 0
+        with pytest.raises(IndexError):
+            _price_column(S1, [0] * 4, 1, 2, float("inf"))
+
+    @pytest.mark.parametrize("family", [
+        Schreier(ONE), Schreier(from_int(2)), FineSchreier(from_int(5)), FineSchreier(OMEGA),
+        TestNormingSet.NON_SPREADING, Oracle(lambda a: schreier_member(ONE, a), "s1"),
+    ], ids=["S1", "S2", "F5", "Fw", "explicit", "oracle"])
+    def test_memo_off_matches_memo_on(self, pricing_memo, price_log, dp_runs, monkeypatch,
+                                      family):
+        rng = random.Random(family.descriptor())
+        calls = []
+        for _ in range(6):
+            c = rng.choice([Fraction(1, 2), Fraction(2, 3)])
+            bound, depth = rng.randint(4, 8), rng.randint(1, 3)
+            targets = _targets(rng.random(), bound, 2)
+            calls += [(NormParams(family, c), g, bound, depth) for g in targets]
+
+        def run():
+            out = []
+            for call in calls:
+                price_log.clear()
+                out.append((dual_norm(*call), list(price_log)))
+            return out
+
+        with monkeypatch.context() as off:
+            off.setattr(functionals, "_SAME_FAMILY_TYPES", ())
+            dp_runs.clear()
+            want = run()
+            assert not pricing_memo
+            assert len(dp_runs) == sum(len(log) for _, log in want)
+        dp_runs.clear()
+        assert run() == want
+        assert run() == want
+        # the memo answered some rounds, save for the oracle, which is
+        # priced afresh every time
+        rounds = sum(len(log) for _, log in want)
+        if type(family) is Oracle:
+            assert not pricing_memo and len(dp_runs) == 2 * rounds
+        else:
+            assert pricing_memo and len(dp_runs) < 2 * rounds
 
 
 def _counting_steps():
@@ -1091,8 +1256,9 @@ class TestStepCounts:
         assert len(norming_set(params, 6, 3)) == 1204
         assert sum(calls.values()) == 116
 
-    def test_gauge_takes_each_step_once(self):
-        # rebuilding the step table every round took 3,351 steps for 94 pairs
+    def test_gauge_takes_each_step_once(self, pricing_memo):
+        # rebuilding the step table every round took 3,351 steps for 94 pairs;
+        # a cold pricing memo, as a warm one may answer every round
         params, calls = _counting_steps()
         g = SparseVec([(i, Fraction((-1) ** i * (i % 5 + 1), i % 3 + 1)) for i in range(1, 15)])
         assert dual_norm(params, g, 14, 2) == Fraction(168, 13)
