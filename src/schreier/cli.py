@@ -5,10 +5,13 @@ Exit codes: 0 success (and all requested checks pass), 1 a check failed,
 3 a search or enumeration budget ran out.  Errors print one `error:` line.
 
 Each command imports the layers it runs inside its own body, so a call
-loads only the modules it uses.
+loads only the modules it uses.  `run` is the process entry, of the
+installed `schreier` script and of `python -m schreier.cli`; `main` is the
+same command for callers inside a process.
 """
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -50,6 +53,20 @@ def main(args=None, prog_name=None):
     except OSError as exc:
         _fail(exc)
     sys.exit(code)
+
+
+def run():
+    """The process entry: `main` on sys.argv, then the collector frozen.
+
+    The process ends right after, and freezing moves every tracked object
+    into the permanent generation, so the interpreter's shutdown passes no
+    longer walk the modules, functions and caches the command loaded.
+    Streams are still flushed and closed, and `atexit` still runs.  `main`
+    never touches the collector."""
+    try:
+        main()
+    finally:
+        gc.freeze()
 
 
 # -- ordinal commands -------------------------------------------------------
@@ -488,4 +505,4 @@ def _add_commands(parser, commands, words):
 
 
 if __name__ == "__main__":
-    main()
+    run()

@@ -48,9 +48,10 @@ nodes and tree and k times the value.  So for fine Schreier and explicit
 families a completed run is kept in `_pricing_memo`, by the family, its
 spreading flag, c, depth and the leaves divided by the gcd of the dual
 numerators; gauges and rounds whose duals agree up to scale and sign share
-it.  The memo holds at most PRICING_MEMO_CAP entries and drops its older
-half when full, and a hit charges the nodes of the run it keeps against
-the gauge's budget, as a fresh run would.
+it.  The memo is bounded by the (index, leaf) pairs its keys hold, at most
+PRICING_MEMO_PAIRS, and drops its older half when a run would pass that;
+a hit charges the nodes of the run it keeps against the gauge's budget, as
+a fresh run would.
 """
 
 from __future__ import annotations
@@ -65,11 +66,40 @@ from .families import BudgetExceeded, Explicit, FineSchreier, Schreier
 from .norms import NormError
 from .vectors import SparseVec
 
-PRICING_MEMO_CAP = 64  # most entries `_pricing_memo` holds; the older half goes at the cap
-# (value, tree, nodes) of completed pricing runs on leaves normalised by the
-# gcd of the dual numerators, by (family, spreading, c, depth, the
-# normalised (index, leaf) pairs); see `_price_column`
-_pricing_memo = {}
+PRICING_MEMO_PAIRS = 1 << 16  # most (index, leaf) pairs the keys of `_pricing_memo` hold
+
+
+class _PricingMemo(dict):
+    """(value, tree, nodes) of completed pricing runs on leaves normalised
+    by the gcd of the dual numerators, by (family, spreading, c, depth, the
+    normalised (index, leaf) pairs); see `_price_column`.  `pairs` counts
+    the pairs its keys hold.  A run whose pairs would pass
+    PRICING_MEMO_PAIRS first drops the older half of the entries, as often
+    as it takes; a run with more pairs than that is not kept."""
+
+    __slots__ = ("pairs",)
+
+    def __init__(self):
+        super().__init__()
+        self.pairs = 0
+
+    def keep(self, key, run):
+        size = len(key[-1])
+        if size > PRICING_MEMO_PAIRS:
+            return
+        while self.pairs + size > PRICING_MEMO_PAIRS:
+            for old in list(islice(self, (len(self) + 1) // 2)):
+                self.pairs -= len(old[-1])
+                del self[old]
+        self[key] = run
+        self.pairs += size
+
+    def clear(self):
+        super().clear()
+        self.pairs = 0
+
+
+_pricing_memo = _PricingMemo()
 # the handles that are equal exactly when their families are
 _SAME_FAMILY_TYPES = (FineSchreier, Schreier, Explicit)
 
@@ -357,11 +387,12 @@ def _price_column(params, duals, det, depth, budget, steps=None):
     duals agree with a kept run's up to scale and sign reads it, exactly.
     A hit charges the stored nodes and raises the BudgetExceeded a fresh run
     would raise when they pass `budget`; a run that runs out is not kept.
-    At PRICING_MEMO_CAP entries the older half goes.  The column takes its
-    signs from the duals on every call.  Oracle, residual and derived
-    families are priced afresh every time (an oracle's handle is equal to
-    any other of its name), as are all-zero duals, which `dual_norm` never
-    prices."""
+    The memo holds at most PRICING_MEMO_PAIRS (index, leaf) pairs in its
+    keys, and its older half goes when a run would pass that.  The column
+    takes its signs from the duals on every call.  Oracle, residual and
+    derived families are priced afresh every time (an oracle's handle is
+    equal to any other of its name), as are all-zero duals, which
+    `dual_norm` never prices."""
     c = params.c
     p, q = c.numerator, c.denominator
     lift = q ** depth
@@ -375,10 +406,7 @@ def _price_column(params, duals, det, depth, budget, steps=None):
     if known is None:
         known = _signature_dp(fam, c, leaves, depth, budget, steps)
         if key is not None:
-            if len(_pricing_memo) >= PRICING_MEMO_CAP:
-                for old in list(islice(_pricing_memo, (len(_pricing_memo) + 1) // 2)):
-                    del _pricing_memo[old]
-            _pricing_memo[key] = known
+            _pricing_memo.keep(key, known)
     elif known[2] > budget:
         raise BudgetExceeded("signature DP ran past %d nodes" % budget)
     value, tree, nodes = known
@@ -436,11 +464,13 @@ def dual_norm(params, g, bound, depth, functionals=None, budget=100_000):
     out.  A bound past the budget raises before any list of length `bound`
     is made where the first round admits every minimum.  S_w spends the
     budget in about 2 s at bound 50.  (Single calls with an empty pricing
-    memo, on a shared 2-vCPU machine with Python 3.11.7.  The 43 rounds
-    price 42 dual patterns, so the same gauge again runs no DP and takes
-    about 0.005 s; the 97 price 90, more than the memo holds, so a warm
-    memo saves nothing there, nor where the first round runs out, as only
-    a completed run is kept.)
+    memo, on a shared 2-vCPU machine with Python 3.11.7.  The same gauge
+    again runs no DP: the 43 rounds price 42 dual patterns and repeat in
+    about 0.005 s; the 97 price 90 patterns of 1,768 (index, leaf) pairs
+    and repeat in 0.09 s; at depth 1 on [1..30], 160 rounds price 160
+    patterns in 1.26 s and repeat in 0.51 s, all of it the master.  A warm
+    memo saves nothing where the first round runs out, as only a completed
+    run is kept.)
 
     `functionals` is accepted for compatibility and unused.
     """

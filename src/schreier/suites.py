@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import ordinals
@@ -56,21 +55,29 @@ from .trees import (
 from .vectors import SparseVec, format_vec
 
 
-@dataclass
 class CheckResult:
-    id: str
-    claim: str
-    ok: bool
-    witness: str = None
-    elapsed_ms: int = 0
+    """One check's verdict.  Plain slotted classes rather than dataclasses
+    here: `dataclasses` imports `inspect`, which would add its import time
+    to every `check` call and to every importer of this module."""
+
+    __slots__ = ("id", "claim", "ok", "witness", "elapsed_ms")
+
+    def __init__(self, id, claim, ok, witness=None, elapsed_ms=0):
+        self.id = id
+        self.claim = claim
+        self.ok = ok
+        self.witness = witness
+        self.elapsed_ms = elapsed_ms
 
 
-@dataclass
 class SuiteReport:
-    suite: str
-    seed: int
-    checks: list = field(default_factory=list)
-    elapsed_ms: int = 0
+    __slots__ = ("suite", "seed", "checks", "elapsed_ms")
+
+    def __init__(self, suite, seed):
+        self.suite = suite
+        self.seed = seed
+        self.checks = []
+        self.elapsed_ms = 0
 
     @property
     def ok(self):

@@ -1,8 +1,11 @@
 import contextlib
+import gc
+import importlib
 import io
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -606,23 +609,30 @@ def test_error_classes_share_one_base():
 
 
 # Runs one command in a fresh interpreter, as `python -m schreier.cli` does,
-# and prints its exit status and the modules it loaded.
+# and prints its exit status, the modules it loaded and the collector's
+# frozen object count.
 _COLD_CALL = """
-import json, runpy, sys
+import gc, json, runpy, sys
 sys.argv = ["schreier"] + json.loads(sys.argv[1])
 try:
     runpy.run_module("schreier.cli", run_name="__main__")
 except SystemExit as exc:
-    print(json.dumps([exc.code, sorted(sys.modules)]))
+    print(json.dumps([exc.code, sorted(sys.modules), gc.get_freeze_count()]))
 """
 
 
-def _cold_modules(*args):
+def _cold_call(*args):
+    """(exit status, modules loaded, frozen objects) of one cold call."""
     proc = subprocess.run([sys.executable, "-c", _COLD_CALL, json.dumps(args)],
                           capture_output=True, text=True, env=process_env(), timeout=60)
-    code, modules = json.loads(proc.stdout.splitlines()[-1])
-    assert code in (None, 0), proc.stderr
-    return set(modules)
+    code, modules, frozen = json.loads(proc.stdout.splitlines()[-1])
+    return code or 0, set(modules), frozen
+
+
+def _cold_modules(*args):
+    code, modules, _ = _cold_call(*args)
+    assert code == 0
+    return modules
 
 
 def test_cold_start_loads_only_the_layers_a_command_runs(tmp_path):
@@ -638,8 +648,59 @@ def test_cold_start_loads_only_the_layers_a_command_runs(tmp_path):
     equiv = _cold_modules("equiv-sample", "--alpha", "1", "--n", "2", "--bound", "5",
                           "--samples", "3")
     assert "dataclasses" not in equiv
+    suite = _cold_modules("check", "--suite", "ordinals")
+    assert "schreier.suites" in suite
+    assert not {"dataclasses", "inspect"} & suite
     for modules in (nsum, member, miss, hit):
         assert not modules & heavy
     assert not {"schreier.families", "schreier.norms"} & nsum
     assert "hashlib" not in miss  # the record stores the certificate itself
     assert "hashlib" not in hit
+
+
+# One command per exit status of the contract: pass, failed check, usage
+# error, budget; the explicit family [1, 2] is not spreading.
+_EXIT_CASES = [
+    (0, ["ord", "nsum", "w*2+1", "w+2"]),
+    (1, ["family", "structure", "--explicit", "{fam}", "--bound", "4"]),
+    (2, ["ord", "nsum", "w+1"]),
+    (3, ["family", "enumerate", "--schreier", "2", "--bound", "14", "--budget", "10"]),
+]
+
+
+@pytest.fixture
+def exit_case(request, tmp_path):
+    code, args = request.param
+    fam = tmp_path / "fam.json"
+    fam.write_text(json.dumps([[1, 2]]))
+    return code, [arg.format(fam=fam) for arg in args]
+
+
+@pytest.mark.parametrize("exit_case", _EXIT_CASES, ids=lambda case: "exit%d" % case[0],
+                         indirect=True)
+class TestProcessEntry:
+    """`run` is `main` plus a frozen collector at the end of the process;
+    `main`, the in-process API, leaves the collector alone."""
+
+    def test_main_leaves_the_collector(self, exit_case):
+        code, args = exit_case
+        frozen = gc.get_freeze_count()
+        assert run(*args).exit_code == code
+        assert gc.get_freeze_count() == frozen
+
+    def test_module_run_freezes_and_keeps_the_status(self, exit_case):
+        code, args = exit_case
+        status, _, frozen = _cold_call(*args)
+        assert status == code
+        assert frozen > 0
+
+
+def test_installed_script_is_the_process_entry():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml")) as fh:
+        text = fh.read()
+    script = re.search(r'^\[project\.scripts\]\nschreier = "(.+)"$', text, re.M).group(1)
+    assert script == "schreier.cli:run"
+    module, _, name = script.partition(":")
+    entry = getattr(importlib.import_module(module), name)
+    assert callable(entry) and entry is schreier.cli.run

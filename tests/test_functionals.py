@@ -843,18 +843,33 @@ class TestDualNormBudget:
         assert dual_norm(S1, g, 14, 2) == Fraction(168, 13)
         assert len(rounds) == 43
 
-    def test_dense_target_at_bound_20(self, pricing_memo, price_log, dp_runs):
-        # the bound-20 target of the `dual_norm` docstring, past the default
-        # budget, by its value, rounds and nodes, from a cold pricing memo
-        # and again warm; its 90 dual patterns are more than the memo holds
-        g = SparseVec([(i, Fraction((-1) ** i * (i % 5 + 1), i % 3 + 1)) for i in range(1, 21)])
+    @staticmethod
+    def _dense_cold_and_warm(price_log, dp_runs, bound, depth):
+        # a dense target of the `dual_norm` docstring, past the default
+        # budget, from a cold pricing memo and again warm: (value, rounds,
+        # nodes, patterns, DP runs) of each
+        g = SparseVec([(i, Fraction((-1) ** i * (i % 5 + 1), i % 3 + 1))
+                       for i in range(1, bound + 1)])
+        out = []
         for memo in ("cold", "warm"):
             price_log.clear()
             dp_runs.clear()
-            assert dual_norm(S1, g, 20, 2, budget=10 ** 6) == Fraction(69, 5)
-            assert len(price_log) == 97
-            assert sum(nodes for _, _, nodes in price_log) == 527_157
-            assert len(dp_runs) == len(_patterns(price_log)) == 90
+            value = dual_norm(S1, g, bound, depth, budget=10 ** 7)
+            out.append((value, len(price_log), sum(used for _, _, used in price_log),
+                        len(_patterns(price_log)), len(dp_runs)))
+        return out
+
+    def test_dense_target_at_bound_20(self, pricing_memo, price_log, dp_runs):
+        # its 90 dual patterns hold 1,768 (index, leaf) pairs, which the
+        # memo keeps, so the warm repeat runs no DP
+        cold, warm = self._dense_cold_and_warm(price_log, dp_runs, 20, 2)
+        assert cold == (Fraction(69, 5), 97, 527_157, 90, 90)
+        assert warm == (Fraction(69, 5), 97, 527_157, 90, 0)
+
+    def test_dense_target_at_bound_30_depth_1(self, pricing_memo, price_log, dp_runs):
+        cold, warm = self._dense_cold_and_warm(price_log, dp_runs, 30, 1)
+        assert cold == (Fraction(6283, 351), 160, 2_099_370, 160, 160)
+        assert warm == (Fraction(6283, 351), 160, 2_099_370, 160, 0)
 
     @staticmethod
     def _no_master(monkeypatch):
@@ -929,7 +944,7 @@ class TestDualNormBudget:
 def pricing_memo(monkeypatch):
     """An empty `functionals._pricing_memo` for the test, the module's own
     restored afterwards."""
-    monkeypatch.setattr(functionals, "_pricing_memo", {})
+    monkeypatch.setattr(functionals, "_pricing_memo", functionals._PricingMemo())
     return functionals._pricing_memo
 
 
@@ -979,6 +994,11 @@ def _patterns(log):
     return out
 
 
+def _pairs(patterns):
+    """The (index, leaf) pairs that keys of these patterns hold."""
+    return sum(len(pattern) for pattern in patterns)
+
+
 def _check_price(params, duals, det, depth, column, cost):
     """The priced column against the Fraction oracle: None where the best
     functional pairs with y = duals / det to at most 1, else a column
@@ -1024,7 +1044,8 @@ class TestRoundOneCache:
             cold.append((value, log))
         # one memo over the targets, which evicts nothing here: a gauge runs
         # the DP once per pattern that no earlier gauge priced
-        assert len(set().union(*(_patterns(log) for _, log in cold))) < functionals.PRICING_MEMO_CAP
+        priced = set().union(*(_patterns(log) for _, log in cold))
+        assert _pairs(priced) <= functionals.PRICING_MEMO_PAIRS
         pricing_memo.clear()
         seen = set()
         for g, (value, log) in zip(targets, cold):
@@ -1111,16 +1132,41 @@ class TestRoundOneCache:
         for params, g, bound, depth in calls:
             price_log.clear()
             want.append(dual_norm(params, g, bound, depth))
-            assert len(pricing_memo) <= functionals.PRICING_MEMO_CAP
             priced |= {(params.family, params.c, depth, pattern)
                        for pattern in _patterns(price_log)}
-        # more patterns than the cap were priced, so it was reached
-        assert len(priced) > functionals.PRICING_MEMO_CAP
+        # far below the bound, so every priced pattern is kept
+        assert len(pricing_memo) == len(priced)
+        held = _pairs(key[-1] for key in pricing_memo)
+        assert pricing_memo.pairs == held <= functionals.PRICING_MEMO_PAIRS
+        # a bound of 7 pairs is passed many times over; answers are unchanged
+        assert held > 7 * 7
         pricing_memo.clear()
-        monkeypatch.setattr(functionals, "PRICING_MEMO_CAP", 2)
+        monkeypatch.setattr(functionals, "PRICING_MEMO_PAIRS", 7)
         for call, value in zip(calls, want):
             assert dual_norm(*call) == value
-            assert len(pricing_memo) <= 2
+            assert pricing_memo.pairs == _pairs(key[-1] for key in pricing_memo) <= 7
+
+    def test_pair_bound(self, monkeypatch):
+        # an insert that would pass the bound drops the older half of the
+        # entries, as often as it takes; a run wider than the bound is not
+        # kept
+        monkeypatch.setattr(functionals, "PRICING_MEMO_PAIRS", 6)
+        memo = functionals._PricingMemo()
+
+        def keep(name, width):
+            memo.keep((name, tuple((i, 1) for i in range(1, width + 1))), name)
+            return [key[0] for key in memo], memo.pairs
+
+        assert keep("a", 1) == (["a"], 1)
+        assert keep("b", 1) == (["a", "b"], 2)
+        assert keep("c", 2) == (["a", "b", "c"], 4)
+        assert keep("d", 2) == (["a", "b", "c", "d"], 6)
+        # dropping a and b leaves 4 pairs, so c goes too
+        assert keep("e", 3) == (["d", "e"], 5)
+        assert keep("f", 7) == (["d", "e"], 5)
+        assert keep("g", 6) == (["g"], 6)
+        memo.clear()
+        assert (len(memo), memo.pairs) == (0, 0)
 
     def test_one_run_per_shared_first_round(self, pricing_memo, price_log, dp_runs):
         # 6 gauges at (S_1, 1/2, 6, 3): 24 rounds over 8 patterns, one DP
