@@ -289,7 +289,7 @@ def indices_witness(args):
     with open(args.witness) as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict) or not all(
-        isinstance(v, list) and all(isinstance(x, int) for x in v) for v in raw.values()
+        isinstance(v, list) and all(type(x) is int for x in v) for v in raw.values()
     ):
         raise TreeError("a witness file is a JSON object mapping sets to integer arrays")
     witness = {parse_finset(k): tuple(v) for k, v in raw.items()}
@@ -313,18 +313,17 @@ def check_cmd(args):
     """Run a property-check suite; exit 0 iff every check passes."""
     from .suites import run_suite
 
-    report = run_suite(args.suite, seed=args.seed)
-    for c in sorted(report.checks, key=lambda c: c.id):
-        line = "%s %s: %s" % ("pass" if c.ok else "FAIL", c.id, c.claim)
-        if c.witness:
-            line += " [%s]" % c.witness
+    summary = run_suite(args.suite, seed=args.seed)
+    for c in summary["checks"]:
+        line = "%s %s: %s" % ("pass" if c["status"] == "pass" else "FAIL", c["id"], c["claim"])
+        if "witness" in c:
+            line += " [%s]" % c["witness"]
         print(line)
-    summary = report.to_json()
     print(json.dumps(summary))
     if args.json:
         with open(args.json, "w") as fh:
             json.dump(summary, fh, indent=2)
-    if not report.ok:
+    if any(c["status"] == "fail" for c in summary["checks"]):
         return EXIT_CHECK_FAILED
 
 

@@ -48,10 +48,11 @@ class BudgetExceeded(SchreierError, RuntimeError):
 # -- finite sets ------------------------------------------------------------
 
 def finset(elements):
-    """Validate and canonicalize a finite set of positive integers."""
+    """Validate and canonicalize a finite set of positive integers (a bool,
+    as JSON `true` loads, is not one)."""
     elems = tuple(elements)
     for x in elems:
-        if not isinstance(x, int) or x < 1:
+        if type(x) is not int or x < 1:
             raise FamilyError("set elements must be positive integers: %r" % (x,))
     for a, b in zip(elems, elems[1:]):
         if a >= b:
@@ -275,7 +276,7 @@ class Explicit(FamilyHandle):
         with open(path) as fh:
             data = json.load(fh)
         if not isinstance(data, list) or not all(
-            isinstance(row, list) and all(isinstance(x, int) for x in row) for row in data
+            isinstance(row, list) and all(type(x) is int for x in row) for row in data
         ):
             raise FamilyError("explicit family file must be a JSON array of integer arrays")
         return cls(tuple(sorted(set(row))) for row in data)

@@ -2,8 +2,15 @@
 
 Each check is a named, seeded, deterministic verification of one of the
 library's contracts, from ordinal algebra up to the norm-equivalence
-sampling report.  The `check` CLI command and the acceptance tests both run
-these; scale parameters default to the values the acceptance contract pins.
+sampling report.  A check function returns (ok, witness), the witness a
+message or None; scale parameters default to the values the acceptance
+contract pins, and the acceptance tests call the functions directly.
+
+The `check` CLI command goes through one table of (suite, id, claim, run)
+rows and `run_suite`, which returns the JSON summary the command prints:
+the suite name, the seed, one entry per check sorted by id (its id, claim,
+status "pass" or "fail", witness when there is one, and elapsed_ms), and
+the suite's elapsed_ms.
 """
 
 from __future__ import annotations
@@ -16,14 +23,12 @@ from fractions import Fraction
 from . import ordinals
 from .ordinals import OMEGA, ONE, ZERO, from_int, omega_pow
 from .families import (
-    Explicit,
     FineSchreier,
     Schreier,
     cb_index_finite,
     check_structure,
     enumerate_family,
     fs_member,
-    is_maximal,
     residual,
     schreier_member,
 )
@@ -36,12 +41,7 @@ from .norms import (
     verify_certificate,
 )
 from .functionals import dual_norm, norm_via_functionals, norming_set
-from .estimates import (
-    check_l1_lower,
-    equivalence_sample,
-    random_vector,
-    schreier_product_family,
-)
+from .estimates import equivalence_sample, random_vector, schreier_product_family
 from .trees import (
     BlockTree,
     ExplicitTree,
@@ -51,54 +51,9 @@ from .trees import (
     min_set,
     order,
     order_recursive,
+    prop43_verify,
 )
 from .vectors import SparseVec, format_vec
-
-
-class CheckResult:
-    """One check's verdict.  Plain slotted classes rather than dataclasses
-    here: `dataclasses` imports `inspect`, which would add its import time
-    to every `check` call and to every importer of this module."""
-
-    __slots__ = ("id", "claim", "ok", "witness", "elapsed_ms")
-
-    def __init__(self, id, claim, ok, witness=None, elapsed_ms=0):
-        self.id = id
-        self.claim = claim
-        self.ok = ok
-        self.witness = witness
-        self.elapsed_ms = elapsed_ms
-
-
-class SuiteReport:
-    __slots__ = ("suite", "seed", "checks", "elapsed_ms")
-
-    def __init__(self, suite, seed):
-        self.suite = suite
-        self.seed = seed
-        self.checks = []
-        self.elapsed_ms = 0
-
-    @property
-    def ok(self):
-        return all(c.ok for c in self.checks)
-
-    def to_json(self):
-        return {
-            "suite": self.suite,
-            "seed": self.seed,
-            "checks": [
-                {
-                    "id": c.id,
-                    "claim": c.claim,
-                    "status": "pass" if c.ok else "fail",
-                    **({"witness": c.witness} if c.witness else {}),
-                    "elapsed_ms": c.elapsed_ms,
-                }
-                for c in sorted(self.checks, key=lambda c: c.id)
-            ],
-            "elapsed_ms": self.elapsed_ms,
-        }
 
 
 # -- random generators ------------------------------------------------------
@@ -306,7 +261,7 @@ def _norm_test_params():
     ]
 
 
-def check_norm_oracles(rng, cases=500, recorder=None):
+def check_norm_oracles(rng, cases=500, *, recorder):
     """Triple agreement: interval DP == exhaustive decomposition search ==
     functional-set supremum, all in exact rationals."""
     params_pool = _norm_test_params()
@@ -314,8 +269,7 @@ def check_norm_oracles(rng, cases=500, recorder=None):
         params = params_pool[k % len(params_pool)]
         x = random_vector(rng, bound=10)
         value, cert = norm(params, x)
-        if recorder is not None:
-            recorder.append((params, x, value, cert))
+        recorder.append((params, x, value, cert))
         if norm_exhaustive(params, x) != value:
             return (False, "exhaustive oracle differs at %s / %s" % (format_vec(x), params.key()))
         if norm_via_functionals(params, x) != value:
@@ -354,7 +308,7 @@ def check_norm_order_properties(rng, cases=120):
     return (True, None)
 
 
-def check_l1_lower_bound(rng, cases=200, recorder=None):
+def check_l1_lower_bound(rng, cases=200, *, recorder):
     """l1 lower estimate on members of S_(1*n) for n in {1, 2}."""
     done = 0
     fams = {n: schreier_product_family(ONE, n) for n in (1, 2)}
@@ -369,26 +323,22 @@ def check_l1_lower_bound(rng, cases=200, recorder=None):
             Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 3]))
             for _ in f_set
         ]
-        if not check_l1_lower(ONE, n, f_set, coeffs):
-            return (False, "l1 bound fails at n=%d F=%s" % (n, f_set))
         vec = SparseVec(list(zip(f_set, coeffs)))
         value, cert = norm(params, vec)
-        if recorder is not None:
-            recorder.append((params, vec, value, cert))
+        recorder.append((params, vec, value, cert))
         if value < Fraction(1, 2**n) * vec.l1_norm():
             return (False, "l1 bound fails at n=%d F=%s" % (n, f_set))
         done += 1
     return (True, None)
 
 
-def check_basis_properties(rng, sign_vectors=30, spread_cases=200, recorder=None):
+def check_basis_properties(rng, sign_vectors=30, spread_cases=200, *, recorder):
     """1-unconditionality (all sign patterns) and 1-right-dominance."""
     params = NormParams(Schreier(ONE), Fraction(1, 2))
 
     def evaluate(v):
         value, cert = norm(params, v)
-        if recorder is not None:
-            recorder.append((params, v, value, cert))
+        recorder.append((params, v, value, cert))
         return value
 
     for _ in range(sign_vectors):
@@ -437,11 +387,10 @@ def check_duality(rng, bound=6, depth=3, pairs=200):
         gauges[pattern] = dual_norm(params, pattern, bound, depth)
         if gauges[pattern] > 1:
             return (False, "functional with gauge > 1: %s" % format_vec(pattern))
-    signed_sample = rng.sample(sorted(fs, key=lambda f: f.entries), min(20, len(fs)))
-    for f in signed_sample:
+    flist = sorted(fs, key=lambda f: f.entries)
+    for f in rng.sample(flist, min(20, len(fs))):
         if dual_norm(params, f, bound, depth) != gauges[f.abs()]:
             return (False, "gauge not sign invariant at %s" % format_vec(f))
-    flist = sorted(fs, key=lambda f: f.entries)
     for _ in range(pairs):
         f = rng.choice(flist)
         x = random_vector(rng, bound=bound, max_size=bound)
@@ -543,8 +492,6 @@ def check_lemma47(rng, cases=100, bound=12):
 def check_prop43(bound=6):
     """Witness verification: an identity-style lift of F_2 into the
     spreading closure of two-block chains passes; broken witnesses fail."""
-    from .trees import prop43_verify
-
     target = BlockTree([[(1,), (2,)]])
     members = [f for f in enumerate_family(FineSchreier(from_int(2)), bound) if f]
     witness = {f: (f[-1],) for f in members}
@@ -563,106 +510,90 @@ def check_prop43(bound=6):
     return (True, None)
 
 
-# -- suite registry ---------------------------------------------------------
 
-def _ordinal_checks():
+
+# -- the check table --------------------------------------------------------
+
+SUITES = ("ordinals", "families", "norms", "indices")
+
+
+def _table(recorder):
+    """Every check as a (suite, id, claim, run) row, in run order; `run`
+    takes the check's rng.  The norm rows record into `recorder`, which
+    norm-certificates re-verifies after them."""
     return [
-        ("ord-algebra", "ordinal + associative, * left-distributive, order total",
-         lambda rng: check_ordinal_algebra(rng)),
-        ("ord-natural-sum", "natural sum commutative/associative/monotone and >= ordinal sum",
-         lambda rng: check_natural_sum(rng)),
-        ("ord-fundamental-seq", "fundamental sequences increase to their limit; omega[n] = n",
-         lambda rng: check_fundamental_seq(rng)),
-        ("ord-parse-roundtrip", "format then parse is the identity",
-         lambda rng: check_parse_roundtrip(rng)),
-    ]
-
-
-def _family_checks():
-    return [
-        ("fam-fine-closed-form", "F_k is the sets of size <= k, exhaustively to 12",
+        ("ordinals", "ord-algebra",
+         "ordinal + associative, * left-distributive, order total", check_ordinal_algebra),
+        ("ordinals", "ord-natural-sum",
+         "natural sum commutative/associative/monotone and >= ordinal sum", check_natural_sum),
+        ("ordinals", "ord-fundamental-seq",
+         "fundamental sequences increase to their limit; omega[n] = n", check_fundamental_seq),
+        ("ordinals", "ord-parse-roundtrip",
+         "format then parse is the identity", check_parse_roundtrip),
+        ("families", "fam-fine-closed-form", "F_k is the sets of size <= k, exhaustively to 12",
          lambda rng: check_fine_closed_form()),
-        ("fam-schreier-closed-form", "S_1 is {A : |A| <= min A}, exhaustively to 14",
+        ("families", "fam-schreier-closed-form", "S_1 is {A : |A| <= min A}, exhaustively to 14",
          lambda rng: check_schreier_closed_form()),
-        ("fam-hereditary-spreading", "F_alpha hereditary and spreading on the sample grid",
+        ("families", "fam-hereditary-spreading",
+         "F_alpha hereditary and spreading on the sample grid",
          lambda rng: check_hereditary_spreading()),
-        ("fam-almost-increasing", "tails of F_alpha embed into F_beta for alpha <= beta",
+        ("families", "fam-almost-increasing",
+         "tails of F_alpha embed into F_beta for alpha <= beta",
          lambda rng: check_almost_increasing()),
-        ("fam-residual", "residuals by {n} match direct membership of {n} u B",
+        ("families", "fam-residual", "residuals by {n} match direct membership of {n} u B",
          lambda rng: check_residual_coherence()),
-        ("fam-cb-index", "cb_index(F_3) = 4 and cb_index(F_k) = k+1 for k <= 6",
+        ("families", "fam-cb-index", "cb_index(F_3) = 4 and cb_index(F_k) = k+1 for k <= 6",
          lambda rng: check_cb_index()),
-    ]
-
-
-def _norm_checks():
-    recorder = []
-    return [
-        ("norm-oracle-triple", "DP norm == exhaustive search == functional supremum, exactly",
+        ("norms", "norm-oracle-triple",
+         "DP norm == exhaustive search == functional supremum, exactly",
          lambda rng: check_norm_oracles(rng, recorder=recorder)),
-        ("norm-order-props", "monotone in family and c; contractive projections; norm axioms",
-         lambda rng: check_norm_order_properties(rng)),
-        ("norm-l1-lower", "members of S_(1*n) give 2^-n l1 lower estimates in T_1",
+        ("norms", "norm-order-props",
+         "monotone in family and c; contractive projections; norm axioms",
+         check_norm_order_properties),
+        ("norms", "norm-l1-lower", "members of S_(1*n) give 2^-n l1 lower estimates in T_1",
          lambda rng: check_l1_lower_bound(rng, recorder=recorder)),
-        ("norm-basis-props", "basis is exactly 1-unconditional and 1-right-dominant",
+        ("norms", "norm-basis-props", "basis is exactly 1-unconditional and 1-right-dominant",
          lambda rng: check_basis_properties(rng, recorder=recorder)),
-        ("norm-duality", "generated functionals have dual gauge <= 1; pairing inequality exact",
-         lambda rng: check_duality(rng)),
-        ("norm-equivalence-report", "exact ratio extrema between T_(1*2) and T_(1, ~2^-1/2)",
-         lambda rng: check_equivalence_report(rng)),
-        ("norm-certificates", "partition certificates re-verify every recorded norm value",
+        ("norms", "norm-duality",
+         "generated functionals have dual gauge <= 1; pairing inequality exact", check_duality),
+        ("norms", "norm-equivalence-report",
+         "exact ratio extrema between T_(1*2) and T_(1, ~2^-1/2)", check_equivalence_report),
+        ("norms", "norm-certificates",
+         "partition certificates re-verify every recorded norm value",
          lambda rng: check_certificates(recorder)),
-    ]
-
-
-def _index_checks():
-    return [
-        ("idx-order-identity", "tree order (1 + longest sequence) equals the recursive height",
-         lambda rng: check_order_identity(rng)),
-        ("idx-block-derivative", "block derivative decreasing and monotone",
-         lambda rng: check_block_derivative_props(rng)),
-        ("idx-compression-hereditary", "compressions of hereditary block trees are hereditary",
-         lambda rng: check_compression_hereditary(rng)),
-        ("idx-fk-lift", "F_k lifts have block index k+1",
+        ("indices", "idx-order-identity",
+         "tree order (1 + longest sequence) equals the recursive height", check_order_identity),
+        ("indices", "idx-block-derivative", "block derivative decreasing and monotone",
+         check_block_derivative_props),
+        ("indices", "idx-compression-hereditary",
+         "compressions of hereditary block trees are hereditary", check_compression_hereditary),
+        ("indices", "idx-fk-lift", "F_k lifts have block index k+1",
          lambda rng: check_fk_lift_index()),
-        ("idx-lemma47", "iterated CB derivative of min-sets embeds in min-sets of block derivatives",
-         lambda rng: check_lemma47(rng)),
-        ("idx-prop43", "witness families verify against their target trees",
+        ("indices", "idx-lemma47",
+         "iterated CB derivative of min-sets embeds in min-sets of block derivatives",
+         check_lemma47),
+        ("indices", "idx-prop43", "witness families verify against their target trees",
          lambda rng: check_prop43()),
     ]
 
 
-SUITES = {
-    "ordinals": _ordinal_checks,
-    "families": _family_checks,
-    "norms": _norm_checks,
-    "indices": _index_checks,
-}
-
-
 def run_suite(name, seed=0):
-    """Run one named suite (or 'all'); deterministic for a fixed seed."""
-    if name == "all":
-        names = list(SUITES)
-    elif name in SUITES:
-        names = [name]
-    else:
+    """Run one named suite (or 'all') and return its JSON summary.
+
+    Each check draws from its own rng, seeded by the seed and the check id,
+    so the summary is deterministic for a fixed seed apart from its times.
+    """
+    if name != "all" and name not in SUITES:
         raise ValueError("unknown suite %r (choose from %s, all)" % (name, ", ".join(SUITES)))
-    report = SuiteReport(suite=name, seed=seed)
     t0 = time.monotonic()
-    for suite_name in names:
-        for check_id, claim, fn in SUITES[suite_name]():
+    checks = []
+    for suite, check_id, claim, run in _table(recorder=[]):
+        if name in ("all", suite):
             rng = random.Random("%d:%s" % (seed, check_id))
             t1 = time.monotonic()
-            ok, witness = fn(rng)
-            report.checks.append(
-                CheckResult(
-                    id=check_id,
-                    claim=claim,
-                    ok=ok,
-                    witness=witness,
-                    elapsed_ms=int((time.monotonic() - t1) * 1000),
-                )
-            )
-    report.elapsed_ms = int((time.monotonic() - t0) * 1000)
-    return report
+            ok, witness = run(rng)
+            checks.append({"id": check_id, "claim": claim, "status": "pass" if ok else "fail",
+                           **({"witness": witness} if witness else {}),
+                           "elapsed_ms": int((time.monotonic() - t1) * 1000)})
+    return {"suite": name, "seed": seed, "checks": sorted(checks, key=lambda c: c["id"]),
+            "elapsed_ms": int((time.monotonic() - t0) * 1000)}

@@ -208,12 +208,15 @@ class TestFamily:
         # Fraction would expand these exponents into billion-digit integers
         ["norm", "--schreier", "1", "--c", "1e-999999999", "--vec", "1:1"],
         ["norm", "--schreier", "1", "--c", "1/2", "--vec", "1:1E999999999"],
+        # json loads `true` as a bool, which Python counts as the int 1
+        ["family", "member", "--explicit", "{bools}", "--set", "1"],
     ])
     def test_bad_input_is_usage_error(self, tmp_path, args):
         (tmp_path / "bad.json").write_text("[[1, 2]")
         (tmp_path / "ill_typed.json").write_text("[1, 2]")
+        (tmp_path / "bools.json").write_text("[[1, true], [3]]")
         args = [a.format(bad=tmp_path / "bad.json", ill_typed=tmp_path / "ill_typed.json",
-                         missing=tmp_path / "missing")
+                         bools=tmp_path / "bools.json", missing=tmp_path / "missing")
                 for a in args]
         result = run(*args)
         assert result.exit_code == 2
@@ -455,6 +458,10 @@ class TestIndices:
         ("witness --alpha 1 --bound 3 --witness {good}", "[[[1]]]"),
         ("witness --alpha 1 --bound 3 --tree {good} --witness {bad}", "[1]"),
         ("witness --alpha 1 --bound 3 --tree {good} --witness {bad}", '{"1": 1}'),
+        # json loads `true` as a bool, which Python counts as the int 1
+        ("derive", '{"generators": [[[true], [2, 3]]]}'),
+        ("witness --alpha 1 --bound 3 --tree {good} --witness {bad}",
+         '{"1": [true], "2": [2], "3": [3]}'),
     ])
     def test_bad_tree_is_usage_error(self, tmp_path, args, text):
         bad, good = tmp_path / "bad.json", tmp_path / "good.json"
@@ -467,6 +474,15 @@ class TestIndices:
         assert isinstance(result.exception, SystemExit)
         lines = result.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
+
+    def test_lemma47_huge_n_holds_at_once(self, tmp_path):
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps({"generators": [[[1], [2, 3], [4, 5, 6]],
+                                                   [[2], [5, 9]]]}))
+        result = run("indices", "lemma47", "--tree", str(path), "--n", "10000000",
+                     "--bound", "12")
+        assert result.exit_code == 0
+        assert result.output.strip() == "holds"
 
     def test_witness(self, tmp_path):
         tree = tmp_path / "tree.json"

@@ -27,6 +27,7 @@ from schreier.families import (
     cb_index_finite,
     check_structure,
     enumerate_family,
+    finset,
     format_finset,
     fs_member,
     is_admissible,
@@ -58,6 +59,12 @@ class TestFinSet:
             parse_finset("3,2")
         with pytest.raises((FamilyError, ValueError)):
             parse_finset("0,1")
+
+    def test_refuses_bools(self):
+        # JSON `true` loads as a bool, which Python counts as the int 1
+        for elements in [(True, 2), (1, True)]:
+            with pytest.raises(FamilyError, match="positive integers"):
+                finset(elements)
 
     def test_spread_and_successive(self):
         assert is_spread((1, 3), (2, 5))

@@ -31,6 +31,7 @@ from schreier.norms import (
     norm_value,
     verify_certificate,
 )
+from schreier.estimates import EstimateError, check_l1_lower
 from schreier.functionals import norm_via_functionals
 from schreier.vectors import SparseVec, basis_vec, format_vec, parse_vec
 
@@ -266,6 +267,25 @@ class TestBasisProperties:
     def test_right_dominance_rejects_bad_map(self):
         with pytest.raises(NormError):
             check_right_dominant(S1, vec("3:1"), {3: 2})
+
+
+class TestL1Lower:
+    def test_members(self):
+        # ||e_2 + e_3|| = 1 = 2^-1 * 2: the estimate is tight here
+        assert check_l1_lower(ONE, 1, (2, 3), [1, 1])
+        assert check_l1_lower(ONE, 1, (2, 5), [1, Fraction(-2, 3)])
+        assert check_l1_lower(ONE, 2, (2, 3, 4, 5, 6), [1, -1, 2, 1, 3])
+
+    def test_non_member(self):
+        with pytest.raises(EstimateError, match="not a member"):
+            check_l1_lower(ONE, 1, (1, 2), [1, 1])
+
+    def test_coefficient_count_mismatch(self):
+        with pytest.raises(EstimateError, match="one coefficient per element"):
+            check_l1_lower(ONE, 1, (2, 5), [1])
+
+    def test_zero_vector(self):
+        assert check_l1_lower(ONE, 1, (2, 5), [0, 0])
 
 
 class TestDomination:

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from schreier.ordinals import from_int
-from schreier.families import FineSchreier, enumerate_family
+from schreier.families import FineSchreier, cb_derivative, enumerate_family
 from schreier.suites import random_block_tree
 from schreier.trees import (
     BlockTree,
@@ -189,6 +189,26 @@ class TestLemma47:
     def test_explicit_rejected(self):
         with pytest.raises(TreeError):
             lemma47_check(BlockTree([[(1,)]], closure="explicit"), 0, 6)
+
+    @pytest.mark.parametrize("gens", [
+        [[(1,), (2, 3), (4, 5, 6)], [(2,), (5, 9)]],
+        [[(1,), (2,), (3,), (4,)]],
+        [[(1,), (2, 3), (4,), (5, 6), (7,)], [(2,), (5, 9)]],
+    ])
+    def test_matches_the_enumeration_around_the_longest_generator(self, gens):
+        bt = BlockTree(gens)
+        longest = max(map(len, bt.generators))
+        for n in range(4):
+            lhs, rhs = min_set(bt), bt
+            for _ in range(2 * n + 2):
+                lhs = cb_derivative(lhs)
+            for _ in range(n + 1):
+                rhs = block_derivative(rhs)
+            members = list(enumerate_family(lhs, 12))
+            if 2 * n + 2 > longest:
+                assert members == []
+            expected = all(min_set(rhs).contains(f) for f in members)
+            assert lemma47_check(bt, n, 12) == expected
 
 
 class TestProp43:
