@@ -4,8 +4,13 @@ Exit codes: 0 success (and all requested checks pass), 1 a check failed,
 2 usage error (bad options) and any invalid input the library rejects,
 3 a search or enumeration budget ran out.  Errors print one `error:` line.
 
-Each command imports the layers it runs inside its own body, so a call
-loads only the modules it uses.  `run` is the process entry, of the
+The command line is one table, `_COMMANDS`: each group lists its commands,
+and each command's row holds its name, the function that runs it and its
+arguments, every one an `add_argument` call as a (flags, kwargs) pair or a
+function that adds a group (the one-of family options, the `--suite`
+choices read from `suites`).  A call builds the options of the one command
+it names, and each command imports the layers it runs inside its own body,
+so a call loads only the modules it uses.  `run` is the process entry, of the
 installed `schreier` script and of `python -m schreier.cli`; `main` is the
 same command for callers inside a process.
 """
@@ -20,8 +25,6 @@ from . import SchreierError
 
 EXIT_CHECK_FAILED = 1
 EXIT_BUDGET = 3
-# sorted(suites.SUITES) + ["all"], spelled out so that only `check` imports suites
-SUITE_CHOICES = ("families", "indices", "norms", "ordinals", "all")
 
 
 def _fail(message, code=2):
@@ -240,11 +243,11 @@ def equiv_sample_cmd(args):
         if x:
             vectors.append(x)
     report = equivalence_sample(parse_ordinal(args.alpha), args.n, args.bound, vectors)
-    print("c = %s" % report.c)
-    print("samples = %d" % report.samples)
-    print("max ratio up = %s at %s" % (report.max_ratio_up, format_vec(report.witness_up)))
-    print("max ratio down = %s at %s"
-          % (report.max_ratio_down, format_vec(report.witness_down)))
+    print("c = %s" % report["c"])
+    print("samples = %d" % report["samples"])
+    for side in ("up", "down"):
+        print("max ratio %s = %s at %s" % (side, report["max_ratio_" + side],
+                                           format_vec(report["witness_" + side])))
 
 
 # -- index commands ---------------------------------------------------------
@@ -329,149 +332,89 @@ def check_cmd(args):
 
 # -- the parser -------------------------------------------------------------
 
-def _operands(*names):
-    def add(sub):
-        for name in names:
-            sub.add_argument(name)
-
-    return add
+def _arg(*flags, **kwargs):
+    """One `add_argument` call of a command's row, as its (flags, kwargs)."""
+    return flags, kwargs
 
 
-def _ord_fs_options(sub):
-    sub.add_argument("a")
-    sub.add_argument("n", type=int)
+def _suite_argument(sub):
+    from .suites import SUITES
+
+    sub.add_argument("--suite", required=True, choices=(*sorted(SUITES), "all"))
 
 
-def _set_options(sub):
-    _family_options(sub)
-    sub.add_argument("--set", required=True, metavar="FINSET")
+_BOUND = _arg("--bound", type=int, required=True)
+_C_VEC = (_arg("--c", required=True, metavar="NUM/DEN"),
+          _arg("--vec", required=True, metavar="IDX:COEF,..."))
+_SET = _arg("--set", required=True, metavar="FINSET")
+_TREE = _arg("--tree", required=True, metavar="FILE")
+_A, _B = _arg("a"), _arg("b")
 
-
-def _enumerate_options(sub):
-    _family_options(sub)
-    sub.add_argument("--bound", type=int, required=True)
-    sub.add_argument("--maximal-only", action="store_true")
-    sub.add_argument("--budget", type=int, default=1_000_000)
-
-
-def _admissible_options(sub):
-    _family_options(sub)
-    sub.add_argument("--blocks", required=True, metavar="B1;B2;...",
-                     help="semicolon-separated FinSets, e.g. '1,2;4,5'")
-
-
-def _structure_options(sub):
-    _family_options(sub)
-    sub.add_argument("--bound", type=int, required=True)
-    sub.add_argument("--budget", type=int, default=2_000_000,
-                     help="members enumerated within the bound before giving up (exit 3)")
-
-
-def _cb_index_options(sub):
-    _family_options(sub)
-    sub.add_argument("--budget", type=int, default=32,
-                     help="derivatives taken before reporting a lower bound (exit 3)")
-
-
-def _norm_options(sub):
-    _family_options(sub)
-    sub.add_argument("--c", required=True, metavar="NUM/DEN")
-    sub.add_argument("--vec", required=True, metavar="IDX:COEF,...")
-    sub.add_argument("--cert", metavar="PATH",
-                     help="write the witnessing certificate as JSON")
-    sub.add_argument("--cache-dir", metavar="PATH",
-                     help="persistent norm cache directory (overrides the environment)")
-
-
-def _dualnorm_options(sub):
-    _family_options(sub)
-    sub.add_argument("--c", required=True, metavar="NUM/DEN")
-    sub.add_argument("--vec", required=True, metavar="IDX:COEF,...")
-    sub.add_argument("--bound", type=int, required=True)
-    sub.add_argument("--depth", type=int, required=True)
-    sub.add_argument("--budget", type=int, default=100_000,
-                     help="pricing dynamic-program nodes over the whole call")
-
-
-def _dominate_options(sub):
-    for side in ("u", "v"):
-        _family_options(sub, side + "-")
-        sub.add_argument("--%s-c" % side, required=True, metavar="NUM/DEN")
-    sub.add_argument("--bound", type=int, default=8)
-    sub.add_argument("--budget", type=int, default=10_000)
-
-
-def _equiv_sample_options(sub):
-    sub.add_argument("--alpha", required=True, metavar="EXPR")
-    sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--bound", type=int, default=8)
-    sub.add_argument("--samples", type=int, default=100)
-    sub.add_argument("--seed", type=int, default=0)
-
-
-def _tree_options(*extra):
-    def add(sub):
-        sub.add_argument("--tree", required=True, metavar="FILE")
-        for name in extra:
-            sub.add_argument("--" + name, type=int, required=True)
-
-    return add
-
-
-def _order_options(sub):
-    sub.add_argument("--tree", required=True, metavar="FILE",
-                     help="JSON array of label sequences")
-
-
-def _witness_options(sub):
-    sub.add_argument("--alpha", required=True, metavar="EXPR")
-    sub.add_argument("--tree", required=True, metavar="FILE")
-    sub.add_argument("--witness", required=True, metavar="FILE",
-                     help="JSON object mapping FinSet text to a node label (integer array)")
-    sub.add_argument("--bound", type=int, required=True)
-    sub.add_argument("--pred", choices=("increasing", "distinct", "none"),
-                     default="increasing",
-                     help="finite surrogate applied to each extension tail")
-
-
-def _check_options(sub):
-    sub.add_argument("--suite", required=True, choices=SUITE_CHOICES)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--json", metavar="PATH",
-                     help="also write the JSON summary to this file")
-
-
-# The command tree in help order.  A command is (name, run, add_options); a
-# group is (name, doc, list of commands).
+# The command tree in help order.  A command is (name, run, arguments), each
+# argument an `_arg` pair or a function that adds a group to the command's
+# parser; a group is (name, doc, list of commands).
 _COMMANDS = (
     ("ord", "Cantor Normal Form ordinal arithmetic.", [
-        ("cmp", _ord_binary("compare"), _operands("a", "b")),
-        ("add", _ord_binary("add"), _operands("a", "b")),
-        ("mul", _ord_binary("mul"), _operands("a", "b")),
-        ("nsum", _ord_binary("natural_sum"), _operands("a", "b")),
-        ("fs", ord_fs, _ord_fs_options),
-        ("classify", ord_classify, _operands("a")),
+        ("cmp", _ord_binary("compare"), (_A, _B)),
+        ("add", _ord_binary("add"), (_A, _B)),
+        ("mul", _ord_binary("mul"), (_A, _B)),
+        ("nsum", _ord_binary("natural_sum"), (_A, _B)),
+        ("fs", ord_fs, (_A, _arg("n", type=int))),
+        ("classify", ord_classify, (_A,)),
     ]),
     ("family", "Queries against compact hereditary families.", [
-        ("member", family_member, _set_options),
-        ("maximal", family_maximal, _set_options),
-        ("enumerate", family_enumerate, _enumerate_options),
-        ("admissible", family_admissible, _admissible_options),
-        ("structure", family_structure, _structure_options),
-        ("cb-index", family_cb_index, _cb_index_options),
+        ("member", family_member, (_family_options, _SET)),
+        ("maximal", family_maximal, (_family_options, _SET)),
+        ("enumerate", family_enumerate, (
+            _family_options, _BOUND, _arg("--maximal-only", action="store_true"),
+            _arg("--budget", type=int, default=1_000_000))),
+        ("admissible", family_admissible, (
+            _family_options,
+            _arg("--blocks", required=True, metavar="B1;B2;...",
+                 help="semicolon-separated FinSets, e.g. '1,2;4,5'"))),
+        ("structure", family_structure, (
+            _family_options, _BOUND,
+            _arg("--budget", type=int, default=2_000_000,
+                 help="members enumerated within the bound before giving up (exit 3)"))),
+        ("cb-index", family_cb_index, (
+            _family_options,
+            _arg("--budget", type=int, default=32,
+                 help="derivatives taken before reporting a lower bound (exit 3)"))),
     ]),
-    ("norm", norm_cmd, _norm_options),
-    ("dualnorm", dualnorm_cmd, _dualnorm_options),
-    ("dominate", dominate_cmd, _dominate_options),
-    ("equiv-sample", equiv_sample_cmd, _equiv_sample_options),
+    ("norm", norm_cmd, (
+        _family_options, *_C_VEC,
+        _arg("--cert", metavar="PATH", help="write the witnessing certificate as JSON"),
+        _arg("--cache-dir", metavar="PATH",
+             help="persistent norm cache directory (overrides the environment)"))),
+    ("dualnorm", dualnorm_cmd, (
+        _family_options, *_C_VEC, _BOUND, _arg("--depth", type=int, required=True),
+        _arg("--budget", type=int, default=100_000,
+             help="pricing dynamic-program nodes over the whole call"))),
+    ("dominate", dominate_cmd, (
+        lambda sub: _family_options(sub, "u-"), _arg("--u-c", required=True, metavar="NUM/DEN"),
+        lambda sub: _family_options(sub, "v-"), _arg("--v-c", required=True, metavar="NUM/DEN"),
+        _arg("--bound", type=int, default=8), _arg("--budget", type=int, default=10_000))),
+    ("equiv-sample", equiv_sample_cmd, (
+        _arg("--alpha", required=True, metavar="EXPR"), _arg("--n", type=int, required=True),
+        _arg("--bound", type=int, default=8), _arg("--samples", type=int, default=100),
+        _arg("--seed", type=int, default=0))),
     ("indices", "Tree orders, block derivatives, compression.", [
-        ("order", indices_order, _order_options),
-        ("derive", indices_derive, _tree_options()),
-        ("compress", indices_compress, _tree_options("bound")),
-        ("lemma47", indices_lemma47, _tree_options("n", "bound")),
-        ("witness", indices_witness, _witness_options),
+        ("order", indices_order, (
+            _arg("--tree", required=True, metavar="FILE", help="JSON array of label sequences"),)),
+        ("derive", indices_derive, (_TREE,)),
+        ("compress", indices_compress, (_TREE, _BOUND)),
+        ("lemma47", indices_lemma47, (_TREE, _arg("--n", type=int, required=True), _BOUND)),
+        ("witness", indices_witness, (
+            _arg("--alpha", required=True, metavar="EXPR"), _TREE,
+            _arg("--witness", required=True, metavar="FILE",
+                 help="JSON object mapping FinSet text to a node label (integer array)"),
+            _BOUND,
+            _arg("--pred", choices=("increasing", "distinct", "none"), default="increasing",
+                 help="finite surrogate applied to each extension tail"))),
     ]),
-    ("check", check_cmd, _check_options),
+    ("check", check_cmd, (
+        _suite_argument, _arg("--seed", type=int, default=0),
+        _arg("--json", metavar="PATH", help="also write the JSON summary to this file"))),
 )
 
 
@@ -491,16 +434,20 @@ def _parser(prog, argv):
 def _add_commands(parser, commands, words):
     named = next(words, None)
     subs = parser.add_subparsers(metavar="COMMAND", required=True)
-    for name, run, options in commands:
+    for name, run, rest in commands:
         doc = run if isinstance(run, str) else run.__doc__
         sub = subs.add_parser(name, help=doc, description=doc, allow_abbrev=False)
         if name != named:
             continue
         if isinstance(run, str):
-            _add_commands(sub, options, words)
-        else:
-            sub.set_defaults(run=run)
-            options(sub)
+            _add_commands(sub, rest, words)
+            continue
+        sub.set_defaults(run=run)
+        for arg in rest:
+            if callable(arg):
+                arg(sub)
+            else:
+                sub.add_argument(*arg[0], **arg[1])
 
 
 if __name__ == "__main__":

@@ -77,54 +77,32 @@ def random_vector(rng, bound=10, max_size=None, dense_bias=False):
     return SparseVec(entries)
 
 
-class EquivalenceReport:
-    """Extreme exact ratios between ||.||_(T_(alpha*n)) and ||.||_(T_(alpha,c)).
-
-    A plain slotted class rather than a dataclass: `dataclasses` imports
-    `inspect`, which would add its import time to every `equiv-sample` call.
-    """
-
-    __slots__ = ("c", "samples", "max_ratio_up", "max_ratio_down", "witness_up",
-                 "witness_down", "ratios")
-
-    def __init__(self, c, samples=0, max_ratio_up=None, max_ratio_down=None,
-                 witness_up=None, witness_down=None, ratios=None):
-        self.c = c
-        self.samples = samples
-        self.max_ratio_up = max_ratio_up  # sup of ||x||_(alpha*n) / ||x||_(alpha,c)
-        self.max_ratio_down = max_ratio_down  # sup of the reciprocal ratio
-        self.witness_up = witness_up
-        self.witness_down = witness_down
-        self.ratios = [] if ratios is None else ratios
-
-
 def equivalence_sample(alpha, n, bound, samples):
     """Exact ratio report comparing T_(alpha*n) with T_(alpha, 2^(-1/n)).
 
-    `samples` is a sequence of vectors with support inside [1..bound].
+    `samples` is a sequence of vectors with support inside [1..bound]; the
+    zero vectors are skipped.  Returns a dict: the constant `c`, the number
+    of `samples` compared, `max_ratio_up`, the largest ratio
+    ||x||_(alpha*n) / ||x||_(alpha,c), at the first sample `witness_up`
+    that attains it, `max_ratio_down` and `witness_down` likewise for the
+    reciprocal ratio, and the `ratios` in sample order.
     """
     if bound < 1:
         raise EstimateError("bound must be >= 1")
     c = rational_root_half(n)
-    report = EquivalenceReport(c=c)
     params_prod = NormParams(schreier_product_family(alpha, n), Fraction(1, 2))
     params_c = NormParams(Schreier(alpha), c)
+    pairs = []
     for x in samples:
         if not x:
             continue
         if x.support[-1] > bound:
             raise EstimateError("sample support exceeds bound %d" % bound)
-        up = norm(params_prod, x)[0]
-        down = norm(params_c, x)[0]
-        ratio = up / down
-        report.samples += 1
-        report.ratios.append(ratio)
-        if report.max_ratio_up is None or ratio > report.max_ratio_up:
-            report.max_ratio_up = ratio
-            report.witness_up = x
-        if report.max_ratio_down is None or 1 / ratio > report.max_ratio_down:
-            report.max_ratio_down = 1 / ratio
-            report.witness_down = x
-    if not report.samples:
+        pairs.append((norm(params_prod, x)[0] / norm(params_c, x)[0], x))
+    if not pairs:
         raise EstimateError("no nonzero sample to compare")
-    return report
+    up, witness_up = max(pairs, key=lambda pair: pair[0])
+    down, witness_down = min(pairs, key=lambda pair: pair[0])
+    return {"c": c, "samples": len(pairs), "max_ratio_up": up, "witness_up": witness_up,
+            "max_ratio_down": 1 / down, "witness_down": witness_down,
+            "ratios": [ratio for ratio, _ in pairs]}

@@ -112,12 +112,10 @@ def _below_omega_omega(alpha):
 @functools.lru_cache(maxsize=1 << 14)
 def _fine_step(beta, n):
     """The ordinal gamma with {n} u B in F_beta iff B in F_gamma, for every
-    B above n; None if no such B exists.  beta is below w^w or a successor."""
-    while beta.is_limit:
-        beta = ordinals.fundamental_seq(beta, n)
-    if beta.is_zero:
-        return None
-    return ordinals.classify(beta)[1]
+    B above n; None if no such B exists.  beta is below w^w or a successor.
+    One pass over beta's terms (`ordinals.descend`), so a step costs time
+    linear in the size of its result."""
+    return ordinals.descend(beta, n)
 
 
 # Memo of the search at limits lam >= w^w, keyed by (lam, rest of the set).

@@ -116,7 +116,7 @@ def _depth_cap(depth, size):
 
 def norming_set(params, bound, depth, budget=2_000_000):
     """The signed functionals of K_depth over indices [1..bound] as a list
-    of SparseVecs in the order of generation, depth by depth; NormError
+    of SparseVecs in the order of generation, depth by depth; BudgetExceeded
     once more than `budget` functionals are held.  A depth past bound - 1
     makes the set of depth bound - 1.
 
@@ -136,8 +136,8 @@ def norming_set(params, bound, depth, budget=2_000_000):
 
     def hold(level, count):
         if count > budget:
-            raise NormError("functional generation budget of %d exceeded at depth %d: %d "
-                            "functionals held" % (budget, level, count))
+            raise BudgetExceeded("functional generation budget of %d exceeded at depth %d: "
+                                 "%d functionals held" % (budget, level, count))
 
     held = 2 * max(bound, 0)
     hold(0, held)

@@ -367,7 +367,7 @@ def _supports(last, size, first=1):
             yield (i,) + rest
 
 
-def domination_search(params_u, params_v, bound, budget=2000):
+def domination_search(params_u, params_v, bound, budget=10_000):
     """Certified lower bound for the least C with ||x||_U <= C ||x||_V.
 
     Exhausts sparse sign/coefficient patterns on supports of at most five

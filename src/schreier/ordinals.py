@@ -9,9 +9,9 @@ Each ordinal is classified once, when it is made: `is_zero`, `is_finite`,
 `is_limit` and `is_successor` are stored values, as is the hash.  The public
 constructor `Ordinal(terms)` checks its terms, since they may come from
 outside; the arithmetic here (`add`, `mul`, `natural_sum`, `omega_pow`,
-`from_int`, `classify`, `fundamental_seq`, and through them the parser)
-builds its results in canonical form and makes them by `_make`, which
-trusts its terms and checks nothing.
+`from_int`, `classify`, `fundamental_seq`, `descend`, and through them the
+parser) builds its results in canonical form and makes them by `_make`,
+which trusts its terms and checks nothing.
 """
 
 from __future__ import annotations
@@ -243,6 +243,30 @@ def fundamental_seq(lam, n):
         return add(head, mul(omega_pow(pred), from_int(n)))
     # last_exp is itself a limit (it is nonzero here)
     return add(head, omega_pow(fundamental_seq(last_exp, n)))
+
+
+def descend(a, n):
+    """The predecessor of the first ordinal in a, a[n], a[n][n], ... that is
+    not a limit; None if that ordinal is zero.
+
+    One pass over a list of terms: take one copy of the last term w^g
+    away, then append (d, n) if g = d + 1, or (g[n], 1) if g is a limit, as
+    `fundamental_seq` does, until g = 0; then make one ordinal of the list.
+    Each appended exponent is below every exponent before it, so the list
+    stays in canonical form.
+    """
+    terms = list(a.terms)
+    while terms:
+        exp, coeff = terms.pop()
+        if coeff > 1:
+            terms.append((exp, coeff - 1))
+        if exp.is_zero:
+            return _make(tuple(terms))
+        if exp.is_successor:
+            terms.append((_make(_less_one_last(exp)), n))
+        else:
+            terms.append((fundamental_seq(exp, n), 1))
+    return None
 
 
 # -- parsing and formatting -------------------------------------------------

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import schreier
 from schreier import cache, norms
-from schreier.cli import SUITE_CHOICES, main
+from schreier.cli import main
 from schreier.families import Schreier, format_finset
 from schreier.functionals import norm_via_functionals
 from schreier.norms import NormParams, cert_from_json, verify_certificate
@@ -573,10 +573,17 @@ class TestParser:
         lines = result.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
 
-    def test_suite_choices(self):
-        from schreier.suites import SUITES
-
-        assert list(SUITE_CHOICES) == sorted(SUITES) + ["all"]
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                        reason="the screens are argparse's layout in Python 3.11")
+    def test_help_screens_are_pinned(self, monkeypatch):
+        # every flag, default, metavar, choice and help string of the whole
+        # interface, at the width argparse wraps to on an 80-column terminal
+        monkeypatch.setenv("COLUMNS", "80")
+        with open(os.path.join(os.path.dirname(__file__), "help_screens.json")) as fh:
+            screens = json.load(fh)
+        assert list(screens) == [" ".join(command) for command in self.COMMANDS]
+        for command, screen in screens.items():
+            assert run(*command.split(), "--help").output == screen, command
 
 
 DRAWN = st.text(max_size=40) | st.text(alphabet="0123456789w^()+*-,:/.e ", max_size=40)
@@ -666,6 +673,7 @@ def test_cold_start_loads_only_the_layers_a_command_runs(tmp_path):
     assert "dataclasses" not in equiv
     suite = _cold_modules("check", "--suite", "ordinals")
     assert "schreier.suites" in suite
+    assert "schreier.suites" not in _cold_modules("--help")
     assert not {"dataclasses", "inspect"} & suite
     for modules in (nsum, member, miss, hit):
         assert not modules & heavy

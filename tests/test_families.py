@@ -8,7 +8,7 @@ import tracemalloc
 
 import pytest
 
-from schreier import families
+from schreier import families, ordinals
 from schreier.ordinals import (
     OMEGA, ONE, add, classify, from_int, fundamental_seq, mul, omega_pow, parse_ordinal,
 )
@@ -213,6 +213,28 @@ class TestResidualStates:
         s3 = Schreier(from_int(3))
         a = tuple(range(1000, 1000 + 7 * 40, 7))
         assert read_states(s3, a) == fs_member(s3.alpha, a) == oracle_member(s3.alpha, a)
+
+    def test_schreier_n_step_is_linear(self, monkeypatch):
+        # a step of S_n reads through n levels of exponents in one pass over
+        # the state's terms, making one exponent per level and one state per
+        # element read; stepping by whole fundamental sequences made seven
+        # ordinals per level, of up to n terms each (14,013 ordinals of
+        # 4,021,999 terms at n = 2000)
+        made, terms = [0], [0]
+        make = ordinals._make
+
+        def counting(t):
+            made[0] += 1
+            terms[0] += len(t)
+            return make(t)
+
+        families._fine_step.cache_clear()
+        monkeypatch.setattr(ordinals, "_make", counting)
+        n = 20_000
+        assert schreier_member(from_int(n), (2, 3, 4, 5))
+        assert made[0] <= n + 10
+        assert terms[0] <= 5 * n
+        families._fine_step.cache_clear()
 
     @pytest.mark.parametrize("fam", [FineSchreier(OMEGA), Schreier(ONE)],
                              ids=lambda f: f.descriptor())

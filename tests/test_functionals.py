@@ -40,7 +40,7 @@ def generate_oracle(family, c, indices, depth, signed, budget):
 
         def combine(chosen, mins, last_max):
             if len(depths) + len(new) > budget:
-                raise NormError("functional generation budget exceeded")
+                raise BudgetExceeded("functional generation budget exceeded")
             if len(chosen) >= 2:
                 total = chosen[0]
                 for f in chosen[1:]:
@@ -283,7 +283,7 @@ def dense_dual_norm(fs, g, bound):
 def _passes(generate, budget):
     try:
         generate(budget)
-    except NormError:
+    except BudgetExceeded:
         return False
     return True
 
@@ -344,10 +344,11 @@ class TestNormingSet:
         assert len(norming_set(S1, bound, 3)) == size
 
     def test_budget(self):
-        with pytest.raises(NormError):
+        # an exhausted budget is the exit-3 error, as every other budget's
+        with pytest.raises(BudgetExceeded):
             norming_set(S1, 6, 3, budget=50)
         # the coordinate functionals are counted before any is made
-        with pytest.raises(NormError, match="exceeded at depth 0: 2000000000000 functionals"):
+        with pytest.raises(BudgetExceeded, match="exceeded at depth 0: 2000000000000 functionals"):
             norming_set(S1, 10 ** 12, 1)
 
     # a non-spreading family: {2, 5} is a member, its spread {3, 5} is not
@@ -400,10 +401,10 @@ class TestNormingSet:
         for budget in [50] + list(range(size - 12, size + 4)):
             assert _passes(ours, budget) == (budget >= size)
         assert not _passes(theirs, size)
-        with pytest.raises(NormError, match="budget of %d exceeded at depth 3: %d functionals held"
+        with pytest.raises(BudgetExceeded, match="budget of %d exceeded at depth 3: %d functionals held"
                            % (size - 1, size)):
             ours(size - 1)
-        with pytest.raises(NormError, match="budget of 9 exceeded at depth 0: 10 functionals held"):
+        with pytest.raises(BudgetExceeded, match="budget of 9 exceeded at depth 0: 10 functionals held"):
             ours(9)
 
     @pytest.mark.parametrize("family, c, bound, depth", ORACLE_CASES, ids=ORACLE_IDS)
@@ -432,7 +433,7 @@ class TestNormingSet:
         ours = lambda budget: norming_set(S1, 5, 1, budget=budget)
         assert len(ours(42)) == 42
         for budget in range(10, 42):
-            with pytest.raises(NormError, match="budget of %d exceeded at depth 1: %d "
+            with pytest.raises(BudgetExceeded, match="budget of %d exceeded at depth 1: %d "
                                "functionals held$" % (budget, budget + 1)):
                 ours(budget)
         # the positive functionals of the list come with all their patterns
@@ -818,7 +819,7 @@ class TestDualNormBudget:
             _signature_dp(fam, Fraction(1, 2), dict.fromkeys(range(1, 401), 2), 1, budget)
         assert calls[0] <= 3 * budget
         calls[0] = 0
-        with pytest.raises(NormError, match="generation budget"):
+        with pytest.raises(BudgetExceeded, match="generation budget"):
             norming_set(NormParams(fam, Fraction(1, 2)), 400, 1, budget=budget)
         assert calls[0] <= 3 * budget
 

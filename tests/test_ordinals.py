@@ -14,6 +14,7 @@ from schreier.ordinals import (
     add,
     classify,
     compare,
+    descend,
     format_ordinal,
     from_int,
     fundamental_seq,
@@ -171,6 +172,44 @@ class TestFundamentalSeq:
         a = fundamental_seq(lam, n)
         b = fundamental_seq(lam, n + 1)
         assert a < b < lam
+
+
+class TestDescend:
+    @staticmethod
+    def reference(a, n):
+        """Repeated fundamental sequences, then the predecessor."""
+        while a.is_limit:
+            a = fundamental_seq(a, n)
+        return classify(a)[1]
+
+    @staticmethod
+    def draw(rng, depth):
+        """A random ordinal of nesting depth `depth` with small coefficients
+        and innermost exponents, so that descents at n <= 8 stay small."""
+        if depth == 0:
+            return from_int(rng.randint(0, 2))
+        exps = sorted({TestDescend.draw(rng, depth - 1) for _ in range(rng.randint(0, 3))},
+                      reverse=True)
+        return Ordinal(tuple((e, rng.randint(1, 3)) for e in exps))
+
+    def test_matches_repeated_fundamental_sequences(self):
+        rng = random.Random("descend")
+        for _ in range(200):
+            a = self.draw(rng, 2)
+            for n in range(1, 9):
+                assert descend(a, n) == self.reference(a, n), (a, n)
+        # towers, where the exponents' limits are descended too, at small n:
+        # the descent of w^(w^w) at n holds n^n terms
+        for text, top in (("w^(w^(w))", 4), ("w^(w^(w+1))", 3), ("w^(w^(w)*2)+w", 8),
+                          ("w^(w^(w^(w)))", 2)):
+            for n in range(1, top + 1):
+                assert descend(o(text), n) == self.reference(o(text), n), (text, n)
+
+    def test_fixed_values(self):
+        assert descend(ZERO, 3) is None
+        assert descend(o("w+3"), 5) == o("w+2")
+        assert descend(o("w^2*2"), 3) == o("w^2+w*2+2")
+        assert descend(o("w^(w)"), 2) == o("w+1")
 
 
 class TestConstruction:

@@ -1,9 +1,13 @@
 """The check table behind `schreier check` and the runner that returns its
 JSON summary."""
 
+import random
+
 import pytest
 
 from schreier import suites
+from schreier.families import cb_derivative, enumerate_family
+from schreier.trees import min_set
 
 IDS = {
     "ordinals": ["ord-algebra", "ord-natural-sum", "ord-fundamental-seq",
@@ -68,3 +72,44 @@ def test_failure_carries_its_witness_and_each_run_a_fresh_recorder(stub_table):
 def test_unknown_suite():
     with pytest.raises(ValueError, match="unknown suite 'bogus'"):
         suites.run_suite("bogus")
+
+
+def left_side(bt, n, bound):
+    """The members within [1..bound] of the (2n + 2)-th CB derivative of the
+    min-set family of `bt`: the left-hand side of Lemma 4.7."""
+    fam = min_set(bt)
+    for _ in range(2 * n + 2):
+        fam = cb_derivative(fam)
+    return list(enumerate_family(fam, bound))
+
+
+def criterion_7():
+    return suites.check_lemma47(random.Random("acceptance:c7"), cases=100, bound=12)
+
+
+def test_lemma47_meets_nonempty_left_sides_at_n_1(monkeypatch):
+    # a generator of fewer than four blocks leaves no set of the left-hand
+    # side at n = 1 but the empty one; 16 of criterion 7's trees have one
+    asked = []
+    real = suites.lemma47_check
+
+    def spy(bt, n, bound):
+        asked.append((bt, n, bound))
+        return real(bt, n, bound)
+
+    monkeypatch.setattr(suites, "lemma47_check", spy)
+    assert criterion_7() == (True, None)
+    assert sum(any(left_side(bt, n, bound)) for bt, n, bound in asked if n == 1) >= 1
+
+
+def test_lemma47_fails_a_right_side_of_only_the_empty_set_at_n_1(monkeypatch):
+    real = suites.lemma47_check
+
+    def only_the_empty_set_at_1(bt, n, bound):
+        if n != 1:
+            return real(bt, n, bound)
+        return not any(left_side(bt, n, bound))
+
+    monkeypatch.setattr(suites, "lemma47_check", only_the_empty_set_at_1)
+    ok, witness = criterion_7()
+    assert not ok and witness.endswith("at n=1")
