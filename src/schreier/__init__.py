@@ -30,6 +30,20 @@ class SchreierError(Exception):
     exit_code = 2
 
 
+def read_json(path):
+    """The JSON value in the UTF-8 file at `path`, the one place the package
+    reads JSON input.  Text that is not UTF-8 or not JSON (or nests past the
+    decoder's recursion limit) is invalid input: SchreierError, exit 2.  `json`
+    is imported here, so a command that reads no JSON does not load it."""
+    import json
+
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+            raise SchreierError("invalid JSON: %s" % exc) from None
+
+
 _EXPORTS = {
     "ordinals": (
         "Ordinal", "ZERO", "ONE", "OMEGA", "add", "classify", "compare", "format_ordinal",

@@ -12,8 +12,6 @@ renames it over the record, so the last store wins and a write cut short
 leaves the old record or none (and at worst a stray `.tmp` file).
 """
 
-from __future__ import annotations
-
 import json
 import os
 import zlib

@@ -8,20 +8,22 @@ The command line is one table, `_COMMANDS`: each group lists its commands,
 and each command's row holds its name, the function that runs it and its
 arguments, every one an `add_argument` call as a (flags, kwargs) pair or a
 function that adds a group (the one-of family options, the `--suite`
-choices read from `suites`).  A call builds the options of the one command
-it names, and each command imports the layers it runs inside its own body,
-so a call loads only the modules it uses.  `run` is the process entry, of the
+choices read from `suites`).  A call builds one parser path, the group and
+command it names with their options; a level lists all of its commands only
+for help and errors, where its word is missing, unknown or after an option.
+Each command imports the layers it runs inside its own body, and `json` only
+where it reads or writes JSON (input files through `schreier.read_json`), so a
+call loads only the modules it uses.  `run` is the process entry, of the
 installed `schreier` script and of `python -m schreier.cli`; `main` is the
 same command for callers inside a process.
 """
 
 import argparse
 import gc
-import json
 import os
 import sys
 
-from . import SchreierError
+from . import SchreierError, read_json
 
 EXIT_CHECK_FAILED = 1
 EXIT_BUDGET = 3
@@ -51,8 +53,6 @@ def main(args=None, prog_name=None):
         sys.exit(0)
     except SchreierError as exc:
         _fail(exc, exc.exit_code)
-    except json.JSONDecodeError as exc:
-        _fail("invalid JSON: %s" % exc)
     except OSError as exc:
         _fail(exc)
     sys.exit(code)
@@ -202,6 +202,8 @@ def norm_cmd(args):
     if args.cert is None:
         print(norm_value(params, x, cache_dir=args.cache_dir))
         return
+    import json
+
     value, cert = norm(params, x)
     with open(args.cert, "w") as fh:
         json.dump(cert.to_json(), fh, indent=2)
@@ -255,11 +257,12 @@ def equiv_sample_cmd(args):
 def indices_order(args):
     from .trees import ExplicitTree, order
 
-    with open(args.tree) as fh:
-        print(order(ExplicitTree.from_json(json.load(fh))))
+    print(order(ExplicitTree.from_json(read_json(args.tree))))
 
 
 def indices_derive(args):
+    import json
+
     from .trees import BlockTree, block_derivative
 
     print(json.dumps(block_derivative(BlockTree.from_json_file(args.tree)).to_json()))
@@ -289,8 +292,7 @@ def indices_witness(args):
     from .trees import BlockTree, TreeError, prop43_verify
 
     bt = BlockTree.from_json_file(args.tree)
-    with open(args.witness) as fh:
-        raw = json.load(fh)
+    raw = read_json(args.witness)
     if not isinstance(raw, dict) or not all(
         isinstance(v, list) and all(type(x) is int for x in v) for v in raw.values()
     ):
@@ -314,6 +316,8 @@ def indices_witness(args):
 
 def check_cmd(args):
     """Run a property-check suite; exit 0 iff every check passes."""
+    import json
+
     from .suites import run_suite
 
     summary = run_suite(args.suite, seed=args.seed)
@@ -419,28 +423,31 @@ _COMMANDS = (
 
 
 def _parser(prog, argv):
-    """The argparse tree for one call.  Every group and command is listed, so
-    help and usage errors name them all, but only the group and command that
-    `argv` names get their options and subcommands: the options of the top
-    parser and of the groups are only -h, so those names are the first two
-    words of `argv` that do not start with '-'."""
-    words = iter([a for a in argv if not a.startswith("-")][:2])
+    """The argparse tree for one call: the path of the group and command that
+    `argv` names, each with its options and subcommands."""
     parser = argparse.ArgumentParser(prog=prog, description=main.__doc__.splitlines()[0],
                                      allow_abbrev=False)
-    _add_commands(parser, _COMMANDS, words)
+    _add_commands(parser, _COMMANDS, argv)
     return parser
 
 
-def _add_commands(parser, commands, words):
-    named = next(words, None)
+def _add_commands(parser, commands, argv):
+    """Add one level of the tree, named by the first word of `argv` that does
+    not start with '-' (the top parser and the groups take no option but -h).
+    The level holds that one command when its name is the first item of
+    `argv`; otherwise, where the word is missing, unknown or after an option
+    (`schreier -h norm`), it lists every command, so that help and usage
+    errors name them all."""
+    named = next((a for a in argv if not a.startswith("-")), None)
+    path = [c for c in commands if c[0] == named and argv[0] == named]
     subs = parser.add_subparsers(metavar="COMMAND", required=True)
-    for name, run, rest in commands:
+    for name, run, rest in path or commands:
         doc = run if isinstance(run, str) else run.__doc__
         sub = subs.add_parser(name, help=doc, description=doc, allow_abbrev=False)
         if name != named:
             continue
         if isinstance(run, str):
-            _add_commands(sub, rest, words)
+            _add_commands(sub, rest, argv[argv.index(named) + 1:])
             continue
         sub.set_defaults(run=run)
         for arg in rest:
@@ -448,7 +455,6 @@ def _add_commands(parser, commands, words):
                 arg(sub)
             else:
                 sub.add_argument(*arg[0], **arg[1])
-
 
 if __name__ == "__main__":
     run()

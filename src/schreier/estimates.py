@@ -1,7 +1,5 @@
 """Finite-scale norm estimates: l1 lower bounds and norm-equivalence samples."""
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 from . import SchreierError, ordinals

@@ -18,13 +18,10 @@ Handles expose that reading as a residual state (`initial_state`, `step`),
 which the norm DP uses to merge prefixes with the same completions.
 """
 
-from __future__ import annotations
-
 import functools
 import itertools
-import json
 
-from . import SchreierError, ordinals
+from . import SchreierError, ordinals, read_json
 from .ordinals import Ordinal, ZERO, omega_pow
 
 
@@ -271,8 +268,7 @@ class Explicit(FamilyHandle):
 
     @classmethod
     def from_json_file(cls, path):
-        with open(path) as fh:
-            data = json.load(fh)
+        data = read_json(path)
         if not isinstance(data, list) or not all(
             isinstance(row, list) and all(type(x) is int for x in row) for row in data
         ):

@@ -54,8 +54,6 @@ a hit charges the nodes of the run it keeps against the gauge's budget, as
 a fresh run would.
 """
 
-from __future__ import annotations
-
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import islice, product

@@ -10,8 +10,6 @@ admissible successive-subset decompositions (`norm_exhaustive`).  A third
 route via norming functionals lives in `functionals`.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 from . import SchreierError

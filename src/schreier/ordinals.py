@@ -14,8 +14,6 @@ parser) builds its results in canonical form and makes them by `_make`,
 which trusts its terms and checks nothing.
 """
 
-from __future__ import annotations
-
 import functools
 import re
 

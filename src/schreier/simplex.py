@@ -37,8 +37,6 @@ gives the new column B^-1 a, and the objective row's B^-1 block holds -y,
 which gives its reduced cost cost - <y, a> (for +-e_i, 1 -+ y_i).
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from math import lcm
 

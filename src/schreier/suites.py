@@ -13,8 +13,6 @@ status "pass" or "fail", witness when there is one, and elapsed_ms), and
 the suite's elapsed_ms.
 """
 
-from __future__ import annotations
-
 import itertools
 import random
 import time

@@ -12,11 +12,7 @@ generator (`_embeds`).  A block derivative drops the last block of every
 generator, so the block index is 1 + the longest generator.
 """
 
-from __future__ import annotations
-
-import json
-
-from . import SchreierError
+from . import SchreierError, read_json
 from .families import (
     FineSchreier,
     Oracle,
@@ -112,8 +108,7 @@ class BlockTree:
 
     @classmethod
     def from_json_file(cls, path):
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
+        return cls.from_json(read_json(path))
 
     def to_json(self):
         return {

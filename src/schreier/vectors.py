@@ -1,7 +1,5 @@
 """Finitely supported vectors with exact rational coefficients."""
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 from . import SchreierError

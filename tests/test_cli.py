@@ -210,19 +210,26 @@ class TestFamily:
         ["norm", "--schreier", "1", "--c", "1/2", "--vec", "1:1E999999999"],
         # json loads `true` as a bool, which Python counts as the int 1
         ["family", "member", "--explicit", "{bools}", "--set", "1"],
+        ["family", "member", "--explicit", "{not_utf8}", "--set", "1"],
+        ["family", "member", "--explicit", "{deep}", "--set", "1"],
     ])
     def test_bad_input_is_usage_error(self, tmp_path, args):
         (tmp_path / "bad.json").write_text("[[1, 2]")
         (tmp_path / "ill_typed.json").write_text("[1, 2]")
         (tmp_path / "bools.json").write_text("[[1, true], [3]]")
+        (tmp_path / "not_utf8.json").write_bytes(b"[[1, 2], [3, \xff]]")
+        (tmp_path / "deep.json").write_text("[" * 100_000)
+        invalid_json = any(a in ("{bad}", "{not_utf8}", "{deep}") for a in args)
         args = [a.format(bad=tmp_path / "bad.json", ill_typed=tmp_path / "ill_typed.json",
-                         bools=tmp_path / "bools.json", missing=tmp_path / "missing")
+                         bools=tmp_path / "bools.json", not_utf8=tmp_path / "not_utf8.json",
+                         deep=tmp_path / "deep.json", missing=tmp_path / "missing")
                 for a in args]
         result = run(*args)
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         lines = result.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
+        assert lines[0].startswith("error: invalid JSON: ") == invalid_json
 
     def test_member_past_omega_omega_long_set(self):
         # 2000 successor steps down to w^w, then 99 more elements
@@ -462,18 +469,33 @@ class TestIndices:
         ("derive", '{"generators": [[[true], [2, 3]]]}'),
         ("witness --alpha 1 --bound 3 --tree {good} --witness {bad}",
          '{"1": [true], "2": [2], "3": [3]}'),
+        # text that is not JSON, or not UTF-8, in each file the commands read
+        ("order", "[[1, 2]"),
+        ("derive", "[[1, 2]"),
+        ("witness --alpha 1 --bound 3 --witness {good}", "[[1, 2]"),
+        ("witness --alpha 1 --bound 3 --tree {good} --witness {bad}", "[[1, 2]"),
+        ("order", b"[[1, \xff]]"),
+        ("derive", b'{"generators": [[[1]]], "closure": "\xff"}'),
+        ("witness --alpha 1 --bound 3 --tree {good} --witness {bad}", b'{"1": [\xff]}'),
+        pytest.param("derive", "[" * 100_000, id="derive-nested-past-the-recursion-limit"),
     ])
     def test_bad_tree_is_usage_error(self, tmp_path, args, text):
         bad, good = tmp_path / "bad.json", tmp_path / "good.json"
-        bad.write_text(text)
+        bad.write_bytes(text.encode() if isinstance(text, str) else text)
         good.write_text(json.dumps({"generators": [[[1]]]}))
         if "--tree" not in args:
             args += " --tree {bad}"
+        try:
+            json.loads(text)
+            invalid_json = False
+        except (ValueError, RecursionError):
+            invalid_json = True
         result = run("indices", *args.format(bad=bad, good=good).split())
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         lines = result.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
+        assert lines[0].startswith("error: invalid JSON: ") == invalid_json
 
     def test_lemma47_huge_n_holds_at_once(self, tmp_path):
         path = tmp_path / "tree.json"
@@ -532,6 +554,12 @@ class TestCheck:
             assert type(check["elapsed_ms"]) is int and check["elapsed_ms"] >= 0
 
 
+def _help_screens():
+    """The pinned `--help` screens, keyed by the command words."""
+    with open(os.path.join(os.path.dirname(__file__), "help_screens.json")) as fh:
+        return json.load(fh)
+
+
 class TestParser:
     COMMANDS = [[], ["ord"], ["family"], ["indices"]] + [
         ["ord", name] for name in ("cmp", "add", "mul", "nsum", "fs", "classify")
@@ -579,11 +607,37 @@ class TestParser:
         # every flag, default, metavar, choice and help string of the whole
         # interface, at the width argparse wraps to on an 80-column terminal
         monkeypatch.setenv("COLUMNS", "80")
-        with open(os.path.join(os.path.dirname(__file__), "help_screens.json")) as fh:
-            screens = json.load(fh)
+        screens = _help_screens()
         assert list(screens) == [" ".join(command) for command in self.COMMANDS]
         for command, screen in screens.items():
             assert run(*command.split(), "--help").output == screen, command
+
+    # A call builds the parser of the one path it names, so these are the
+    # levels where the full listing must still be built: a word after an
+    # option, a misspelt word, a missing word.
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                        reason="the screens are argparse's layout in Python 3.11")
+    @pytest.mark.parametrize("args, code, output", [
+        ("-h norm", 0, "{main}"),
+        ("family -h member", 0, "{family}"),
+        ("famly member", 2,
+         "usage: schreier [-h] COMMAND ...\n"
+         "schreier: error: argument COMMAND: invalid choice: 'famly' (choose from 'ord', "
+         "'family', 'norm', 'dualnorm', 'dominate', 'equiv-sample', 'indices', 'check')\n"),
+        ("family membr --schreier 1", 2,
+         "usage: schreier family [-h] COMMAND ...\n"
+         "schreier family: error: argument COMMAND: invalid choice: 'membr' (choose from "
+         "'member', 'maximal', 'enumerate', 'admissible', 'structure', 'cb-index')\n"),
+        ("family", 2,
+         "usage: schreier family [-h] COMMAND ...\n"
+         "schreier family: error: the following arguments are required: COMMAND\n"),
+    ])
+    def test_parser_edges_list_every_command(self, monkeypatch, args, code, output):
+        monkeypatch.setenv("COLUMNS", "80")
+        screens = _help_screens()
+        result = run(*args.split())
+        assert result.exit_code == code
+        assert result.output == output.format(main=screens[""], family=screens["family"])
 
 
 DRAWN = st.text(max_size=40) | st.text(alphabet="0123456789w^()+*-,:/.e ", max_size=40)
@@ -633,20 +687,22 @@ def test_error_classes_share_one_base():
 
 # Runs one command in a fresh interpreter, as `python -m schreier.cli` does,
 # and prints its exit status, the modules it loaded and the collector's
-# frozen object count.
+# frozen object count; `json` is imported only after the modules are listed.
 _COLD_CALL = """
-import gc, json, runpy, sys
-sys.argv = ["schreier"] + json.loads(sys.argv[1])
+import gc, runpy, sys
+sys.argv = ["schreier"] + sys.argv[1:]
 try:
     runpy.run_module("schreier.cli", run_name="__main__")
 except SystemExit as exc:
-    print(json.dumps([exc.code, sorted(sys.modules), gc.get_freeze_count()]))
+    modules = sorted(sys.modules)
+    import json
+    print(json.dumps([exc.code, modules, gc.get_freeze_count()]))
 """
 
 
 def _cold_call(*args):
     """(exit status, modules loaded, frozen objects) of one cold call."""
-    proc = subprocess.run([sys.executable, "-c", _COLD_CALL, json.dumps(args)],
+    proc = subprocess.run([sys.executable, "-c", _COLD_CALL, *args],
                           capture_output=True, text=True, env=process_env(), timeout=60)
     code, modules, frozen = json.loads(proc.stdout.splitlines()[-1])
     return code or 0, set(modules), frozen
@@ -670,6 +726,8 @@ def test_cold_start_loads_only_the_layers_a_command_runs(tmp_path):
     hit = _cold_modules(*norm_args)
     equiv = _cold_modules("equiv-sample", "--alpha", "1", "--n", "2", "--bound", "5",
                           "--samples", "3")
+    dual = _cold_modules("dualnorm", "--schreier", "1", "--c", "1/2", "--vec", "1:1,3:1",
+                         "--bound", "5", "--depth", "2")
     assert "dataclasses" not in equiv
     suite = _cold_modules("check", "--suite", "ordinals")
     assert "schreier.suites" in suite
@@ -680,6 +738,10 @@ def test_cold_start_loads_only_the_layers_a_command_runs(tmp_path):
     assert not {"schreier.families", "schreier.norms"} & nsum
     assert "hashlib" not in miss  # the record stores the certificate itself
     assert "hashlib" not in hit
+    for modules in (nsum, member, dual, equiv):  # no JSON read or written
+        assert not {"json", "__future__"} & modules
+    for modules in (miss, hit):  # the cache records are JSON
+        assert "json" in modules and "__future__" not in modules
 
 
 # One command per exit status of the contract: pass, failed check, usage
