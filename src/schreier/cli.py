@@ -153,7 +153,7 @@ def family_admissible(args):
     from .families import is_admissible, parse_finset
 
     fam = _family(args)
-    parts = [parse_finset(b) for b in args.blocks.split(";") if b]
+    parts = [parse_finset(b) for b in args.blocks.split(";")]
     print("yes" if is_admissible(fam, parts) else "no")
 
 

@@ -1,6 +1,7 @@
 """Finite-scale norm estimates: l1 lower bounds and norm-equivalence samples."""
 
 from fractions import Fraction
+from math import log2
 
 from . import SchreierError, ordinals
 from .families import Schreier, format_finset
@@ -40,7 +41,9 @@ def rational_root_half(n):
     """A rational approximation of 2^(-1/n), within 10^-9.
 
     The approximation is stored and used exactly; no floating point enters
-    any norm computation.
+    any norm computation.  The bisection tests mid^n < 1/2 as
+    n log2(mid) + 1 < 0 in floats, off by less than (n + 1) 2^-50; only a
+    float within (n + 1) 2^-40 of 0 takes the exact power: every step is exact.
     """
     if n < 1:
         raise EstimateError("n must be >= 1")
@@ -49,9 +52,11 @@ def rational_root_half(n):
     # bisection on c^n = 1/2 over rationals, well inside the tolerance
     lo, hi = Fraction(1, 2), Fraction(1)
     target = Fraction(1, 2)
+    margin = (n + 1) * 2.0 ** -40
     while hi - lo > Fraction(1, 8 * 10**9):
         mid = (lo + hi) / 2
-        if mid**n < target:
+        sign = n * log2(mid) + 1
+        if sign < -margin or (sign <= margin and mid**n < target):
             lo = mid
         else:
             hi = mid

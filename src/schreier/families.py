@@ -42,6 +42,48 @@ class BudgetExceeded(SchreierError, RuntimeError):
     exit_code = 3
 
 
+class Budget:
+    """A guarded search's limit on units of work, the unit, the stage running
+    and the units spent.  A hot loop counts in a local integer and calls
+    `spend` only once its units are settled or the limit is passed."""
+
+    def __init__(self, limit, unit, stage):
+        if limit < 0:
+            raise FamilyError("budget must be >= 0, got %d" % limit)
+        self.limit, self.unit, self.stage, self.spent = limit, unit, stage, 0
+
+    def spend(self, units):
+        self.spent += units
+        if self.spent > self.limit:
+            raise BudgetExceeded("%s: budget of %d %s exhausted, %d spent"
+                                 % (self.stage, self.limit, self.unit, self.spent))
+
+
+class BoundedMemo(dict):
+    """A memo whose keys weigh at most `cap` together, `weight(key)` each.
+    A key that would pass the cap first drops the older half of the entries,
+    in insertion order, as often as it takes; one heavier is not kept."""
+
+    def __init__(self, cap, weight):
+        super().__init__()
+        self.cap, self.weight, self.held = cap, weight, 0
+
+    def keep(self, key, value):
+        size = self.weight(key)
+        if size > self.cap:
+            return
+        while self.held + size > self.cap:
+            for old in list(itertools.islice(self, (len(self) + 1) // 2)):
+                self.held -= self.weight(old)
+                del self[old]
+        self[key] = value
+        self.held += size
+
+    def clear(self):
+        super().clear()
+        self.held = 0
+
+
 # -- finite sets ------------------------------------------------------------
 
 def finset(elements):
@@ -116,9 +158,7 @@ def _fine_step(beta, n):
 
 
 # Memo of the search at limits lam >= w^w, keyed by (lam, rest of the set).
-# When an insertion would pass FS_CACHE_CAP, the older half of the entries,
-# in insertion order, is dropped: the newer half is the search's working set.
-_fs_cache = {}
+_fs_cache = BoundedMemo(FS_CACHE_CAP, lambda key: 1)
 
 
 def fs_member(alpha, a):
@@ -131,14 +171,12 @@ def fs_member(alpha, a):
     for i, n in enumerate(a):
         if alpha.is_limit and not _below_omega_omega(alpha):
             key = (alpha, a[i:])
-            if key not in _fs_cache:
+            found = _fs_cache.get(key)
+            if found is None:
                 found = any(fs_member(ordinals.fundamental_seq(alpha, m), a[i:])
                             for m in range(1, n + 1))
-                if len(_fs_cache) >= FS_CACHE_CAP:
-                    for old in list(itertools.islice(_fs_cache, (len(_fs_cache) + 1) // 2)):
-                        del _fs_cache[old]
-                _fs_cache[key] = found
-            return _fs_cache[key]
+                _fs_cache.keep(key, found)
+            return found
         alpha = _fine_step(alpha, n)
         if alpha is None:
             return False
@@ -411,8 +449,7 @@ def enumerate_family(fam, bound, maximal_only=False, budget=1_000_000):
     """
     if bound < 1:
         raise FamilyError("bound must be >= 1")
-    if budget < 0:
-        raise FamilyError("budget must be >= 0, got %d" % budget)
+    meter = Budget(budget, "members", "enumeration within [1..%d]" % bound)
     gap = fam.right_stable_gap
 
     def children(prefix, state):
@@ -424,20 +461,22 @@ def enumerate_family(fam, bound, maximal_only=False, budget=1_000_000):
             elif gap is not None and n >= top + gap:
                 return
 
-    def walk(budget):
+    def walk(limit):
         # one iterator of children per level, so long members need no recursion
         stack = [iter([((), fam.initial_state())] if fam.contains(()) else [])]
+        visited = 0
         while stack:
             prefix, state = next(stack[-1], (None, None))
             if prefix is None:
                 stack.pop()
                 continue
-            budget -= 1
-            if budget < 0:
-                raise BudgetExceeded("enumeration budget exhausted at bound %d" % bound)
+            visited += 1
+            if visited > limit:
+                meter.spend(visited)
             if not maximal_only or is_maximal(fam, prefix):
                 yield prefix
             stack.append(children(prefix, state))
+        meter.spend(visited)
 
     return walk(budget)
 
@@ -466,7 +505,9 @@ def check_structure(fam, bound, budget=2_000_000):
 
     The chain check is the finite shadow of compactness: no member may extend
     greedily (always appending max+1) past the horizon while staying inside
-    the family.
+    the family.  A compact family fails it when a greedy chain, finite as
+    all are, ends past bound + DEFAULT_HORIZON: so S_2 at bound 8 (from {8}
+    the chain takes S_1 blocks of 8, 16, ...) and F_(w^w) at bound 22 fail.
     """
     members = set(enumerate_family(fam, bound, budget=budget))
     hereditary = all(m[:i] + m[i + 1:] in members for m in members for i in range(len(m)))

@@ -48,56 +48,26 @@ nodes and tree and k times the value.  So for fine Schreier and explicit
 families a completed run is kept in `_pricing_memo`, by the family, its
 spreading flag, c, depth and the leaves divided by the gcd of the dual
 numerators; gauges and rounds whose duals agree up to scale and sign share
-it.  The memo is bounded by the (index, leaf) pairs its keys hold, at most
-PRICING_MEMO_PAIRS, and drops its older half when a run would pass that;
-a hit charges the nodes of the run it keeps against the gauge's budget, as
-a fresh run would.
+it.  Its keys hold at most PRICING_MEMO_PAIRS (index, leaf) pairs, and a
+hit charges its run's nodes to the gauge's budget, as a fresh run would.
 """
 
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import islice, product
+from itertools import product
 from math import gcd, lcm
 
 from . import simplex
-from .families import BudgetExceeded, Explicit, FineSchreier, Schreier
+from .families import BoundedMemo, Budget, Explicit, FineSchreier, Schreier
 from .norms import NormError
 from .vectors import SparseVec
 
 PRICING_MEMO_PAIRS = 1 << 16  # most (index, leaf) pairs the keys of `_pricing_memo` hold
 
-
-class _PricingMemo(dict):
-    """(value, tree, nodes) of completed pricing runs on leaves normalised
-    by the gcd of the dual numerators, by (family, spreading, c, depth, the
-    normalised (index, leaf) pairs); see `_price_column`.  `pairs` counts
-    the pairs its keys hold.  A run whose pairs would pass
-    PRICING_MEMO_PAIRS first drops the older half of the entries, as often
-    as it takes; a run with more pairs than that is not kept."""
-
-    __slots__ = ("pairs",)
-
-    def __init__(self):
-        super().__init__()
-        self.pairs = 0
-
-    def keep(self, key, run):
-        size = len(key[-1])
-        if size > PRICING_MEMO_PAIRS:
-            return
-        while self.pairs + size > PRICING_MEMO_PAIRS:
-            for old in list(islice(self, (len(self) + 1) // 2)):
-                self.pairs -= len(old[-1])
-                del self[old]
-        self[key] = run
-        self.pairs += size
-
-    def clear(self):
-        super().clear()
-        self.pairs = 0
-
-
-_pricing_memo = _PricingMemo()
+# (value, tree, nodes) of completed pricing runs on leaves normalised by the
+# gcd of the dual numerators, by (family, spreading, c, depth, the normalised
+# (index, leaf) pairs), a key weighing its pairs; see `_price_column`
+_pricing_memo = BoundedMemo(PRICING_MEMO_PAIRS, lambda key: len(key[-1]))
 # the handles that are equal exactly when their families are
 _SAME_FAMILY_TYPES = (FineSchreier, Schreier, Explicit)
 
@@ -125,20 +95,11 @@ def norming_set(params, bound, depth, budget=2_000_000):
     of each chain of signature groups that holds a group of the previous
     level.  The signed functionals are made at the end, each class's 2^k
     sign patterns of its k entries in `itertools.product` order.  The
-    budget counts a class as its 2^k patterns, so the count held is the
-    one of making the patterns one at a time."""
+    budget counts a class as its 2^k patterns as the class is found."""
     family, c = params.family, params.c
     depth = _depth_cap(depth, bound)
-    if budget < 0:
-        raise NormError("functional generation budget must be nonnegative, got %d" % budget)
-
-    def hold(level, count):
-        if count > budget:
-            raise BudgetExceeded("functional generation budget of %d exceeded at depth %d: "
-                                 "%d functionals held" % (budget, level, count))
-
-    held = 2 * max(bound, 0)
-    hold(0, held)
+    meter = Budget(budget, "functionals", "functional generation at depth 0")
+    meter.spend(2 * max(bound, 0))
     indices = range(1, bound + 1)
     # a class is held as a tuple of integer codes, one per entry: index i
     # with coefficient c^d is i * width + d (injective as 0 < c < 1), so
@@ -149,6 +110,7 @@ def norming_set(params, bound, depth, budget=2_000_000):
     pool = {}  # (support minimum, support maximum) -> [functionals scaled by c]
     fresh = made
     for level in range(1, depth + 1):
+        meter.stage = "functional generation at depth %d" % level
         # the previous level's functionals, scaled by c once, by signature
         latest = {}
         for f in fresh:
@@ -166,7 +128,6 @@ def norming_set(params, bound, depth, budget=2_000_000):
         new = {}
 
         def combine(partial, k, state, last_max, mixed):
-            nonlocal held
             if highest is not None and highest > last_max and family.step(state, highest) is None:
                 return
             for m in minima[bisect_right(minima, last_max):]:
@@ -182,10 +143,7 @@ def norming_set(params, bound, depth, budget=2_000_000):
                         for f in ext:
                             if f not in new:
                                 new[f] = None
-                                held += 1 << len(f)
-                                if held > budget:
-                                    # the pattern that passed the budget
-                                    hold(level, budget + 1)
+                                meter.spend(1 << len(f))
                     combine(ext, k + 1, after, top, holds)
 
         combine([()], 0, start, 0, False)
@@ -242,7 +200,7 @@ def _best_functional(params, x, depth):
     c = params.c
     scale = lcm(*(v.denominator for _, v in x.entries)) * c.denominator ** depth
     leaves = {i: abs(v.numerator) * (scale // v.denominator) for i, v in x.entries}
-    value, tree, nodes = _signature_dp(params.family, c, leaves, depth, float("inf"))
+    value, tree, nodes = _signature_dp(params.family, c, leaves, depth, None)
     entries = [(i, c ** d if x[i] > 0 else -c ** d) for i, d in _leaves(tree)]
     return Fraction(value, scale), SparseVec(entries), nodes
 
@@ -269,11 +227,13 @@ class _Steps(dict):
 
 def _signature_dp(fam, c, leaves, depth, budget, steps=None):
     """The signature DP of `_best_functional` on integer leaf values
-    {index: value}: the best value, its tree and the nodes visited.  Raises
-    ArithmeticError if c times a sum is not an integer, which the scaling of
-    its callers (`_best_functional`, `_price_column`) rules out.  `steps` is
-    the family's `_Steps` over minima up to the largest leaf index, shared
-    by the calls that pass it.
+    {index: value}: the best value, its tree and the nodes visited.  A
+    `Budget` (None for no limit) stops it once the units spent and its
+    nodes pass the limit; its caller charges a completed run.  Raises
+    ArithmeticError if c times a sum is not an integer, which the scaling
+    of its callers (`_best_functional`, `_price_column`) rules out.
+    `steps` is the family's `_Steps` over minima up to the largest leaf
+    index, shared by the calls that pass it.
 
     A level combines the pool's signatures into chains with successive
     supports, reading the chain's minima through the family's residual
@@ -283,7 +243,7 @@ def _signature_dp(fam, c, leaves, depth, budget, steps=None):
     completions, so each such class keeps only its best total and one chain
     attaining it, the first found.  Classes are swept by last maximum, each
     extended by every later minimum its state admits.  A node is one such
-    admitted extension, so `budget` bounds the classes times the minima; in
+    admitted extension, so a budget bounds the classes times the minima; in
     a spreading family a class that the largest minimum cannot extend is
     not scanned further (see `norming_set`).
     """
@@ -294,6 +254,7 @@ def _signature_dp(fam, c, leaves, depth, budget, steps=None):
     if steps is None:
         steps = _Steps(fam, width)
     span = steps.width
+    room = float("inf") if budget is None else budget.limit - budget.spent
     nodes = 0
     for _ in range(depth):
         # last maximum -> (first minimum, state number, k >= 2) -> (best
@@ -328,8 +289,8 @@ def _signature_dp(fam, c, leaves, depth, budget, steps=None):
                         have = target.get(key)
                         if have is None or cand > have[0]:
                             target[key] = (cand, chain + (sig,))
-                if nodes > budget:
-                    raise BudgetExceeded("signature DP ran past %d nodes" % budget)
+                if nodes > room:
+                    budget.spend(nodes)
         improved = []
         for sig, (total, chain) in found.items():
             val, rem = divmod(p * total, q)
@@ -362,8 +323,8 @@ def _price_column(params, duals, det, depth, budget, steps=None):
     """Pricing for the dual gauge on the master's integer duals, y_i =
     duals[i - 1] / det for i = 1..len(duals): the functional f of K_depth
     maximising <f, y> as an integer column q^depth f with its cost q^depth
-    (c = p/q), or None for the column when <f, y> <= 1; and the DP nodes
-    visited.
+    (c = p/q), or None for the column when <f, y> <= 1.  The DP nodes
+    visited are charged to the `Budget` `budget`.
 
     The |y_i| scaled by S = det q^depth are |duals[i - 1]| q^depth, so the
     price exceeds 1 exactly when the DP's value on those leaves exceeds S.
@@ -382,15 +343,12 @@ def _price_column(params, duals, det, depth, budget, steps=None):
     spreading flag, c, depth, the normalised (index, leaf) pairs): the
     flag decides how the DP scans, and the DP reads nothing else, not the
     gauge's bound or its `_Steps` numbering.  So a round of any gauge whose
-    duals agree with a kept run's up to scale and sign reads it, exactly.
-    A hit charges the stored nodes and raises the BudgetExceeded a fresh run
-    would raise when they pass `budget`; a run that runs out is not kept.
-    The memo holds at most PRICING_MEMO_PAIRS (index, leaf) pairs in its
-    keys, and its older half goes when a run would pass that.  The column
-    takes its signs from the duals on every call.  Oracle, residual and
-    derived families are priced afresh every time (an oracle's handle is
-    equal to any other of its name), as are all-zero duals, which
-    `dual_norm` never prices."""
+    duals agree with a kept run's up to scale and sign reads it, exactly,
+    and charges its nodes as a fresh run would; a run that runs out is not
+    kept.  The column takes its signs from the duals on every call.
+    Oracle, residual and derived families are priced afresh every time (an
+    oracle's handle is equal to any other of its name), as are all-zero
+    duals, which `dual_norm` never prices."""
     c = params.c
     p, q = c.numerator, c.denominator
     lift = q ** depth
@@ -405,16 +363,15 @@ def _price_column(params, duals, det, depth, budget, steps=None):
         known = _signature_dp(fam, c, leaves, depth, budget, steps)
         if key is not None:
             _pricing_memo.keep(key, known)
-    elif known[2] > budget:
-        raise BudgetExceeded("signature DP ran past %d nodes" % budget)
     value, tree, nodes = known
+    budget.spend(nodes)
     if value * g <= det * lift:
-        return None, lift, nodes
+        return None, lift
     column = [0] * len(duals)
     for i, d in _leaves(tree):
         coeff = p ** d * q ** (depth - d)
         column[i - 1] = coeff if duals[i - 1] > 0 else -coeff
-    return column, lift, nodes
+    return column, lift
 
 
 def dual_norm(params, g, bound, depth, functionals=None, budget=100_000):
@@ -441,21 +398,20 @@ def dual_norm(params, g, bound, depth, functionals=None, budget=100_000):
     with y to at most 1, and the set is finite, so the loop terminates.
 
     The loop runs on integers: `_price_column` reads the master's dual
-    numerators and returns the maximiser as an integer column with its cost.
-    For fine Schreier and explicit families a round whose duals agree up to
-    scale and sign with a run in the pricing memo, of this gauge or an
-    earlier one, reads that run (see `_price_column`) and still counts its
-    nodes.  A first round prices units on [1..bound], so it repeats whenever
-    an earlier gauge had the same family, c, depth and bound; on small
-    bounds most later rounds repeat too.
+    numerators and returns the maximiser as an integer column with its cost;
+    a round may read a run of the pricing memo, of this gauge or an earlier
+    one (see `_price_column`).  A first round prices units on [1..bound], so
+    it repeats whenever an earlier gauge had the same family, c, depth and
+    bound; on small bounds most later rounds repeat too.
 
     The pricing DP merges chains by residual state, so its nodes grow
     polynomially with `bound` (S_1, depth 2: 1,310 nodes for all-equal
     leaves on [1..14], 30,006 on [1..30]); `budget` caps its nodes over the
-    whole call, and BudgetExceeded reports the round it stopped in.  At
-    depth 2, g_i = (-1)^i (i mod 5 + 1) / (i mod 3 + 1) on [1..14] takes 43
-    rounds and about 0.03 s; on [1..20], 97 rounds, about 527,000 nodes
-    (past the default budget) and 0.34 s.  Below w^w the default budget is
+    whole call, and BudgetExceeded names the round it stopped in and the
+    nodes spent in the earlier rounds.  At depth 2, the target g_i =
+    (-1)^i (i mod 5 + 1) / (i mod 3 + 1) on [1..14] takes 43 rounds and
+    about 0.03 s; on [1..20], 97 rounds, about 527,000 nodes (past the
+    default budget) and 0.34 s.  Below w^w the default budget is
     spent in the first round in about 0.04 s at bound 800, 0.08 s at bound
     1,500 and 0.12 s at bound 3,000, all of it pricing: the master, which
     holds B^-1 (bound x bound integers), is not built in a round that runs
@@ -475,8 +431,8 @@ def dual_norm(params, g, bound, depth, functionals=None, budget=100_000):
     if bound < 1:
         raise NormError("functional bound must be at least 1, got %d" % bound)
     depth = _depth_cap(depth, bound)
-    if budget < 0:
-        raise NormError("pricing budget must be nonnegative, got %d" % budget)
+    stage = "dual gauge pricing round %d, after %d nodes in the earlier rounds"
+    meter = Budget(budget, "signature-DP nodes", stage % (1, 0))
     if not g:
         return Fraction(0)
     if g.support[-1] > bound:
@@ -485,13 +441,12 @@ def dual_norm(params, g, bound, depth, functionals=None, budget=100_000):
         return g.l1_norm()  # the gauge of {+-e_i}
     fam = params.family
     steps = _Steps(fam, bound + 1)
-    message = ("dual gauge pricing ran out of budget in round %d: %d signature-DP nodes "
-               "used, %d of them in the earlier rounds")
     # the master starts from the unit columns +-e_i, of cost 1, so the
     # first duals are +-1 on every row; where every singleton is a member,
-    # the first round then admits each minimum up to the bound
+    # the first round's first class then admits each minimum up to the
+    # bound: `bound` nodes, past the budget here
     if bound > budget and fam.spreading and steps[1] >= 0:
-        raise BudgetExceeded(message % (1, budget, 0))
+        meter.spend(bound)
     target = [Fraction(0)] * bound
     for i, v in g.entries:
         target[i - 1] = v
@@ -499,17 +454,14 @@ def dual_norm(params, g, bound, depth, functionals=None, budget=100_000):
     # is built only once that round finds a column
     duals, det = [-1 if v < 0 else 1 for v in target], 1
     master = None
-    spent = rounds = 0
+    rounds = 1
     while True:
-        rounds += 1
-        try:
-            column, cost, nodes = _price_column(params, duals, det, depth, budget - spent, steps)
-        except BudgetExceeded:
-            raise BudgetExceeded(message % (rounds, budget, spent)) from None
-        spent += nodes
+        column, cost = _price_column(params, duals, det, depth, meter, steps)
         if column is None:
             return g.l1_norm() if master is None else master.value
         if master is None:
             master = simplex.Master(target, bound)
         master.add_column(column, cost)
         duals, det = master.dual_numerators, master.det
+        rounds += 1
+        meter.stage = stage % (rounds, meter.spent)

@@ -212,6 +212,9 @@ class TestFamily:
         ["family", "member", "--explicit", "{bools}", "--set", "1"],
         ["family", "member", "--explicit", "{not_utf8}", "--set", "1"],
         ["family", "member", "--explicit", "{deep}", "--set", "1"],
+        # an empty block between or after the semicolons
+        ["family", "admissible", "--schreier", "1", "--blocks", "1,2;;3"],
+        ["family", "admissible", "--schreier", "1", "--blocks", "1,2;"],
     ])
     def test_bad_input_is_usage_error(self, tmp_path, args):
         (tmp_path / "bad.json").write_text("[[1, 2]")
@@ -283,7 +286,8 @@ class TestBoundedFamilySearches:
         proc = run_process("family", "enumerate", "--schreier", "1", "--bound", "20000",
                            "--budget", "1000")
         assert proc.returncode == 3
-        assert proc.stderr == "error: enumeration budget exhausted at bound 20000\n"
+        assert proc.stderr == ("error: enumeration within [1..20000]: budget of 1000 members "
+                               "exhausted, 1001 spent\n")
         first = itertools.islice(s1_members_in_lex_order(20000), 1000)
         assert proc.stdout == "".join(format_finset(a) + "\n" for a in first)
 
@@ -291,7 +295,8 @@ class TestBoundedFamilySearches:
         proc = run_process("family", "enumerate", "--fine", "2000", "--bound", "3000",
                            "--budget", "5000")
         assert proc.returncode == 3
-        assert proc.stderr == "error: enumeration budget exhausted at bound 3000\n"
+        assert proc.stderr == ("error: enumeration within [1..3000]: budget of 5000 members "
+                               "exhausted, 5001 spent\n")
 
 
 class TestNorm:
@@ -742,6 +747,34 @@ def test_cold_start_loads_only_the_layers_a_command_runs(tmp_path):
         assert not {"json", "__future__"} & modules
     for modules in (miss, hit):  # the cache records are JSON
         assert "json" in modules and "__future__" not in modules
+
+
+# A budget too small for the input, on each guarded search's command, and
+# the one line its exhaustion prints: the stage, the limit with its unit and
+# the units spent.
+_EXHAUSTED = {
+    "family enumerate": (
+        ["family", "enumerate", "--schreier", "2", "--bound", "14", "--budget", "10"],
+        "enumeration within [1..14]: budget of 10 members exhausted, 11 spent"),
+    "family structure": (
+        ["family", "structure", "--schreier", "2", "--bound", "14", "--budget", "10"],
+        "enumeration within [1..14]: budget of 10 members exhausted, 11 spent"),
+    "dualnorm": (
+        ["dualnorm", "--schreier", "1", "--c", "1/2", "--vec", "1:1", "--bound", "14",
+         "--depth", "2", "--budget", "1000"],
+        "dual gauge pricing round 1, after 0 nodes in the earlier rounds: budget of 1000 "
+        "signature-DP nodes exhausted, 1001 spent"),
+}
+
+
+@pytest.mark.parametrize("args, message", _EXHAUSTED.values(), ids=_EXHAUSTED)
+def test_exhausted_budget_prints_one_line(args, message):
+    result = run(*args)
+    assert result.exit_code == 3
+    assert result.stderr == "error: %s\n" % message
+    negative = run(*args[:-1], "-1")
+    assert negative.exit_code == 2
+    assert negative.stderr == "error: budget must be >= 0, got -1\n"
 
 
 # One command per exit status of the contract: pass, failed check, usage

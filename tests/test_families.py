@@ -1,6 +1,7 @@
 import functools
 import gc
 import itertools
+import pathlib
 import random
 import sys
 import time
@@ -187,7 +188,7 @@ class TestResidualStates:
 
     def test_search_memo_is_bounded(self, monkeypatch):
         # at the cap the older half of the memo goes, in insertion order
-        class Recorder(dict):
+        class Recorder(families.BoundedMemo):
             inserted, sizes = [], []
 
             def __setitem__(self, key, value):
@@ -198,10 +199,13 @@ class TestResidualStates:
         cases = [(alpha, a) for alpha in (OMEGA_OMEGA, add(OMEGA_OMEGA, OMEGA),
                                           mul(OMEGA_OMEGA, from_int(2)))
                  for a in subsets(10, 5)]
-        monkeypatch.setattr(families, "_fs_cache", {})
+        # a dict, whose size the benchmark reads, counting entries
+        assert isinstance(families._fs_cache, dict)
+        assert families._fs_cache.cap == families.FS_CACHE_CAP
+        entry = families._fs_cache.weight
+        monkeypatch.setattr(families, "_fs_cache", families.BoundedMemo(float("inf"), entry))
         uncapped = [fs_member(alpha, a) for alpha, a in cases]
-        monkeypatch.setattr(families, "FS_CACHE_CAP", 40)
-        monkeypatch.setattr(families, "_fs_cache", Recorder())
+        monkeypatch.setattr(families, "_fs_cache", Recorder(40, entry))
         for (alpha, a), expected in zip(cases, uncapped):
             assert fs_member(alpha, a) == expected == oracle_member(alpha, a), (alpha, a)
         sizes, memo = Recorder.sizes, families._fs_cache
@@ -685,3 +689,11 @@ class TestCBIndex:
         assert d.descriptor() == "cbderiv(cbderiv(schreier:1))"
         with pytest.raises(FamilyError):
             cb_derivative(residual(Schreier(ONE), (2,)))
+
+
+def test_budget_exceeded_is_raised_in_one_place():
+    # every guarded search runs out through `Budget.spend` and its one message
+    src = pathlib.Path(families.__file__).parent
+    raises = [path.name for path in sorted(src.glob("*.py"))
+              for line in path.read_text().splitlines() if "raise BudgetExceeded" in line]
+    assert raises == ["families.py"]

@@ -10,8 +10,8 @@ import pytest
 
 from schreier import functionals, simplex
 from schreier.ordinals import ONE, OMEGA, from_int
-from schreier.families import (BudgetExceeded, Explicit, FineSchreier, Oracle, Schreier,
-                               schreier_member)
+from schreier.families import (BoundedMemo, Budget, BudgetExceeded, Explicit, FamilyError,
+                               FineSchreier, Oracle, Schreier, schreier_member)
 from schreier.functionals import (_best_functional, _price_column, _signature_dp,
                                   dual_norm, norm_via_functionals, norming_set)
 from schreier.norms import NormParams, NormError, norm
@@ -61,7 +61,7 @@ def generate_oracle(family, c, indices, depth, signed, budget):
     return depths
 
 
-def best_functional_oracle(params, x, depth, budget=float("inf")):
+def best_functional_oracle(params, x, depth):
     """Reference pricing: the signature DP on Fractions, admissibility asked
     of `contains` on the whole prefix of minima.  Returns (value,
     functional, nodes), as `_best_functional`."""
@@ -80,8 +80,6 @@ def best_functional_oracle(params, x, depth, budget=float("inf")):
         def combine(mins, last_max, total, parts):
             nonlocal nodes
             nodes += 1
-            if nodes > budget:
-                raise BudgetExceeded("signature DP ran past %d nodes" % budget)
             if len(mins) >= 2:
                 sig = (mins[0], last_max)
                 val = c * total
@@ -140,18 +138,26 @@ def in_norming_set(family, c, f, depth):
     return bool(f) and member(tuple((i, abs(v)) for i, v in f.entries), depth)
 
 
-def price_column_oracle(params, duals, det, depth, budget=float("inf"), steps=None):
+def price_column_oracle(params, duals, det, depth, budget, steps=None):
     """Reference dual-gauge pricing: `best_functional_oracle` on the
     Fraction duals duals[i - 1] / det, its maximiser as integers over the
-    lcm of their denominators.  Returns (column, cost, nodes), as
-    `functionals._price_column`."""
+    lcm of their denominators.  Returns (column, cost) and charges the
+    oracle's nodes to `budget`, as `functionals._price_column`."""
     rows = range(1, len(duals) + 1)
     x = SparseVec([(i, Fraction(duals[i - 1], det)) for i in rows])
-    price, f, nodes = best_functional_oracle(params, x, depth, budget)
+    price, f, nodes = best_functional_oracle(params, x, depth)
+    budget.spend(nodes)
     if price <= 1:
-        return None, 1, nodes
+        return None, 1
     cost = lcm(*(v.denominator for _, v in f.entries))
-    return [f[i].numerator * (cost // f[i].denominator) for i in rows], cost, nodes
+    return [f[i].numerator * (cost // f[i].denominator) for i in rows], cost
+
+
+def priced(params, duals, det, depth):
+    """`_price_column` under a budget it never passes: (column, cost, the
+    nodes it charged)."""
+    meter = Budget(10 ** 18, "signature-DP nodes", "pricing")
+    return (*_price_column(params, duals, det, depth, meter), meter.spent)
 
 
 class Infeasible(Exception):
@@ -344,11 +350,20 @@ class TestNormingSet:
         assert len(norming_set(S1, bound, 3)) == size
 
     def test_budget(self):
-        # an exhausted budget is the exit-3 error, as every other budget's
-        with pytest.raises(BudgetExceeded):
+        # an exhausted budget is the exit-3 error, as every other budget's,
+        # with the one line naming the stage, the limit and the units spent
+        with pytest.raises(BudgetExceeded) as short:
             norming_set(S1, 6, 3, budget=50)
+        assert short.value.exit_code == 3
+        assert str(short.value) == ("functional generation at depth 1: budget of 50 functionals "
+                                    "exhausted, 52 spent")
+        with pytest.raises(FamilyError) as negative:
+            norming_set(S1, 6, 3, budget=-1)
+        assert negative.value.exit_code == 2
+        assert str(negative.value) == "budget must be >= 0, got -1"
         # the coordinate functionals are counted before any is made
-        with pytest.raises(BudgetExceeded, match="exceeded at depth 0: 2000000000000 functionals"):
+        with pytest.raises(BudgetExceeded, match="^functional generation at depth 0: budget of "
+                           "2000000 functionals exhausted, 2000000000000 spent$"):
             norming_set(S1, 10 ** 12, 1)
 
     # a non-spreading family: {2, 5} is a member, its spread {3, 5} is not
@@ -401,10 +416,11 @@ class TestNormingSet:
         for budget in [50] + list(range(size - 12, size + 4)):
             assert _passes(ours, budget) == (budget >= size)
         assert not _passes(theirs, size)
-        with pytest.raises(BudgetExceeded, match="budget of %d exceeded at depth 3: %d functionals held"
-                           % (size - 1, size)):
+        with pytest.raises(BudgetExceeded, match="^functional generation at depth 3: budget of %d "
+                           "functionals exhausted, %d spent$" % (size - 1, size)):
             ours(size - 1)
-        with pytest.raises(BudgetExceeded, match="budget of 9 exceeded at depth 0: 10 functionals held"):
+        with pytest.raises(BudgetExceeded, match="^functional generation at depth 0: budget of 9 "
+                           "functionals exhausted, 10 spent$"):
             ours(9)
 
     @pytest.mark.parametrize("family, c, bound, depth", ORACLE_CASES, ids=ORACLE_IDS)
@@ -428,13 +444,16 @@ class TestNormingSet:
         # this order, 4 sign patterns each of {2, 3}, {2, 4}, {2, 5}, {3, 4},
         # 8 of {3, 4, 5} and 4 each of {3, 5}, {4, 5}; every budget from 11
         # to 41 but 14, 18, 22, 26, 34 and 38 runs out partway through one
-        # support's patterns, and the count held is the one of making them
-        # one at a time
+        # support's patterns, and the count held takes that support's
+        # patterns in full
         ours = lambda budget: norming_set(S1, 5, 1, budget=budget)
         assert len(ours(42)) == 42
+        totals = [14, 18, 22, 26, 34, 38, 42]
         for budget in range(10, 42):
-            with pytest.raises(BudgetExceeded, match="budget of %d exceeded at depth 1: %d "
-                               "functionals held$" % (budget, budget + 1)):
+            held = min(t for t in totals if t > budget)
+            with pytest.raises(BudgetExceeded, match="^functional generation at depth 1: "
+                               "budget of %d functionals exhausted, %d spent$"
+                               % (budget, held)):
                 ours(budget)
         # the positive functionals of the list come with all their patterns
         deep = norming_set(S1, 5, 3)
@@ -450,7 +469,7 @@ class TestNormingSet:
     def test_negative_depth_and_budget(self):
         with pytest.raises(NormError, match="depth must be nonnegative, got -1"):
             norming_set(S1, 3, -1)
-        with pytest.raises(NormError, match="budget must be nonnegative, got -1"):
+        with pytest.raises(FamilyError, match="^budget must be >= 0, got -1$"):
             norming_set(S1, 3, 1, budget=-1)
 
     def test_example_functional_present(self):
@@ -483,8 +502,8 @@ class TestPricingOracle:
         # of its denominators
         rows = range(1, x.support[-1] + 1)
         det = 3 * lcm(*(v.denominator for _, v in x.entries))
-        column, cost, nodes = _price_column(params, [x[i].numerator * det // x[i].denominator
-                                                     for i in rows], det, depth, float("inf"))
+        column, cost, nodes = priced(params, [x[i].numerator * det // x[i].denominator
+                                              for i in rows], det, depth)
         assert nodes == ours[2]
         if theirs[0] > 1:
             assert cost == params.c.denominator ** depth
@@ -546,8 +565,9 @@ class TestPricingOracle:
         price = functionals._price_column
 
         def recording(params, duals, det, depth, budget, steps=None):
+            before = budget.spent
             result = price(params, duals, det, depth, budget, steps)
-            used.append(result[2])
+            used.append(budget.spent - before)
             return result
 
         def run(budget):
@@ -563,8 +583,9 @@ class TestPricingOracle:
         rounds, total = len(used), sum(used)
         assert used[-1] > 0
         short = run(total - 1)
-        assert "round %d: %d signature-DP nodes used, %d of them in the earlier rounds" % (
-            rounds, total - 1, total - used[-1]) in short
+        assert short == ("dual gauge pricing round %d, after %d nodes in the earlier rounds: "
+                         "budget of %d signature-DP nodes exhausted, %d spent"
+                         % (rounds, total - used[-1], total - 1, total))
         assert run(total) == ours
 
     def test_dual_norm_with_oracle_pricing(self, monkeypatch):
@@ -579,9 +600,9 @@ class TestPricingOracle:
     def test_exact_division_check(self):
         # unscaled leaves: c * (1 + 2) is not an integer
         with pytest.raises(ArithmeticError):
-            _signature_dp(S1.family, S1.c, {2: 1, 3: 2}, 1, float("inf"))
+            _signature_dp(S1.family, S1.c, {2: 1, 3: 2}, 1, None)
         # scaled: the combination is worth 3, the leaf at 3 more
-        assert _signature_dp(S1.family, S1.c, {2: 2, 3: 4}, 1, float("inf"))[:2] == (4, 3)
+        assert _signature_dp(S1.family, S1.c, {2: 2, 3: 4}, 1, None)[:2] == (4, 3)
 
 
 class TestFunctionalNorm:
@@ -785,18 +806,20 @@ class TestDualNormBudget:
     def test_budget_reports_round_and_nodes(self):
         g = SparseVec([(1, Fraction(1))])
         assert dual_norm(S1, g, 10, 2) == 1
-        with pytest.raises(BudgetExceeded, match=r"pricing .* round \d+: 1000 .*nodes"):
+        with pytest.raises(BudgetExceeded, match=r"^dual gauge pricing round \d+, after \d+ nodes "
+                           r"in the earlier rounds: budget of 1000 signature-DP nodes "
+                           r"exhausted, \d+ spent$"):
             dual_norm(S1, g, 10, 2, budget=1000)
 
     def test_negative_budget(self):
-        with pytest.raises(NormError):
+        with pytest.raises(FamilyError, match="^budget must be >= 0, got -1$"):
             dual_norm(S1, SparseVec([(1, Fraction(1))]), 4, 2, budget=-1)
 
     def test_merged_chains_at_bound_30(self):
         # enumerating the admissible chains of minima passes 2,000,000 nodes
         # here; merged by residual state, they stay within 100,000
         value, _, nodes = _signature_dp(S1.family, S1.c, dict.fromkeys(range(1, 31), 4), 2,
-                                        100_000)
+                                        Budget(100_000, "signature-DP nodes", "pricing"))
         assert nodes <= 100_000
         assert Fraction(value, 4) == norm(S1, SparseVec([(i, 1) for i in range(1, 31)]))[0]
 
@@ -816,10 +839,11 @@ class TestDualNormBudget:
         fam.step = counting
         budget = 10_000
         with pytest.raises(BudgetExceeded):
-            _signature_dp(fam, Fraction(1, 2), dict.fromkeys(range(1, 401), 2), 1, budget)
+            _signature_dp(fam, Fraction(1, 2), dict.fromkeys(range(1, 401), 2), 1,
+                          Budget(budget, "signature-DP nodes", "pricing"))
         assert calls[0] <= 3 * budget
         calls[0] = 0
-        with pytest.raises(BudgetExceeded, match="generation budget"):
+        with pytest.raises(BudgetExceeded, match="functional generation at depth 1: "):
             norming_set(NormParams(fam, Fraction(1, 2)), 400, 1, budget=budget)
         assert calls[0] <= 3 * budget
 
@@ -827,8 +851,9 @@ class TestDualNormBudget:
         # the budget runs out in the first pricing round
         with pytest.raises(BudgetExceeded) as exc:
             dual_norm(S1, SparseVec([(1, Fraction(1))]), 1500, 1)
-        assert str(exc.value) == ("dual gauge pricing ran out of budget in round 1: 100000 "
-                                  "signature-DP nodes used, 0 of them in the earlier rounds")
+        assert str(exc.value) == ("dual gauge pricing round 1, after 0 nodes in the earlier "
+                                  "rounds: budget of 100000 signature-DP nodes exhausted, "
+                                  "101438 spent")
 
     def test_dense_target_rounds(self, monkeypatch):
         # the dense S_1 target of the `dual_norm` docstring, by its rounds
@@ -890,14 +915,14 @@ class TestDualNormBudget:
         # the first duals are +-1 on every row, so the first round admits
         # every minimum up to the bound: the same error, without the master
         g = SparseVec([(1, Fraction(1))])
-        message = ("dual gauge pricing ran out of budget in round 1: %d signature-DP nodes "
-                   "used, 0 of them in the earlier rounds")
+        message = ("dual gauge pricing round 1, after 0 nodes in the earlier rounds: budget of "
+                   "%d signature-DP nodes exhausted, %d spent")
         # S_1 taken for a family the gauge cannot vouch for: priced in full
         unvouched = NormParams(Schreier(ONE), S1.c)
         unvouched.family.spreading = False
         with pytest.raises(BudgetExceeded) as priced:
             dual_norm(unvouched, g, 30, 1, budget=20)
-        assert str(priced.value) == message % 20
+        assert str(priced.value) == message % (20, 30)
         self._no_master(monkeypatch)
         rounds = []
         price = functionals._price_column
@@ -910,13 +935,13 @@ class TestDualNormBudget:
         for bound, budget in ((30, 20), (1000, 20), (1000, 999)):
             with pytest.raises(BudgetExceeded) as guarded:
                 dual_norm(S1, g, bound, 1, budget=budget)
-            assert str(guarded.value) == message % budget
+            assert str(guarded.value) == message % (budget, bound)
         assert not rounds
         # within the budget round 1 is priced, still without the master,
         # which is built once a round finds a column
         with pytest.raises(BudgetExceeded) as within:
             dual_norm(S1, g, 30, 1, budget=30)
-        assert str(within.value) == message % 30
+        assert str(within.value) == message % (30, 58)
         assert len(rounds) == 1
         with pytest.raises(AssertionError, match="master was built"):
             dual_norm(S1, g, 10, 1)
@@ -927,8 +952,9 @@ class TestDualNormBudget:
         self._no_master(monkeypatch)
         with pytest.raises(BudgetExceeded) as exc:
             dual_norm(S1, SparseVec([(1, Fraction(1))]), 3000, 1)
-        assert str(exc.value) == ("dual gauge pricing ran out of budget in round 1: 100000 "
-                                  "signature-DP nodes used, 0 of them in the earlier rounds")
+        assert str(exc.value) == ("dual gauge pricing round 1, after 0 nodes in the earlier "
+                                  "rounds: budget of 100000 signature-DP nodes exhausted, "
+                                  "101777 spent")
 
     def test_round_one_without_a_column_builds_no_master(self, monkeypatch):
         # on [1..4] every functional of K_1 pairs with y = +-1 to at most 1
@@ -945,7 +971,8 @@ class TestDualNormBudget:
 def pricing_memo(monkeypatch):
     """An empty `functionals._pricing_memo` for the test, the module's own
     restored afterwards."""
-    monkeypatch.setattr(functionals, "_pricing_memo", functionals._PricingMemo())
+    memo = BoundedMemo(functionals.PRICING_MEMO_PAIRS, functionals._pricing_memo.weight)
+    monkeypatch.setattr(functionals, "_pricing_memo", memo)
     return functionals._pricing_memo
 
 
@@ -956,8 +983,9 @@ def price_log(monkeypatch):
     price = functionals._price_column
 
     def recording(params, duals, det, depth, budget, steps=None):
+        before = budget.spent
         result = price(params, duals, det, depth, budget, steps)
-        log.append((tuple(duals), result[0], result[2]))
+        log.append((tuple(duals), result[0], budget.spent - before))
         return result
 
     monkeypatch.setattr(functionals, "_price_column", recording)
@@ -1059,13 +1087,15 @@ class TestRoundOneCache:
         g = parse_vec(target)
         value = dual_norm(S1, g, 6, 3)
         used = [nodes for _, _, nodes in price_log]
-        message = ("round %d: %d signature-DP nodes used, %d of them in the earlier rounds")
+        message = ("dual gauge pricing round %d, after %d nodes in the earlier rounds: budget of "
+                   "%d signature-DP nodes exhausted, %d spent")
         for budget, rounds in ((used[0] - 1, 1), (sum(used) - 1, len(used))):
             if not warm:
                 pricing_memo.clear()
             with pytest.raises(BudgetExceeded) as short:
                 dual_norm(S1, g, 6, 3, budget=budget)
-            assert message % (rounds, budget, sum(used[:rounds - 1])) in str(short.value)
+            assert str(short.value) == message % (rounds, sum(used[:rounds - 1]), budget,
+                                                  sum(used[:rounds]))
         if not warm:
             pricing_memo.clear()
         assert dual_norm(S1, g, 6, 3, budget=sum(used)) == value
@@ -1081,7 +1111,7 @@ class TestRoundOneCache:
         # and det still scales the price
         units = [(y > 0) - (y < 0) for y in duals]
         for ys in (duals, units, duals):
-            column, cost, _ = _price_column(S1, ys, det, 3, float("inf"))
+            column, cost, _ = priced(S1, ys, det, 3)
             _check_price(S1, ys, det, 3, column, cost)
         leaves = tuple((i, 8) for i, y in enumerate(duals, 1) if y)
         assert list(pricing_memo) == [(S1.family, True, S1.c, 3, leaves)]
@@ -1119,7 +1149,7 @@ class TestRoundOneCache:
         assert keys and all(type(key[0]) is Schreier and key[:2] == (S1.family, True)
                             for key in keys)
 
-    def test_bounded_table(self, pricing_memo, price_log, monkeypatch):
+    def test_bounded_table(self, pricing_memo, price_log):
         keys = [(Schreier(ONE), Fraction(1, 2), 6, 3), (Schreier(ONE), Fraction(2, 3), 6, 3),
                 (Schreier(from_int(2)), Fraction(1, 2), 7, 2),
                 (FineSchreier(OMEGA), Fraction(1, 2), 5, 2),
@@ -1138,25 +1168,24 @@ class TestRoundOneCache:
         # far below the bound, so every priced pattern is kept
         assert len(pricing_memo) == len(priced)
         held = _pairs(key[-1] for key in pricing_memo)
-        assert pricing_memo.pairs == held <= functionals.PRICING_MEMO_PAIRS
+        assert pricing_memo.held == held <= functionals.PRICING_MEMO_PAIRS
         # a bound of 7 pairs is passed many times over; answers are unchanged
         assert held > 7 * 7
         pricing_memo.clear()
-        monkeypatch.setattr(functionals, "PRICING_MEMO_PAIRS", 7)
+        pricing_memo.cap = 7
         for call, value in zip(calls, want):
             assert dual_norm(*call) == value
-            assert pricing_memo.pairs == _pairs(key[-1] for key in pricing_memo) <= 7
+            assert pricing_memo.held == _pairs(key[-1] for key in pricing_memo) <= 7
 
-    def test_pair_bound(self, monkeypatch):
+    def test_pair_bound(self):
         # an insert that would pass the bound drops the older half of the
         # entries, as often as it takes; a run wider than the bound is not
         # kept
-        monkeypatch.setattr(functionals, "PRICING_MEMO_PAIRS", 6)
-        memo = functionals._PricingMemo()
+        memo = BoundedMemo(6, functionals._pricing_memo.weight)
 
         def keep(name, width):
             memo.keep((name, tuple((i, 1) for i in range(1, width + 1))), name)
-            return [key[0] for key in memo], memo.pairs
+            return [key[0] for key in memo], memo.held
 
         assert keep("a", 1) == (["a"], 1)
         assert keep("b", 1) == (["a", "b"], 2)
@@ -1167,7 +1196,7 @@ class TestRoundOneCache:
         assert keep("f", 7) == (["d", "e"], 5)
         assert keep("g", 6) == (["g"], 6)
         memo.clear()
-        assert (len(memo), memo.pairs) == (0, 0)
+        assert (len(memo), memo.held) == (0, 0)
 
     def test_one_run_per_shared_first_round(self, pricing_memo, price_log, dp_runs):
         # 6 gauges at (S_1, 1/2, 6, 3): 24 rounds over 8 patterns, one DP
@@ -1195,22 +1224,21 @@ class TestPricingMemo:
         for k in (1, 2, 7):
             pricing_memo.clear()
             ys = [k * y for y in duals]
-            cold.append(_price_column(params, ys, k * det, 3, float("inf")))
+            cold.append(priced(params, ys, k * det, 3))
             _check_price(params, ys, k * det, 3, cold[-1][0], cold[-1][1])
         assert cold[0] == cold[1] == cold[2]
         pricing_memo.clear()
         dp_runs.clear()
         for k in (1, 2, 7):
-            assert _price_column(params, [k * y for y in duals], k * det, 3,
-                                 float("inf")) == cold[0]
+            assert priced(params, [k * y for y in duals], k * det, 3) == cold[0]
         assert len(dp_runs) == len(pricing_memo) == 1
 
     def test_signs(self, pricing_memo, dp_runs):
         # equal magnitudes, two sign patterns: one entry, each call's own signs
         a = [2, -1, 3, 1, -2, 4]
         b = [-2, -1, 3, -1, 2, -4]
-        ca, cost, nodes = _price_column(S1, a, 3, 2, float("inf"))
-        cb, cost_b, nodes_b = _price_column(S1, b, 3, 2, float("inf"))
+        ca, cost, nodes = priced(S1, a, 3, 2)
+        cb, cost_b, nodes_b = priced(S1, b, 3, 2)
         assert ca is not None and (cost, nodes) == (cost_b, nodes_b)
         assert len(dp_runs) == len(pricing_memo) == 1
         assert cb == [v if (x > 0) == (y > 0) else -v for v, x, y in zip(ca, a, b)]
@@ -1233,13 +1261,13 @@ class TestPricingMemo:
                     leaves = tuple((i, abs(y) // k * 4) for i, y in enumerate(duals, 1) if y)
                     assert (S1.family, True, S1.c, 2, leaves) in pricing_memo
                     for det in (1, rng.randint(2, 50)):
-                        column, cost, _ = _price_column(S1, duals, det, 2, float("inf"))
+                        column, cost, _ = priced(S1, duals, det, 2)
                         _check_price(S1, duals, det, 2, column, cost)
         assert zeros >= 5
         # all-zero duals, which no gauge prices, fail in the DP on no
         # leaves as before the memo, not by a division by their gcd 0
         with pytest.raises(IndexError):
-            _price_column(S1, [0] * 4, 1, 2, float("inf"))
+            priced(S1, [0] * 4, 1, 2)
 
     @pytest.mark.parametrize("family", [
         Schreier(ONE), Schreier(from_int(2)), FineSchreier(from_int(5)), FineSchreier(OMEGA),

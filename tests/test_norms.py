@@ -31,7 +31,7 @@ from schreier.norms import (
     norm_value,
     verify_certificate,
 )
-from schreier.estimates import EstimateError, check_l1_lower
+from schreier.estimates import EstimateError, check_l1_lower, rational_root_half
 from schreier.functionals import norm_via_functionals
 from schreier.vectors import SparseVec, basis_vec, format_vec, parse_vec
 
@@ -286,6 +286,41 @@ class TestL1Lower:
 
     def test_zero_vector(self):
         assert check_l1_lower(ONE, 1, (2, 5), [0, 0])
+
+
+def exact_root_half(n):
+    """The bisection of `rational_root_half` with every power taken exactly."""
+    if n == 1:
+        return Fraction(1, 2)
+    lo, hi = Fraction(1, 2), Fraction(1)
+    while hi - lo > Fraction(1, 8 * 10**9):
+        mid = (lo + hi) / 2
+        if mid**n < Fraction(1, 2):
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+class TestRationalRootHalf:
+    def test_matches_the_exact_bisection(self):
+        for n in [*range(1, 101), 2000, 20000]:
+            assert rational_root_half(n) == exact_root_half(n), n
+
+    def test_large_n_takes_no_exact_power(self, monkeypatch):
+        # the exact bisection spent 13.4 s in mid**n at n = 200,000
+        powers = []
+        power = Fraction.__pow__
+
+        def counting(a, b, *rest):
+            powers.append(b)
+            return power(a, b, *rest)
+
+        monkeypatch.setattr(Fraction, "__pow__", counting)
+        c = rational_root_half(200_000)
+        assert powers == []
+        monkeypatch.undo()
+        assert abs(float(c) - 2 ** (-1 / 200_000)) < 10 ** -9
 
 
 class TestDomination:
