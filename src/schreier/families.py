@@ -193,13 +193,11 @@ def schreier_member(alpha, a):
 # -- family handles ---------------------------------------------------------
 
 class FamilyHandle:
-    """A symbolic compact hereditary family, queryable for membership."""
+    """A symbolic compact hereditary family, queryable for membership.  Each
+    handle sets an integer `right_stable_gap` >= 1: membership of a u {n} is
+    the same for every n >= max(a) + gap (max of the empty set being 0)."""
 
     spreading = False
-    # When set, membership of a u {n} is the same for every n >= max(a) + gap
-    # (max of the empty set being 0), so the single probe a u {max(a) + gap}
-    # decides whether a has infinitely many one-point extensions.
-    right_stable_gap = None
 
     def __contains__(self, a):
         return self.contains(tuple(a))
@@ -284,7 +282,8 @@ class Schreier(FineSchreier):
 
 class Explicit(FamilyHandle):
     """A finite family stored fully materialized and downward closed, with
-    at most EXPLICIT_CAP members, and named by its maximal members."""
+    at most EXPLICIT_CAP members, named by its maximal members; no member
+    reaches its gap, 1 + its largest element."""
 
     def __init__(self, members):
         closed = {(): False}  # member -> is it a proper subset of a row?
@@ -300,6 +299,7 @@ class Explicit(FamilyHandle):
                 raise FamilyError("the downward closure passes the cap of %d members"
                                   % EXPLICIT_CAP)
         self.members = frozenset(closed)
+        self.right_stable_gap = 1 + max((m[-1] for m in closed if m), default=0)
         # a row is maximal iff no one-point extension of it lies in the
         # closure, that is iff it is a proper subset of no row
         self.maximal = frozenset(m for m, proper in closed.items() if not proper)
@@ -321,16 +321,16 @@ class Explicit(FamilyHandle):
 
 
 class Residual(FamilyHandle):
-    """{ B : prefix < B and prefix u B in base }."""
+    """{ B : prefix < B and prefix u B in base }, with gap max(prefix) + the
+    base's gap, and spreading when the base is (a spread of B stays above
+    the prefix)."""
 
     def __init__(self, base, prefix):
         prefix = finset(prefix)
         if not base.contains(prefix):
             raise FamilyError("residual prefix %s is not a member" % format_finset(prefix))
-        self.base = base
-        self.prefix = prefix
-        if not prefix:  # a nonempty prefix puts members above it: neither holds
-            self.spreading, self.right_stable_gap = base.spreading, base.right_stable_gap
+        self.base, self.prefix, self.spreading = base, prefix, base.spreading
+        self.right_stable_gap = (prefix[-1] if prefix else 0) + base.right_stable_gap
 
     def contains(self, a):
         if not a:
@@ -347,11 +347,11 @@ class Oracle(FamilyHandle):
     """A family given by an arbitrary membership predicate.
 
     Used internally (e.g. for min-set families of block trees); the caller
-    vouches for heredity and, when given, the right-stable gap.  Each query
-    asks the predicate once; no answer is kept.
+    vouches for heredity and for the right-stable gap, which is required.
+    Each query asks the predicate once; no answer is kept.
     """
 
-    def __init__(self, predicate, name, right_stable_gap=None):
+    def __init__(self, predicate, name, right_stable_gap):
         self.predicate = predicate
         self.name = name
         self.right_stable_gap = right_stable_gap
@@ -366,7 +366,7 @@ class Oracle(FamilyHandle):
 # -- Cantor-Bendixson derivatives -------------------------------------------
 
 # The derivative D(F) of a hereditary family keeps the members with
-# infinitely many one-point extensions.  If F is right-stable with gap g, a
+# infinitely many one-point extensions.  If F has right-stable gap g, a
 # is one iff a u {max(a) + g} lies in F (heredity then puts a in F), and
 # D(F) is given gap g + 1.  So D^j(F) answers a by one query to F: is
 # a u {x_1 < ... < x_j} a member, with x_0 = max(a) and
@@ -383,11 +383,12 @@ class Oracle(FamilyHandle):
 # A u {n} in D^j(F_alpha) iff st(A) >= j + 1: D^j(F_alpha) has gap j + 1.
 # A min-set family of a block tree answers alike every chain whose steps
 # are all at least its gap (see `trees.min_set`), so larger gaps are sound
-# there too.
+# there too, and so are those of a residual of F_alpha at p: it is F_(st(p))
+# above max(p), and its j-th derivative has gap j + 1 <= max(p) + 1 + j.
 
 class Derived(FamilyHandle):
-    """Cantor-Bendixson derivative: members with infinitely many one-point
-    extensions in the base family.
+    """Cantor-Bendixson derivative of any handle, with gap one more than the
+    base's: members with infinitely many one-point extensions in the base.
 
     A derivative of a derivative is kept as the j-th derivative of the first
     base, so `contains` asks that base one question, the chained probe
@@ -396,10 +397,6 @@ class Derived(FamilyHandle):
     """
 
     def __init__(self, base):
-        if base.right_stable_gap is None:
-            raise FamilyError(
-                "CB derivative requires a spreading (or right-stable) family"
-            )
         self.spreading = base.spreading
         self.right_stable_gap = base.right_stable_gap + 1
         if isinstance(base, Derived):
@@ -424,17 +421,19 @@ class Derived(FamilyHandle):
 def is_maximal(fam, a):
     """True iff `a` is a member with no proper superset in the family.
 
-    Maximality is judged inside N (not within any enumeration bound); for a
-    spreading family the single probe a u {max(a) + gap} decides it.
+    Judged inside N: by heredity and the gap, iff no a u {n} with n <=
+    max(a) + gap is a member, and in a spreading family, where a u {n}
+    spreads to a u {max(a) + gap}, iff that one is not.  An explicit family
+    keeps its maximal members, as its gap grows with its largest element.
     """
     a = tuple(a)
     if not fam.contains(a):
         raise FamilyError("%s is not a member of %s" % (format_finset(a), fam.descriptor()))
     if isinstance(fam, Explicit):
         return a in fam.maximal
-    if not fam.spreading:
-        raise FamilyError("maximality probe requires a spreading family")
-    return not fam.contains(a + ((a[-1] if a else 0) + fam.right_stable_gap,))
+    last = (a[-1] if a else 0) + fam.right_stable_gap
+    return not any(fam.contains(tuple(sorted(a + (n,))))
+                   for n in range(last if fam.spreading else 1, last + 1) if n not in a)
 
 
 def enumerate_family(fam, bound, maximal_only=False, budget=1_000_000):
@@ -442,10 +441,11 @@ def enumerate_family(fam, bound, maximal_only=False, budget=1_000_000):
     order, each as the walk reaches it; bound and budget are checked first.
 
     Walks the member trie depth-first through the residual states; heredity
-    makes pruning at non-members complete.  With a right-stable gap g,
-    prefix u {n} has the same membership for every n >= max(prefix) + g, so
-    the scan of n stops at the first refused n past that point.  The budget
-    counts visited members, and those visited before it runs out are yielded.
+    makes pruning at non-members complete.  With the family's gap g, prefix
+    u {n} has the same membership for every n >= max(prefix) + g, so the
+    scan of n stops at the first refused n past that point, however far the
+    bound.  The budget counts visited members, and those visited before it
+    runs out are yielded.
     """
     if bound < 1:
         raise FamilyError("bound must be >= 1")
@@ -458,7 +458,7 @@ def enumerate_family(fam, bound, maximal_only=False, budget=1_000_000):
             after = fam.step(state, n)
             if after is not None:
                 yield prefix + (n,), after
-            elif gap is not None and n >= top + gap:
+            elif n >= top + gap:
                 return
 
     def walk(limit):
@@ -528,7 +528,7 @@ def check_structure(fam, bound, budget=2_000_000):
     return {"hereditary": hereditary, "spreading": spreading_ok, "compact_no_chain": no_chain}
 
 
-cb_derivative = Derived  # the Cantor-Bendixson derivative of a right-stable family
+cb_derivative = Derived  # the Cantor-Bendixson derivative of a family
 
 
 def cb_index_finite(fam, budget=32):

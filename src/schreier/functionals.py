@@ -416,7 +416,7 @@ def dual_norm(params, g, bound, depth, functionals=None, budget=100_000):
     1,500 and 0.12 s at bound 3,000, all of it pricing: the master, which
     holds B^-1 (bound x bound integers), is not built in a round that runs
     out.  A bound past the budget raises before any list of length `bound`
-    is made where the first round admits every minimum.  S_w spends the
+    is made, as the first round reads a dual per row.  S_w spends the
     budget in about 2 s at bound 50.  (Single calls with an empty pricing
     memo, on a shared 2-vCPU machine with Python 3.11.7.  The same gauge
     again runs no DP: the 43 rounds price 42 dual patterns and repeat in
@@ -439,14 +439,12 @@ def dual_norm(params, g, bound, depth, functionals=None, budget=100_000):
         raise NormError("support of g exceeds the functional bound")
     if depth == 0:
         return g.l1_norm()  # the gauge of {+-e_i}
-    fam = params.family
-    steps = _Steps(fam, bound + 1)
-    # the master starts from the unit columns +-e_i, of cost 1, so the
-    # first duals are +-1 on every row; where every singleton is a member,
-    # the first round's first class then admits each minimum up to the
-    # bound: `bound` nodes, past the budget here
-    if bound > budget and fam.spreading and steps[1] >= 0:
+    # the master starts from the unit columns +-e_i, of cost 1, so round 1
+    # reads a dual of +-1 for each of the `bound` rows, in every family:
+    # charged as `bound` nodes, past the budget here
+    if bound > budget:
         meter.spend(bound)
+    steps = _Steps(params.family, bound + 1)
     target = [Fraction(0)] * bound
     for i, v in g.entries:
         target[i - 1] = v

@@ -186,8 +186,9 @@ def min_set(bt):
     In the explicit closure it is a member iff it is the minima of a prefix
     of some generator.  Either way the family has a right-stable gap, so
     enumeration stops at the gap; it need not be spreading, so `is_maximal`
-    refuses it.  A bound is required to enumerate it but not to query it.
-    No answer is kept, so an enumeration holds only its current branch.
+    probes every one-point extension up to the gap.  A bound is required to
+    enumerate it but not to query it.  No answer is kept, so an enumeration
+    holds only its current branch.
     """
     gens = bt.generators
     if bt.closure == "explicit":

@@ -6,8 +6,10 @@ import itertools
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -15,9 +17,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import schreier
-from schreier import cache, norms
+from schreier import cache, functionals, norms
 from schreier.cli import main
-from schreier.families import Schreier, format_finset
+from schreier.families import BoundedMemo, Schreier, format_finset
 from schreier.functionals import norm_via_functionals
 from schreier.norms import NormParams, cert_from_json, verify_certificate
 from schreier.ordinals import ONE
@@ -146,6 +148,19 @@ class TestFamily:
         assert result.exit_code == 2
         assert result.output.startswith("error: a row of 40 elements")
         assert len(result.output.splitlines()) == 1
+
+    def test_explicit_far_bound(self, tmp_path):
+        # no member of [[1, 2], [3]] reaches its gap 4, so every scan ends
+        # there, whatever the bound, and its derivative is empty
+        path = tmp_path / "ex.json"
+        path.write_text(json.dumps([[1, 2], [3]]))
+        result = run("family", "cb-index", "--explicit", str(path))
+        assert (result.exit_code, result.output) == (0, "1\n")
+        result = run("family", "enumerate", "--explicit", str(path), "--bound", "1000000000000")
+        assert (result.exit_code, result.output) == (0, "-\n1\n1,2\n2\n3\n")
+        result = run("family", "structure", "--explicit", str(path), "--bound", "1000000000000")
+        assert (result.exit_code, result.output) == (
+            1, "hereditary: yes\nspreading: no\ncompact_no_chain: yes\n")
 
     def test_maximal(self):
         assert run("family", "maximal", "--schreier", "1",
@@ -668,6 +683,75 @@ def test_drawn_input_keeps_the_exit_contract(command, text, c):
     assert sum("error:" in line for line in err.getvalue().splitlines()) <= 1
 
 
+# Explicit families from small files, each command on them with a drawn
+# bound, far past the members included
+_ROWS = st.lists(st.lists(st.integers(1, 12), max_size=5), max_size=4)
+_FINSET = st.lists(st.integers(1, 12), max_size=4).map(lambda a: ",".join(map(str, a)) or "-")
+_VEC = st.lists(st.tuples(st.integers(1, 12), st.integers(-3, 3)), min_size=1, max_size=5).map(
+    lambda entries: ",".join("%d:%d" % entry for entry in entries))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(rows=_ROWS, command=st.sampled_from(
+    ["member", "maximal", "enumerate", "structure", "cb-index", "norm", "dualnorm"]),
+       bound=st.integers(1, 12) | st.just(10**12), finset=_FINSET, vec=_VEC,
+       c=st.sampled_from(["1/2", "2/3"]), depth=st.integers(0, 2))
+@example(rows=[[1, 2], [3]], command="enumerate", bound=10**12, finset="-", vec="1:1,3:1",
+         c="1/2", depth=1)
+@example(rows=[[1, 2], [3]], command="structure", bound=10**12, finset="-", vec="1:1,3:1",
+         c="1/2", depth=1)
+@example(rows=[[1, 2], [3]], command="dualnorm", bound=10**12, finset="-", vec="1:1,3:1",
+         c="1/2", depth=1)
+def test_drawn_explicit_family_keeps_the_exit_contract(rows, command, bound, finset, vec, c,
+                                                       depth):
+    bounded = ["--bound", str(bound)]
+    tail = {
+        "member": ["--set", finset],
+        "maximal": ["--set", finset],
+        "enumerate": bounded,
+        "structure": bounded,
+        "cb-index": [],
+        "norm": ["--c", c, "--vec", vec],
+        "dualnorm": ["--c", c, "--vec", vec, *bounded, "--depth", str(depth)],
+    }[command]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fam.json")
+        with open(path, "w") as fh:
+            json.dump(rows, fh)
+        args = ([command] if command in ("norm", "dualnorm") else ["family", command]) + [
+            "--explicit", path, *tail]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            with pytest.raises(SystemExit) as exc:
+                main(args=args)
+    assert (exc.value.code or 0) in (0, 1, 2, 3)
+
+
+def _readme_examples():
+    """The README command lines that state their output in a comment, as
+    (arguments, first stdout line, exit status; 0 unless the comment ends
+    in `, exit N`)."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme) as fh:
+        lines = [line for line in fh.read().splitlines()
+                 if line.startswith("schreier ") and "#" in line]
+    for line in lines:
+        command, _, stated = line.partition("#")
+        first, status = re.fullmatch(r"(.*?)(?:, exit (\d))?", stated.strip()).groups()
+        yield pytest.param(shlex.split(command)[1:], first, int(status or 0),
+                           id=command.strip())
+
+
+@pytest.mark.parametrize("args, first, status", _readme_examples())
+def test_readme_example(args, first, status):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        with pytest.raises(SystemExit) as exc:
+            main(args=args)
+    assert (exc.value.code or 0) == status
+    assert out.getvalue().splitlines()[0] == first
+
+
 def test_package_exports_resolve():
     for name in schreier.__all__:
         assert getattr(schreier, name) is not None
@@ -764,11 +848,24 @@ _EXHAUSTED = {
          "--depth", "2", "--budget", "1000"],
         "dual gauge pricing round 1, after 0 nodes in the earlier rounds: budget of 1000 "
         "signature-DP nodes exhausted, 1001 spent"),
+    # round 1 reads a dual for each of the 10^12 rows, in any family
+    "dualnorm explicit": (
+        ["dualnorm", "--explicit", "{fam}", "--c", "1/2", "--vec", "1:1,3:1",
+         "--bound", "1000000000000", "--depth", "1", "--budget", "100000"],
+        "dual gauge pricing round 1, after 0 nodes in the earlier rounds: budget of 100000 "
+        "signature-DP nodes exhausted, 1000000000000 spent"),
 }
 
 
 @pytest.mark.parametrize("args, message", _EXHAUSTED.values(), ids=_EXHAUSTED)
-def test_exhausted_budget_prints_one_line(args, message):
+def test_exhausted_budget_prints_one_line(args, message, tmp_path, monkeypatch):
+    # a kept pricing run charges all its nodes at once, so the count spent
+    # is that of a cold memo only where the memo starts empty
+    monkeypatch.setattr(functionals, "_pricing_memo", BoundedMemo(
+        functionals.PRICING_MEMO_PAIRS, functionals._pricing_memo.weight))
+    fam = tmp_path / "ex.json"
+    fam.write_text(json.dumps([[1, 2], [3]]))
+    args = [arg.format(fam=fam) for arg in args]
     result = run(*args)
     assert result.exit_code == 3
     assert result.stderr == "error: %s\n" % message

@@ -373,9 +373,10 @@ def exhaustive_structure(fam, bound):
 
 
 def not_hereditary_oracle():
-    """{ {}, {1}, {2}, {1,3} }: {3} is missing, yet the trie reaches {1,3}."""
+    """{ {}, {1}, {2}, {1,3} }: {3} is missing, yet the trie reaches {1,3}.
+    No member holds an element past 3, so the gap is 4."""
     members = {(), (1,), (2,), (1, 3)}
-    return Oracle(members.__contains__, "not hereditary")
+    return Oracle(members.__contains__, "not hereditary", right_stable_gap=4)
 
 
 def min_set_oracles():
@@ -397,6 +398,9 @@ STRUCTURE_CASES = [
     (Explicit([(1, 2)]), 4),
     (Explicit([(2, 5), (3,)]), 7),
     (not_hereditary_oracle(), 4),
+    (Residual(Schreier(ONE), (3,)), 10),
+    (Residual(Schreier(from_int(2)), (3,)), 9),
+    (Derived(Residual(Schreier(ONE), (2,))), 8),
 ] + [(fam, 8) for fam in min_set_oracles()]
 
 
@@ -443,6 +447,25 @@ def test_explicit_maximal_only_matches_a_superset_scan(fam):
     assert list(enumerate_family(fam, 8, maximal_only=True)) == maximal
 
 
+@pytest.mark.parametrize("fam", [
+    Residual(Schreier(ONE), (3,)),
+    Residual(Schreier(from_int(2)), (2, 5)),
+    Residual(FineSchreier(OMEGA), (4,)),
+    Derived(Residual(Schreier(ONE), (2,))),
+    Derived(Residual(Schreier(from_int(2)), (3,))),
+    Derived(Schreier(from_int(2))),
+] + [fam for oracle in min_set_oracles() for fam in (oracle, Derived(oracle))],
+    ids=lambda f: f.descriptor())
+def test_maximal_gap_rule_agrees_with_one_point_extensions(fam):
+    # the scan of a u {x} for x <= 40 reaches max(a) + gap, past which
+    # every x answers alike
+    for a in enumerate_family(fam, 9):
+        assert (a[-1] if a else 0) + fam.right_stable_gap <= 40
+        probe = any(fam.contains(tuple(sorted(a + (x,))))
+                    for x in range(1, 41) if x not in a)
+        assert is_maximal(fam, a) is not probe, a
+
+
 class TestEnumerateEarlyStop:
     FAMILIES = [
         Schreier(ONE),
@@ -450,6 +473,10 @@ class TestEnumerateEarlyStop:
         FineSchreier(from_int(3)),
         Derived(Schreier(ONE)),
         Residual(Schreier(from_int(2)), ()),
+        Explicit([(1, 2), (3,)]),
+        Explicit([(2, 5), (3,)]),
+        Residual(Schreier(from_int(2)), (3,)),
+        Derived(Residual(Schreier(ONE), (2,))),
     ] + min_set_oracles()
 
     @pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.descriptor())
@@ -563,6 +590,11 @@ class TestStructure:
                              ids=[case_id(fam) for fam, _ in STRUCTURE_CASES])
     def test_one_step_moves_match_exhaustive_scans(self, fam, bound):
         assert check_structure(fam, bound) == exhaustive_structure(fam, bound)
+
+    @pytest.mark.parametrize("fam, bound", [case for case in STRUCTURE_CASES if case[0].spreading],
+                             ids=[case_id(fam) for fam, _ in STRUCTURE_CASES if fam.spreading])
+    def test_spreading_flag_is_found(self, fam, bound):
+        assert check_structure(fam, bound)["spreading"]
 
     def test_cases_cover_both_verdicts(self):
         reports = [exhaustive_structure(fam, bound) for fam, bound in STRUCTURE_CASES]
@@ -679,6 +711,13 @@ class TestCBIndex:
         budget = sys.getrecursionlimit() + 10
         assert cb_index_finite(everything, budget=budget) == (budget, False)
 
+    def test_explicit_index(self):
+        # no member reaches the gap 4, so the derivative is empty
+        fam = Explicit([(1, 2), (3,)])
+        assert fam.right_stable_gap == 4
+        assert cb_index_finite(fam) == (1, True)
+        assert cb_index_finite(Explicit([])) == (1, True)
+
     def test_empty_prefix_residual_keeps_gap(self):
         res = residual(Schreier(ONE), ())
         assert cb_index_finite(res, budget=5) == (5, False)
@@ -687,8 +726,14 @@ class TestCBIndex:
     def test_derived_keeps_descriptor_and_stability_check(self):
         d = cb_derivative(cb_derivative(Schreier(ONE)))
         assert d.descriptor() == "cbderiv(cbderiv(schreier:1))"
-        with pytest.raises(FamilyError):
-            cb_derivative(residual(Schreier(ONE), (2,)))
+        # residual(S_1, {2}) holds {} and the singletons past 2, of which
+        # only {} extends infinitely often; residual(S_1, {3}) adds pairs
+        for prefix, want in (((2,), [()]), ((3,), [()] + [(n,) for n in range(4, 13)])):
+            res = residual(Schreier(ONE), prefix)
+            assert res.spreading and res.right_stable_gap == prefix[-1] + 1
+            extends = [a for a in scan_members(res, 12)
+                       if all(res.contains(a + (n,)) for n in range(41, 50))]
+            assert list(enumerate_family(cb_derivative(res), 12)) == extends == want
 
 
 def test_budget_exceeded_is_raised_in_one_place():

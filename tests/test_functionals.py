@@ -1136,8 +1136,8 @@ class TestRoundOneCache:
 
     def test_oracles_sharing_a_name(self, pricing_memo):
         # oracle handles compare by name, so they are never keys
-        s1 = Oracle(lambda a: schreier_member(ONE, a), "same")
-        singletons = Oracle(lambda a: len(a) <= 1, "same")
+        s1 = Oracle(lambda a: schreier_member(ONE, a), "same", right_stable_gap=1)
+        singletons = Oracle(lambda a: len(a) <= 1, "same", right_stable_gap=1)
         assert s1 == singletons
         g = parse_vec("1:1,2:1,3:1,4:1,5:1,6:1")
         want = dual_norm(S1, g, 6, 3)
@@ -1271,7 +1271,8 @@ class TestPricingMemo:
 
     @pytest.mark.parametrize("family", [
         Schreier(ONE), Schreier(from_int(2)), FineSchreier(from_int(5)), FineSchreier(OMEGA),
-        TestNormingSet.NON_SPREADING, Oracle(lambda a: schreier_member(ONE, a), "s1"),
+        TestNormingSet.NON_SPREADING,
+        Oracle(lambda a: schreier_member(ONE, a), "s1", right_stable_gap=1),
     ], ids=["S1", "S2", "F5", "Fw", "explicit", "oracle"])
     def test_memo_off_matches_memo_on(self, pricing_memo, price_log, dp_runs, monkeypatch,
                                       family):

@@ -15,7 +15,7 @@ from schreier import cache
 from schreier.ordinals import (
     ONE, OMEGA, add, from_int, fundamental_seq, mul, omega_pow, parse_ordinal,
 )
-from schreier.families import Explicit, FineSchreier, Schreier
+from schreier.families import Explicit, FineSchreier, Residual, Schreier
 from schreier.norms import (
     CertificateError,
     Leaf,
@@ -206,8 +206,10 @@ class TestOracleAgreement:
             FineSchreier(add(mul(OMEGA, from_int(2)), from_int(3))),
             Schreier(OMEGA),  # prefix states
             Explicit([(2, 4, 6), (3, 5), (1, 7, 8)]),  # prefix states
+            Residual(Schreier(ONE), (3,)),  # spreading, gap 4
+            Residual(Schreier(from_int(2)), (2,)),  # spreading, gap 3
         ]
-        for _ in range(80):
+        for _ in range(100):
             fam = rng.choice(families)
             params = NormParams(fam, rng.choice([Fraction(1, 2), Fraction(2, 3)]))
             supp = sorted(rng.sample(range(1, 9), rng.randint(1, 6)))
