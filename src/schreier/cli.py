@@ -39,9 +39,10 @@ def main(args=None, prog_name=None):
 
     Runs one command and always ends in SystemExit with the exit status.
     The error boundary: library errors print one `error:` line and exit 2,
-    an exhausted budget exits 3.  A reader that closes stdout early (`| head`)
-    ends the command quietly with exit 0: stdout is pointed at the null
-    device, so the interpreter's final flush has nowhere left to fail.
+    an exhausted budget or exhausted memory exits 3.  A reader that closes
+    stdout early (`| head`) ends the command quietly with exit 0: stdout is
+    pointed at the null device, so the interpreter's final flush has nowhere
+    left to fail.
     """
     argv = sys.argv[1:] if args is None else list(args)
     parsed = _parser(prog_name or "schreier", argv).parse_args(argv)
@@ -55,6 +56,8 @@ def main(args=None, prog_name=None):
         _fail(exc, exc.exit_code)
     except OSError as exc:
         _fail(exc)
+    except MemoryError:
+        _fail("out of memory; a smaller bound or depth needs less", 3)
     sys.exit(code)
 
 

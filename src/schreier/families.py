@@ -20,6 +20,7 @@ which the norm DP uses to merge prefixes with the same completions.
 
 import functools
 import itertools
+from bisect import bisect_right
 
 from . import SchreierError, ordinals, read_json
 from .ordinals import Ordinal, ZERO, omega_pow
@@ -219,6 +220,19 @@ class FamilyHandle:
         prefix = state + (n,)
         return prefix if self.contains(prefix) else None
 
+    def extensions(self, prefix, state, bound):
+        """(n, state after n) for each n <= bound that extends the member
+        `prefix`, read into `state`, in increasing order.  The default scan
+        stops at the first refused n >= max(prefix) + gap, past which every
+        n answers alike, however far the bound."""
+        top = prefix[-1] if prefix else 0
+        for n in range(top + 1, bound + 1):
+            after = self.step(state, n)
+            if after is not None:
+                yield n, after
+            elif n >= top + self.right_stable_gap:
+                return
+
     def descriptor(self):
         raise NotImplementedError
 
@@ -300,6 +314,10 @@ class Explicit(FamilyHandle):
                                   % EXPLICIT_CAP)
         self.members = frozenset(closed)
         self.right_stable_gap = 1 + max((m[-1] for m in closed if m), default=0)
+        # each member's one-point extensions at its end, in increasing order
+        self._extensions = {m: [] for m in closed}
+        for m in sorted(closed)[1:]:  # () sorts first
+            self._extensions[m[:-1]].append(m[-1])
         # a row is maximal iff no one-point extension of it lies in the
         # closure, that is iff it is a proper subset of no row
         self.maximal = frozenset(m for m, proper in closed.items() if not proper)
@@ -315,6 +333,12 @@ class Explicit(FamilyHandle):
 
     def contains(self, a):
         return a in self.members
+
+    def extensions(self, prefix, state, bound):
+        # the state is the prefix itself, and the table lists the extensions,
+        # so no n is scanned, however large the members' elements
+        table = self._extensions[prefix]
+        return [(n, prefix + (n,)) for n in table[:bisect_right(table, bound)]]
 
     def descriptor(self):
         return "explicit:%s" % ";".join(format_finset(m) for m in sorted(self.maximal))
@@ -441,25 +465,19 @@ def enumerate_family(fam, bound, maximal_only=False, budget=1_000_000):
     order, each as the walk reaches it; bound and budget are checked first.
 
     Walks the member trie depth-first through the residual states; heredity
-    makes pruning at non-members complete.  With the family's gap g, prefix
-    u {n} has the same membership for every n >= max(prefix) + g, so the
-    scan of n stops at the first refused n past that point, however far the
+    makes pruning at non-members complete.  A member's children are the
+    family's `extensions` of it: a scan that stops at the family's gap, or
+    for an explicit family its table, so the walk ends however far the
     bound.  The budget counts visited members, and those visited before it
     runs out are yielded.
     """
     if bound < 1:
         raise FamilyError("bound must be >= 1")
     meter = Budget(budget, "members", "enumeration within [1..%d]" % bound)
-    gap = fam.right_stable_gap
 
     def children(prefix, state):
-        top = prefix[-1] if prefix else 0
-        for n in range(top + 1, bound + 1):
-            after = fam.step(state, n)
-            if after is not None:
-                yield prefix + (n,), after
-            elif n >= top + gap:
-                return
+        for n, after in fam.extensions(prefix, state, bound):
+            yield prefix + (n,), after
 
     def walk(limit):
         # one iterator of children per level, so long members need no recursion

@@ -385,10 +385,10 @@ def dual_norm(params, g, bound, depth, functionals=None, budget=100_000):
 
     Solved by column generation: a restricted master LP over the columns
     found so far, starting from the coordinate functionals +-e_i (so it is
-    always feasible; the master keeps them implicit, see `simplex`), gives
-    its value and row duals y.  At the start y_i is +-1 by the sign of g_i,
-    so the first round is priced before the master is built, and a first
-    round that finds no column returns sum |g_i| with no master at all.
+    always feasible; see `simplex`), gives its value and row duals y.  At
+    the start y_i is +-1 by the sign of g_i, so the first round is priced
+    before the master is built, and a first round that finds no column
+    returns sum |g_i| with no master at all.
     The signature dynamic program prices the whole set at once, finding
     the f in K_depth that maximises <f, y>.  While that maximum exceeds 1
     the maximiser is a violated column and joins the master, which
@@ -422,7 +422,7 @@ def dual_norm(params, g, bound, depth, functionals=None, budget=100_000):
     again runs no DP: the 43 rounds price 42 dual patterns and repeat in
     about 0.005 s; the 97 price 90 patterns of 1,768 (index, leaf) pairs
     and repeat in 0.09 s; at depth 1 on [1..30], 160 rounds price 160
-    patterns in 1.26 s and repeat in 0.51 s, all of it the master.  A warm
+    patterns in about 1.6 s and repeat in 0.4 s, all of it the master.  A warm
     memo saves nothing where the first round runs out, as only a completed
     run is kept.)
 

@@ -9,10 +9,8 @@ guarantees termination.
 The unit columns make every target feasible, and they give the starting
 basis: once the rows with a negative target are negated, the unit column
 with entry +1 in each row is basic, so B = I and there is no phase 1.  The
-unit columns are never stored.  The tableau holds only B^-1, the added
-columns and the right-hand side; unit column 2i (+e_(i+1)) or 2i+1
-(-e_(i+1)) is read as +-(column i of B^-1), and added columns are numbered
-from 2m on, so Bland's rule and the ratio test see every column.
+tableau holds only B^-1 and the right-hand side, however many columns were
+added; a column's entries B^-1 a are computed when it enters.
 
 The tableau is fraction-free (integer-preserving, after Edmonds and
 Bareiss): it holds integers over one positive common denominator `det`,
@@ -32,9 +30,9 @@ so the pivot path is the same.  `value`, `weights` and `duals` become
 Fractions only when read.
 
 `Master` keeps its tableau after a solve, so column generation adds a
-column and resumes from the current basis instead of solving again: B^-1
-gives the new column B^-1 a, and the objective row's B^-1 block holds -y,
-which gives its reduced cost cost - <y, a> (for +-e_i, 1 -+ y_i).
+column and resumes from the current basis instead of solving again.  The
+objective row's B^-1 block holds -y times `det`, which gives a column a of
+cost c the reduced cost  c det + sum(obj[i] a_i)  over `det`.
 """
 
 from fractions import Fraction
@@ -74,9 +72,11 @@ class Master:
     columns added so far (each a length-m list of ints or Fractions,
     numbered 2m, 2m+1, ...), kept optimal as columns are added.
 
-    Each row of the tableau holds m + k + 1 integers over the common
-    denominator `det` after k additions: its row of B^-1, of the added
-    columns and of the right-hand side; the objective row comes last.
+    `columns` holds each column as (its nonzero entries in the
+    sign-normalised rows as (row, integer) pairs, its integer cost), the
+    unit columns first.  Each row of the tableau holds m + 1 integers over
+    the common denominator `det`, however many columns were added: its row
+    of B^-1 and of the right-hand side; the objective row comes last.
     """
 
     def __init__(self, target, m):
@@ -88,31 +88,27 @@ class Master:
         # every basic column costs 1, so y = 1 on the sign-normalised rows
         self.tableau.append([-1] * m + [-sum(map(abs, rhs))])
         self.basis = [2 * i + f for i, f in enumerate(flipped)]
-        self.costs = []  # of the added columns
+        self.columns = [([(i, -sign if f else sign)], 1)
+                        for i, f in enumerate(flipped) for sign in (1, -1)]
         self.m, self.det = m, 1
 
     def _solve(self):
         """Bland pivots while a reduced cost is negative."""
-        tableau, basis, m, flipped = self.tableau, self.basis, self.m, self.flipped
+        tableau, basis, m = self.tableau, self.basis, self.m
         obj = tableau[-1]
         while True:
             det = self.det
-            # the entering column and its entries in every row, the objective
-            # row last: first a unit column, which prices negative where
-            # |y_i| > 1, the one of its row's pair whose sign in the
-            # sign-normalised row is that of y_i
-            i = next((i for i in range(m) if abs(obj[i]) > det), None)
-            if i is not None:
-                sign = -1 if obj[i] > 0 else 1
-                col = 2 * i + (flipped[i] ^ (sign < 0))
-                entering = [sign * line[i] for line in tableau]
-                entering[-1] += det
+            # Bland's rule: the first column whose reduced cost is negative
+            for col, (entries, cost) in enumerate(self.columns):
+                reduced = cost * det
+                for i, v in entries:
+                    reduced += obj[i] * v
+                if reduced < 0:
+                    break
             else:
-                k = next((k for k in range(len(self.costs)) if obj[m + k] < 0), None)
-                if k is None:
-                    return
-                col = 2 * m + k
-                entering = [line[m + k] for line in tableau]
+                return
+            # its entries B^-1 a in the rows, the reduced cost last
+            entering = [sum(line[i] * v for i, v in entries) for line in tableau[:-1]] + [reduced]
             # ratio test: the least rhs / entry over positive entries, compared
             # by cross-multiplication; ties go to the smaller basic index
             best = None
@@ -135,22 +131,19 @@ class Master:
         column, scale = _integral(column[:self.m])
         cost *= scale
         a = [(i, -v if self.flipped[i] else v) for i, v in enumerate(column) if v]
-        for line in self.tableau:
-            line.insert(-1, sum(line[i] * v for i, v in a))
-        self.tableau[-1][-2] += cost * self.det
-        self.costs.append(cost)
+        self.columns.append((a, cost))
         # the other reduced costs are nonnegative at the optimum just left
-        if self.tableau[-1][-2] < 0:
+        if cost * self.det + sum(self.tableau[-1][i] * v for i, v in a) < 0:
             self._solve()
 
     @property
     def weights(self):
         """The weight of every column, the 2m unit columns first."""
-        m, costs = self.m, self.costs
-        weights = [Fraction(0)] * (2 * m + len(costs))
+        columns = self.columns
+        weights = [Fraction(0)] * len(columns)
         den = self.det * self.target_scale
         for line, j in zip(self.tableau, self.basis):
-            weights[j] = Fraction(line[-1] * (costs[j - 2 * m] if j >= 2 * m else 1), den)
+            weights[j] = Fraction(line[-1] * columns[j][1], den)
         return weights
 
     @property

@@ -6,6 +6,7 @@ import itertools
 import json
 import os
 import re
+import resource
 import shlex
 import subprocess
 import sys
@@ -69,10 +70,11 @@ def process_env():
     return env
 
 
-def run_process(*args, timeout=60):
+def run_process(*args, timeout=60, preexec_fn=None):
     """Run the CLI as `python -m schreier.cli` in a fresh interpreter."""
     return subprocess.run([sys.executable, "-m", "schreier.cli", *args],
-                          capture_output=True, text=True, env=process_env(), timeout=timeout)
+                          capture_output=True, text=True, env=process_env(), timeout=timeout,
+                          preexec_fn=preexec_fn)
 
 
 def s1_members_in_lex_order(bound):
@@ -312,6 +314,22 @@ class TestBoundedFamilySearches:
         assert proc.returncode == 3
         assert proc.stderr == ("error: enumeration within [1..3000]: budget of 5000 members "
                                "exhausted, 5001 spent\n")
+
+    def test_dualnorm_out_of_memory_exits_3(self, tmp_path):
+        # B^-1 over [1..20000] holds 400,000,000 integers, past a 512 MiB
+        # address space; the same call at bound 2000 fits and answers
+        path = tmp_path / "fam.json"
+        path.write_text("[[1, 2], [3]]")
+        limit = 512 << 20
+        lower = lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+        call = ["dualnorm", "--explicit", str(path), "--c", "2/3", "--vec", "1:1,2:1",
+                "--depth", "1", "--bound"]
+        fits = run_process(*call, "2000", preexec_fn=lower)
+        assert (fits.returncode, fits.stdout) == (0, "3/2\n")
+        proc = run_process(*call, "20000", preexec_fn=lower)
+        assert proc.returncode == 3
+        assert proc.stderr == "error: out of memory; a smaller bound or depth needs less\n"
+        assert "Traceback" not in proc.stdout + proc.stderr
 
 
 class TestNorm:
@@ -684,8 +702,10 @@ def test_drawn_input_keeps_the_exit_contract(command, text, c):
 
 
 # Explicit families from small files, each command on them with a drawn
-# bound, far past the members included
-_ROWS = st.lists(st.lists(st.integers(1, 12), max_size=5), max_size=4)
+# bound, far past the members included; a row may hold elements just below
+# 10^12, which enumeration reads from the family's table without a scan
+_ROWS = st.lists(st.lists(st.integers(1, 12) | st.integers(10 ** 12 - 12, 10 ** 12),
+                          max_size=5), max_size=4)
 _FINSET = st.lists(st.integers(1, 12), max_size=4).map(lambda a: ",".join(map(str, a)) or "-")
 _VEC = st.lists(st.tuples(st.integers(1, 12), st.integers(-3, 3)), min_size=1, max_size=5).map(
     lambda entries: ",".join("%d:%d" % entry for entry in entries))

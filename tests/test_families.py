@@ -20,6 +20,7 @@ from schreier.families import (
     Derived,
     Explicit,
     FamilyError,
+    FamilyHandle,
     FineSchreier,
     Oracle,
     Residual,
@@ -497,6 +498,29 @@ class TestEnumerateEarlyStop:
             list(enumerate_family(fam, 20000, budget=1000))
         # without the stop, the first visit alone would ask 20000 questions
         assert len(calls) == 1999
+
+    def test_explicit_extensions_need_no_scan(self):
+        # a scan to the gap would step through 10^12 values; the table
+        # lists the one extension at once
+        fam = Explicit([[10 ** 12]])
+        queries = []
+        for name in ("contains", "step"):
+            ask = getattr(fam, name)
+            setattr(fam, name, lambda *args, ask=ask: queries.append(args) or ask(*args))
+        assert list(enumerate_family(fam, 10 ** 12)) == [(), (10 ** 12,)]
+        assert list(enumerate_family(fam, 10 ** 12 - 1)) == [()]
+        assert len(queries) <= 4
+
+    @pytest.mark.parametrize("fam", [f for f, _ in STRUCTURE_CASES if isinstance(f, Explicit)],
+                             ids=case_id)
+    def test_explicit_table_matches_the_gap_scan(self, fam):
+        bounds = range(1, fam.right_stable_gap + 2)
+        for bound in bounds:
+            assert list(enumerate_family(fam, bound)) == scan_members(fam, bound)
+        for prefix in fam.members:
+            for bound in bounds:
+                assert (list(fam.extensions(prefix, prefix, bound))
+                        == list(FamilyHandle.extensions(fam, prefix, prefix, bound)))
 
     def test_members_longer_than_the_recursion_limit(self):
         k = sys.getrecursionlimit() + 100

@@ -319,16 +319,24 @@ class TestSimplex:
         assert duals == [Fraction(9, 14), 1]
         assert all(_pair(col, duals) <= 1 for col in unit_columns(2) + cols)
 
-    def test_rows_hold_the_inverse_and_added_columns(self):
-        # no stored unit columns: each row holds m + 1 integers, one more
-        # per added column
+    def test_rows_hold_the_inverse_and_rhs(self):
+        # each row holds m + 1 integers, its row of B^-1 and the rhs, after
+        # any number of added columns; the columns sit in one list, the
+        # unit columns first, as sparse entries of the sign-normalised rows
         m = 30
-        master = Master([Fraction(i % 5 - 2, i % 3 + 1) for i in range(m)], m)
-        assert [len(row) for row in master.tableau] == [m + 1] * (m + 1)
+        target = [Fraction(i % 5 - 2, i % 3 + 1) for i in range(m)]
+        master = Master(target, m)
+        assert master.columns == [([(i, s * (-1 if v < 0 else 1))], 1)
+                                  for i, v in enumerate(target) for s in (1, -1)]
         rng = random.Random(8)
-        for k in range(1, 6):
-            master.add_column([rng.choice([0, 1, -1, Fraction(1, 2)]) for _ in range(m)])
-            assert [len(row) for row in master.tableau] == [m + k + 1] * (m + 1)
+        for _ in range(40):
+            column = [rng.choice([0, 1, -1, Fraction(1, 2)]) for _ in range(m)]
+            master.add_column(column, 3)
+            assert [len(row) for row in master.tableau] == [m + 1] * (m + 1)
+            scale = 2 if Fraction(1, 2) in column else 1
+            assert master.columns[-1] == ([(i, int(v * scale) * (-1 if target[i] < 0 else 1))
+                                           for i, v in enumerate(column) if v], 3 * scale)
+        assert len(master.columns) == 2 * m + 40
         assert all(type(v) is int for row in master.tableau for v in row)
 
 
@@ -868,6 +876,20 @@ class TestDualNormBudget:
         g = SparseVec([(i, Fraction((-1) ** i * (i % 5 + 1), i % 3 + 1)) for i in range(1, 15)])
         assert dual_norm(S1, g, 14, 2) == Fraction(168, 13)
         assert len(rounds) == 43
+
+    @pytest.mark.parametrize("bound, depth, value, rounds, pivots", [
+        (30, 1, Fraction(6283, 351), 160, 1875),
+        (14, 2, Fraction(168, 13), 43, 82),
+    ])
+    def test_dense_target_pivot_path(self, pricing_memo, price_log, pivot_log, bound, depth,
+                                     value, rounds, pivots):
+        # the dense S_1 targets of the `dual_norm` docstring, by the rounds
+        # of pricing and the pivots of the master: Bland's rule fixes the
+        # path, which no change of the master's column layout may move
+        g = SparseVec([(i, Fraction((-1) ** i * (i % 5 + 1), i % 3 + 1))
+                       for i in range(1, bound + 1)])
+        assert dual_norm(S1, g, bound, depth, budget=10 ** 7) == value
+        assert (len(price_log), len(pivot_log)) == (rounds, pivots)
 
     @staticmethod
     def _dense_cold_and_warm(price_log, dp_runs, bound, depth):
