@@ -146,7 +146,8 @@ def norming_set(params, bound, depth, budget=2_000_000):
                                 meter.spend(1 << len(f))
                     combine(ext, k + 1, after, top, holds)
 
-        combine([()], 0, start, 0, False)
+        if start is not None:
+            combine([()], 0, start, 0, False)
         if not new:
             break
         for sig, group in latest.items():
@@ -217,7 +218,8 @@ class _Steps(dict):
 
     def __missing__(self, key):
         sid, m = divmod(key, self.width)
-        state = self.fam.step(self.states[sid], m)
+        state = self.states[sid]
+        state = None if state is None else self.fam.step(state, m)
         after = -1 if state is None else self.ids.setdefault(state, len(self.states))
         if after == len(self.states):
             self.states.append(state)
@@ -346,9 +348,9 @@ def _price_column(params, duals, det, depth, budget, steps=None):
     duals agree with a kept run's up to scale and sign reads it, exactly,
     and charges its nodes as a fresh run would; a run that runs out is not
     kept.  The column takes its signs from the duals on every call.
-    Oracle, residual and derived families are priced afresh every time (an
-    oracle's handle is equal to any other of its name), as are all-zero
-    duals, which `dual_norm` never prices."""
+    Oracle, residual, derived and min-set families are priced afresh every
+    time (an oracle's handle is equal to any other of its name), as are
+    all-zero duals, which `dual_norm` never prices."""
     c = params.c
     p, q = c.numerator, c.denominator
     lift = q ** depth

@@ -141,7 +141,7 @@ def norm(params, x):
     val = [[None] * (size + 1) for _ in range(size)]
     back = [[None] * (size + 1) for _ in range(size)]
     for lo in range(size - 1, -1, -1):
-        first = fam.step(start, supp[lo])
+        first = None if start is None else fam.step(start, supp[lo])
         # chains[p]: {state: (sum of closed blocks, linked minima)}
         chains = {lo: {first: (Fraction(0), (lo, None))}} if first is not None else {}
         best = {}  # p > lo: of the chains ending at p (two or more minima), the best

@@ -8,14 +8,18 @@ extension implies infinitely many" is sound.
 
 Both membership questions, of a block sequence in the tree and of a set of
 minima in its min-set family, match their items into a subsequence of one
-generator (`_embeds`).  A block derivative drops the last block of every
-generator, so the block index is 1 + the longest generator.
+generator, each item taking the first block left that fits it (`_embeds`);
+the min-set family makes that match one minimum at a time, as its residual
+state.  A block derivative drops the last block of every generator, so the
+block index is 1 + the longest generator.
 """
+
+from bisect import bisect_right
 
 from . import SchreierError, read_json
 from .families import (
+    FamilyHandle,
     FineSchreier,
-    Oracle,
     cb_derivative,
     enumerate_family,
     finset,
@@ -167,52 +171,111 @@ def block_index_finite(bt):
 
 def _room(block, span):
     """Is there a spread A of block with min A = lo inside [lo, hi), where
-    span = (lo, hi) and hi is None for unbounded room to the right?"""
+    span = (lo, hi) and hi is None for unbounded room to the right?
+
+    The best placement is lo, then the len(block) - 1 largest values below
+    hi.  It fits iff lo + len(block) <= hi, and spreads the block iff
+    block[0] <= lo and block[i] <= hi - len(block) + i for i >= 1; as
+    block[i] - i never decreases, the last of these, block[-1] < hi, implies
+    the others."""
     lo, hi = span
-    if hi is None:
-        return lo >= block[0]
-    # best placement: lo, then the len(block) - 1 largest values below hi
-    top = hi - len(block)
-    return top >= lo and is_spread(block, (lo,) + tuple(range(top + 1, hi)))
+    return block[0] <= lo and (hi is None or (lo + len(block) <= hi and block[-1] < hi))
 
 
 def min_set(bt):
-    """The family { {min A_i} : (A_i) in bt } as a queryable `Oracle`.
+    """The family { {min A_i} : (A_i) in bt } of a block tree, read through
+    residual states.
 
     In the spreading closure f_1 < ... < f_k is a member iff some generator
     has a subsequence whose t-th block has a spread with minimum f_t inside
     [f_t, f_(t+1)) (the last block has unbounded room); the family is
     hereditary, the tree being hereditary by construction of the closure.
+    The state is, for each generator, the position `_embeds` has reached
+    with the minima before the last, and the last minimum, whose block's
+    room waits for the next element.  Every n above an admitted one is
+    admitted too, so a member's one-point extensions run from the least
+    admitted n, found by bisection below the gap, to the bound.
+
     In the explicit closure it is a member iff it is the minima of a prefix
-    of some generator.  Either way the family has a right-stable gap, so
-    enumeration stops at the gap; it need not be spreading, so `is_maximal`
-    probes every one-point extension up to the gap.  A bound is required to
-    enumerate it but not to query it.  No answer is kept, so an enumeration
-    holds only its current branch.
+    of some generator; the state is that prefix, and its extensions are
+    the next block minima of the generators that have it.
+
+    Either way the family has a right-stable gap; it need not be spreading,
+    so `is_maximal` probes every one-point extension up to the gap.  A bound
+    is required to enumerate it but not to query it, and no answer is kept,
+    so an enumeration holds only its current branch.
     """
-    gens = bt.generators
-    if bt.closure == "explicit":
-        def member(f_set):
-            return any(tuple(b[0] for b in g[: len(f_set)]) == f_set for g in gens)
-    else:
-        def member(f_set):
-            spans = tuple(zip(f_set, f_set[1:] + (None,)))
-            return any(_embeds(spans, g, _room) for g in gens)
-    name = "minset(%s%s)" % ("explicit:" if bt.closure == "explicit" else "", ";".join(
-        "|".join(",".join(map(str, b)) for b in g) for g in gens
-    ))
-    # Once a step clears every generator value and block size, every block
-    # fits on either side of it: membership of F u {n} is the same for all
-    # n >= max(F) + gap, and so is that of F followed by any chain whose
-    # steps are all at least the gap, which makes the derived families
-    # right-stable too.  (The family need not be spreading: interior blocks
-    # require room between consecutive minima.)  In the explicit closure no
-    # n past every generator value is a block minimum.
-    gap = 1 + max(
-        (max(max(b) for b in g) + sum(len(b) for b in g) for g in gens if g),
-        default=1,
-    )
-    return Oracle(member, name, right_stable_gap=gap)
+    return _MinSet(bt)
+
+
+class _MinSet(FamilyHandle):
+    def __init__(self, bt):
+        gens = self.generators = bt.generators
+        self.explicit = bt.closure == "explicit"
+        self.name = "minset(%s%s)" % ("explicit:" if self.explicit else "", ";".join(
+            "|".join(",".join(map(str, b)) for b in g) for g in gens
+        ))
+        # Once a step clears every generator value and block size, every
+        # block fits on either side of it: membership of F u {n} is the same
+        # for all n >= max(F) + gap, and so is that of F followed by any
+        # chain whose steps are all at least the gap, which makes the
+        # derived families right-stable too.  (The family need not be
+        # spreading: interior blocks require room between consecutive
+        # minima.)  In the explicit closure no n past every generator value
+        # is a block minimum.
+        self.right_stable_gap = 1 + max(
+            (max(max(b) for b in g) + sum(len(b) for b in g) for g in gens if g),
+            default=1,
+        )
+        # explicit closure: each minima prefix of a generator -> the minima
+        # that follow it in some generator, in increasing order
+        self._next = {}
+        for g in gens if self.explicit else ():
+            mins = tuple(b[0] for b in g)
+            for k in range(len(mins) + 1):
+                self._next.setdefault(mins[:k], set()).update(mins[k:k + 1])
+        self._next = {prefix: sorted(after) for prefix, after in self._next.items()}
+
+    def initial_state(self):
+        if not self.generators:
+            return None
+        return () if self.explicit else ((0,) * len(self.generators), None)
+
+    def step(self, state, n):
+        if self.explicit:
+            after = state + (n,)
+            return after if after in self._next else None
+        positions, last = state
+        after = []
+        for g, pos in zip(self.generators, positions):
+            if pos is not None and last is not None:
+                # the last minimum takes the first block left with room below n
+                pos = next((p + 1 for p in range(pos, len(g)) if _room(g[p], (last, n))), None)
+            if pos is not None and (pos == len(g) or g[pos][0] > n):
+                pos = None  # no block left has a spread with minimum n
+            after.append(pos)
+        return (tuple(after), n) if after.count(None) < len(after) else None
+
+    def extensions(self, prefix, state, bound):
+        if self.explicit:
+            table = self._next[state]
+            yield from ((n, state + (n,)) for n in table[:bisect_right(table, bound)])
+            return
+        lo = (prefix[-1] if prefix else 0) + 1
+        hi = lo - 1 + self.right_stable_gap
+        if self.step(state, hi) is None:
+            return  # refused at the gap, so below it too
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if self.step(state, mid) is None:
+                lo = mid + 1
+            else:
+                hi = mid
+        for n in range(lo, bound + 1):
+            yield n, self.step(state, n)
+
+    def descriptor(self):
+        return self.name
 
 
 def lemma47_check(bt, n, bound):

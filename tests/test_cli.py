@@ -763,7 +763,9 @@ def _readme_examples():
 
 
 @pytest.mark.parametrize("args, first, status", _readme_examples())
-def test_readme_example(args, first, status):
+def test_readme_example(args, first, status, monkeypatch):
+    # paths in the examples are relative to the repository root
+    monkeypatch.chdir(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         with pytest.raises(SystemExit) as exc:

@@ -9,7 +9,9 @@ import tracemalloc
 
 import pytest
 
-from schreier import families, ordinals
+from fractions import Fraction
+
+from schreier import families, ordinals, trees
 from schreier.ordinals import (
     OMEGA, ONE, add, classify, from_int, fundamental_seq, mul, omega_pow, parse_ordinal,
 )
@@ -40,7 +42,10 @@ from schreier.families import (
     residual,
     schreier_member,
 )
+from schreier.functionals import norm_via_functionals
+from schreier.norms import NormParams, norm, norm_exhaustive
 from schreier.suites import random_block_tree
+from schreier.vectors import SparseVec
 from schreier.trees import BlockTree, min_set
 
 
@@ -125,10 +130,10 @@ def read_states(fam, a):
     """Membership of `a` by reading it through the family's residual states."""
     state = fam.initial_state()
     for n in a:
-        state = fam.step(state, n)
         if state is None:
             return False
-    return True
+        state = fam.step(state, n)
+    return state is not None
 
 
 OMEGA_SQ = omega_pow(from_int(2))
@@ -380,9 +385,9 @@ def not_hereditary_oracle():
     return Oracle(members.__contains__, "not hereditary", right_stable_gap=4)
 
 
-def min_set_oracles():
-    """`min_set` families of seeded random spreading block trees: oracles
-    with a right-stable gap, some of them not spreading."""
+def min_set_families():
+    """`min_set` families of seeded random spreading block trees, with a
+    right-stable gap, some of them not spreading."""
     return [min_set(random_block_tree(random.Random(seed))) for seed in range(12)]
 
 
@@ -402,7 +407,7 @@ STRUCTURE_CASES = [
     (Residual(Schreier(ONE), (3,)), 10),
     (Residual(Schreier(from_int(2)), (3,)), 9),
     (Derived(Residual(Schreier(ONE), (2,))), 8),
-] + [(fam, 8) for fam in min_set_oracles()]
+] + [(fam, 8) for fam in min_set_families()]
 
 
 class TestEnumerate:
@@ -455,7 +460,7 @@ def test_explicit_maximal_only_matches_a_superset_scan(fam):
     Derived(Residual(Schreier(ONE), (2,))),
     Derived(Residual(Schreier(from_int(2)), (3,))),
     Derived(Schreier(from_int(2))),
-] + [fam for oracle in min_set_oracles() for fam in (oracle, Derived(oracle))],
+] + [fam for base in min_set_families() for fam in (base, Derived(base))],
     ids=lambda f: f.descriptor())
 def test_maximal_gap_rule_agrees_with_one_point_extensions(fam):
     # the scan of a u {x} for x <= 40 reaches max(a) + gap, past which
@@ -478,7 +483,7 @@ class TestEnumerateEarlyStop:
         Explicit([(2, 5), (3,)]),
         Residual(Schreier(from_int(2)), (3,)),
         Derived(Residual(Schreier(ONE), (2,))),
-    ] + min_set_oracles()
+    ] + min_set_families()
 
     @pytest.mark.parametrize("fam", FAMILIES, ids=lambda f: f.descriptor())
     def test_lists_match_the_full_scan(self, fam):
@@ -564,8 +569,8 @@ class TestEnumerateStreams:
         assert got == list(itertools.islice(enumerate_family(s1, 20), len(got)))
 
     def test_min_set_walk_holds_no_queries(self):
-        # 9,960 members from 78,002 queries; a per-query memo held them all
-        # (8.4 MB traced), the walk alone holds about 0.3 MB
+        # 9,960 members; a per-query memo held them all (8.4 MB traced), the
+        # walk alone holds its branch of match states
         fam = min_set(BlockTree([[(1,), (2, 3), (4, 5, 6)], [(2,), (5, 9)]]))
         tracemalloc.start()
         try:
@@ -575,6 +580,190 @@ class TestEnumerateStreams:
             tracemalloc.stop()
         assert count == 9960
         assert peak < 1 << 20
+
+
+def whole_set_reading(fam):
+    """Membership in `fam` judged on the whole set at once, as each handle
+    answered before it read through residual states: a residual asks its
+    base of the prefix and the set, a derivative asks its base of the set
+    and the chained probe, and a min-set family matches the set's spans in
+    one generator (spreading closure) or compares it with each generator's
+    first block minima (explicit closure).  Fine, explicit and oracle
+    handles answer through their own `contains`."""
+    if isinstance(fam, Residual):
+        base = whole_set_reading(fam.base)
+        return lambda a: not a or (a[0] > fam.top and base(fam.prefix + a))
+    if isinstance(fam, Derived):
+        base, gap = whole_set_reading(fam.base), fam.base.right_stable_gap
+
+        def probe(a):
+            chain, x = list(a), a[-1] if a else 0
+            for i in reversed(range(fam.depth)):
+                x += gap + i
+                chain.append(x)
+            return base(tuple(chain))
+        return probe
+    if isinstance(fam, trees._MinSet):
+        gens = fam.generators
+        if fam.explicit:
+            return lambda a: any(tuple(b[0] for b in g[:len(a)]) == a for g in gens)
+
+        def embeds(a):
+            spans = tuple(zip(a, a[1:] + (None,)))
+            return any(trees._embeds(spans, g, trees._room) for g in gens)
+        return embeds
+    return fam.contains
+
+
+def whole_set_scan(fam, member, bound):
+    """The members within [1..bound] in lex order, every one-point extension
+    up to the bound tried by `member`, and the refused ones."""
+    out, refused = [], []
+    stack = [()] if member(()) else []
+    while stack:
+        prefix = stack.pop()
+        out.append(prefix)
+        tried = [prefix + (n,) for n in range((prefix[-1] if prefix else 0) + 1, bound + 1)]
+        refused += [a for a in tried if not member(a)]
+        stack += reversed([a for a in tried if member(a)])
+    return out, refused
+
+
+def whole_set_cb_index(fam, budget):
+    for k in range(budget):
+        if not whole_set_reading(fam)(()):
+            return (k, True)
+        fam = Derived(fam)
+    return (budget, False)
+
+
+def random_min_sets(count=200):
+    return [min_set(random_block_tree(random.Random(seed), max_len=6)) for seed in range(count)]
+
+
+def state_agreement_cases():
+    families_seen, cases = set(), []
+    for fam, bound in (STRUCTURE_CASES
+                       + [(fam, 10) for fam in TestEnumerateEarlyStop.FAMILIES]
+                       + [(Derived(fam), 10) for fam in min_set_families()]):
+        if fam not in families_seen:
+            families_seen.add(fam)
+            cases.append(pytest.param(fam, bound, id=case_id(fam)))
+    return cases
+
+
+def check_agrees_with_whole_set_reading(fam, bound, sample=None):
+    """Every reading of `fam` against its whole-set reading: on the members
+    within [1..bound] and their refused one-point extensions (`sample` of
+    each, if given), and on the enumeration and CB index in full."""
+    member = whole_set_reading(fam)
+    members, refused = whole_set_scan(fam, member, bound)
+    assert list(enumerate_family(fam, bound)) == members
+    assert cb_index_finite(fam, 12) == whole_set_cb_index(fam, 12)
+    if sample is not None:
+        rng = random.Random(fam.descriptor())
+        members = rng.sample(members, min(sample, len(members)))
+        refused = rng.sample(refused, min(sample, len(refused)))
+    for a in members:
+        assert read_states(fam, a) and fam.contains(a), a
+        last = (a[-1] if a else 0) + fam.right_stable_gap
+        grows = any(member(tuple(sorted(a + (x,)))) for x in range(1, last + 1) if x not in a)
+        assert is_maximal(fam, a) is not grows, a
+    for a in refused:
+        assert not read_states(fam, a) and not fam.contains(a), a
+
+
+class TestOneMembershipModel:
+    """Residual, derived and min-set handles read through residual states;
+    what they answer agrees with the whole-set readings above."""
+
+    @pytest.mark.parametrize("fam, bound", state_agreement_cases())
+    def test_agrees_with_whole_set_reading(self, fam, bound):
+        check_agrees_with_whole_set_reading(fam, bound)
+
+    def test_random_min_sets_agree_with_whole_set_reading(self):
+        for fam in random_min_sets():
+            check_agrees_with_whole_set_reading(fam, 16, sample=20)
+
+    @pytest.mark.parametrize("fam", [
+        Residual(Schreier(ONE), (3,)),
+        Residual(Schreier(from_int(2)), (2, 5)),
+        Residual(Explicit([(2, 4, 6), (3, 5), (1, 7, 8)]), (2,)),
+        Derived(Schreier(from_int(2))),
+        Derived(Residual(Schreier(ONE), (2,))),
+        Derived(Derived(Explicit([(1, 2, 3, 9), (2, 3, 4)]))),
+        min_set(BlockTree([[(1,), (2, 3), (4, 5, 6)], [(2,), (5, 9)]])),
+        min_set(BlockTree([[(1, 2), (4,), (6, 7)], [(2,), (3,), (5, 6)]], "explicit")),
+    ] + [Derived(fam) for fam in min_set_families()[:4]], ids=lambda f: f.descriptor())
+    def test_norm_equals_exhaustive_search(self, fam):
+        rng = random.Random(fam.descriptor())
+        whole = Oracle(whole_set_reading(fam), "whole", fam.right_stable_gap)
+        for _ in range(12):
+            c = rng.choice([Fraction(1, 2), Fraction(2, 3)])
+            supp = sorted(rng.sample(range(1, 11), rng.randint(1, 8)))
+            x = SparseVec([(i, Fraction(rng.choice([-2, -1, 1, 2, 3]))) for i in supp])
+            value = norm(NormParams(fam, c), x)[0]
+            assert norm_exhaustive(NormParams(fam, c), x) == value
+            assert norm_exhaustive(NormParams(whole, c), x) == value
+
+    def test_empty_derivative_has_no_state(self):
+        # no member of F_1 reaches its gap twice, so D^2(F_1) is empty
+        fam = Derived(Derived(FineSchreier(ONE)))
+        assert fam.initial_state() is None and not fam.contains(())
+        assert list(enumerate_family(fam, 5)) == []
+        x = SparseVec([(2, Fraction(1)), (3, Fraction(-2))])
+        assert norm(NormParams(fam, Fraction(1, 2)), x)[0] == 2
+
+
+def counted_calls(fam, names=("step", "extensions")):
+    """Wrap the handle's `names` to record each call; returns the record."""
+    calls = []
+    for name in names:
+        method = getattr(fam, name)
+        setattr(fam, name, lambda *args, name=name, method=method:
+                calls.append(name) or method(*args))
+    return calls
+
+
+class TestNoScanToTheGap:
+    """A member's extensions are found without stepping through every n up
+    to its gap, however large the values of the family."""
+
+    def test_min_set_lists_from_the_least_admitted_element(self):
+        # the gap passes 3,000,000, and a scan stepped through each n below it
+        fam = min_set(BlockTree([[(1,), (3000000,)]]))
+        calls = counted_calls(fam)
+        first = list(itertools.islice(enumerate_family(fam, 10 ** 12), 1000))
+        assert first[:3] == [(), (1,), (1, 3000000)] and first[-1] == (1, 3000997)
+        assert len(calls) < 10_000
+
+    def test_explicit_closure_lists_the_next_minima(self):
+        fam = min_set(BlockTree([[(1,), (3000000,)]], "explicit"))
+        calls = counted_calls(fam)
+        assert list(enumerate_family(fam, 10 ** 12)) == [(), (1,), (1, 3000000)]
+        assert len(calls) <= 3
+
+    def test_residual_lists_through_its_base(self):
+        base = Explicit([[1, 3000000]])
+        fam = Residual(base, (1,))
+        calls = counted_calls(base, ("contains", "step", "extensions"))
+        assert list(enumerate_family(fam, 10 ** 12)) == [(), (3000000,)]
+        assert len(calls) <= 4
+
+    def test_residual_norm_merges_its_chains(self):
+        # all ones on [4..27] over the residual of S_2 at {3}, which is
+        # F_(w^2 [3] - 1) = F_(w*2 + 2) above 3; with the prefix as its
+        # state the DP kept every chain, 2^k - 1 states at support k
+        fam = Residual(Schreier(from_int(2)), (3,))
+        params = NormParams(fam, Fraction(1, 2))
+        x = SparseVec([(i, Fraction(1)) for i in range(4, 28)])
+        states = set()
+        step = fam.step
+        fam.step = lambda state, n: states.add(step(state, n)) or step(state, n)
+        value = norm(params, x)[0]
+        del fam.step
+        assert value == norm_via_functionals(params, x) == Fraction(23, 2)
+        assert len(states - {None}) == 56
 
 
 class TestAdmissible:
@@ -670,28 +859,31 @@ class TestCBIndex:
 
     def test_base_queries_grow_linearly_with_depth(self):
         class Counted(FineSchreier):
-            """F_k that counts its membership queries and stops at a cap."""
+            """F_k that counts the steps of each read from its initial state
+            and stops at a cap."""
 
             cap = 200_000
 
             def __init__(self, alpha):
                 super().__init__(alpha)
-                self.calls = 0
+                self.reads = []
 
-            def contains(self, a):
-                self.calls += 1
-                if self.calls > self.cap:
-                    raise RuntimeError("more than %d base queries" % self.cap)
-                return super().contains(a)
+            def initial_state(self):
+                self.reads.append(0)
+                return super().initial_state()
 
-        queries = {}
+            def step(self, state, n):
+                self.reads[-1] += 1
+                if sum(self.reads) > self.cap:
+                    raise RuntimeError("more than %d base steps" % self.cap)
+                return super().step(state, n)
+
         for k in (3, 10, 20):
             base = Counted(from_int(k))
             assert cb_index_finite(base) == (k + 1, True)
-            queries[k] = base.calls
-        assert queries[20] <= 3 * queries[10]
-        # level j asks the base one set of j elements: levels 0..k+1
-        assert queries == {k: k + 2 for k in (3, 10, 20)}
+            # level j >= 1 reads one chain of j elements through the base's
+            # states (level 0 asks the base itself)
+            assert base.reads == list(range(1, k + 2))
 
     def test_iterated_derivatives_of_finite_families(self):
         # the j-th derivative of F_k is F_(k-j), and empty for j > k
