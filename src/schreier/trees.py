@@ -209,6 +209,8 @@ def min_set(bt):
 
 
 class _MinSet(FamilyHandle):
+    prefix_states = False
+
     def __init__(self, bt):
         gens = self.generators = bt.generators
         self.explicit = bt.closure == "explicit"

@@ -294,6 +294,13 @@ class TestHandles:
             assert hash(fam) == hash(Explicit([(1, 2, 4), (3, 5)]))
         assert Explicit([(1, 2, 4)]) != Explicit([(1, 2, 4), (3, 5)])
 
+    def test_a_handle_needs_contains_or_states(self):
+        class Bare(FamilyHandle):
+            right_stable_gap = 1
+
+        with pytest.raises(NotImplementedError, match="neither contains nor"):
+            Bare().contains((1,))
+
     def test_descriptor_distinguishes(self):
         assert FineSchreier(OMEGA).descriptor() != Schreier(ONE).descriptor()
         # S_1 = F_(w^1): one family under two descriptors
@@ -749,6 +756,22 @@ class TestNoScanToTheGap:
         calls = counted_calls(base, ("contains", "step", "extensions"))
         assert list(enumerate_family(fam, 10 ** 12)) == [(), (3000000,)]
         assert len(calls) <= 4
+
+    def test_prefix_state_base_reads_a_chain_in_one_query(self):
+        # a base whose state is its prefix answers a chain in one query, so
+        # reading a set costs no query per element
+        asked = []
+        base = Oracle(lambda a: asked.append(a) or True, "all", right_stable_gap=1)
+        a = tuple(range(2, 40))
+        residual_fam, derived_fam = Residual(base, (1,)), Derived(Derived(base))
+        asked.clear()
+        assert residual_fam.contains(a) and asked == [(1,) + a]
+        asked.clear()
+        assert derived_fam.contains(a) and len(asked) == 4
+        asked.clear()
+        # level j reads the empty prefix and one chain of j elements
+        assert cb_index_finite(base, budget=100) == (100, False)
+        assert len(asked) == 1 + 2 * 99 and max(map(len, asked)) == 99
 
     def test_residual_norm_merges_its_chains(self):
         # all ones on [4..27] over the residual of S_2 at {3}, which is
