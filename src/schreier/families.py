@@ -21,7 +21,8 @@ chain from it, and a min-set family of a block tree (`trees.min_set`)
 keeps each generator's greedy match position.  Explicit families, oracles
 and fine families from w^w on keep the prefix as their state and read a
 whole chain (`read`) in one membership query, and only limits from w^w on
-search their fundamental sequences.
+search their fundamental sequences.  Enumeration, maximality and greedy
+chains read through the same states and the handle's `extensions`.
 """
 
 import functools
@@ -513,19 +514,25 @@ class Derived(FamilyHandle):
 def is_maximal(fam, a):
     """True iff `a` is a member with no proper superset in the family.
 
-    Judged inside N: by heredity and the gap, iff no a u {n} with n <=
-    max(a) + gap is a member, and in a spreading family, where a u {n}
-    spreads to a u {max(a) + gap}, iff that one is not.  An explicit family
-    keeps its maximal members, as its gap grows with its largest element.
+    Judged inside N through the states of `a`'s prefixes (a prefix state
+    needs no query, as a member's prefixes are members): some n in a gap of
+    `a` must extend the prefix below it (`extensions`, up to max(a) + gap
+    past the end), and the rest of `a` read on from there.  A spreading
+    family spreads a u {n} to a u {max(a) + gap}, so it asks the last gap.
     """
     a = tuple(a)
-    if not fam.contains(a):
+    if fam.prefix_states:
+        states = [a[:i] for i in range(len(a) + 1)] if fam.contains(a) else [None]
+    else:
+        states = list(itertools.accumulate(
+            a, lambda state, n: None if state is None else fam.step(state, n),
+            initial=fam.initial_state()))
+    if states[-1] is None:
         raise FamilyError("%s is not a member of %s" % (format_finset(a), fam.descriptor()))
-    if isinstance(fam, Explicit):
-        return a in fam.maximal
-    last = (a[-1] if a else 0) + fam.right_stable_gap
-    return not any(fam.contains(tuple(sorted(a + (n,))))
-                   for n in range(last if fam.spreading else 1, last + 1) if n not in a)
+    above = a + ((a[-1] if a else 0) + fam.right_stable_gap + 1,)  # the element past each gap
+    return not any(fam.read(after, a[i:]) is not None
+                   for i in range(len(a) if fam.spreading else 0, len(a) + 1)
+                   for _, after in fam.extensions(a[:i], states[i], above[i] - 1))
 
 
 def enumerate_family(fam, bound, maximal_only=False, budget=1_000_000):
@@ -594,26 +601,28 @@ def check_structure(fam, bound, budget=2_000_000):
 
     The chain check is the finite shadow of compactness: no member may extend
     greedily (always appending max+1) past the horizon while staying inside
-    the family.  A compact family fails it when a greedy chain, finite as
-    all are, ends past bound + DEFAULT_HORIZON: so S_2 at bound 8 (from {8}
-    the chain takes S_1 blocks of 8, 16, ...) and F_(w^w) at bound 22 fail.
+    the family; each chain steps on from its member's state.  A compact
+    family fails it when a greedy chain, finite as all are, ends past bound +
+    DEFAULT_HORIZON: so S_2 at bound 8 (from {8} the chain takes S_1 blocks
+    of 8, 16, ...) and F_(w^w) at bound 22 fail.
     """
     members = set(enumerate_family(fam, bound, budget=budget))
     hereditary = all(m[:i] + m[i + 1:] in members for m in members for i in range(len(m)))
     spreading_ok = all(m[:i] + (x + 1,) + m[i + 1:] in members
                        for m in members for i, x in enumerate(m)
                        if x + 1 < (m[i + 1] if i + 1 < len(m) else bound + 1))
-    no_chain = True
     horizon = bound + DEFAULT_HORIZON
-    for m in members:
-        chain = m
-        while fam.contains(chain + ((chain[-1] + 1) if chain else 1,)):
-            chain = chain + ((chain[-1] + 1) if chain else 1,)
-            if chain[-1] > horizon:
-                no_chain = False
-                break
-        if not no_chain:
-            break
+
+    def passes_horizon(m):
+        # a listed member's prefix state is the member itself
+        state = m if fam.prefix_states else fam.state_after(m)
+        top = m[-1] if m else 0
+        while state is not None and top <= horizon:
+            top += 1
+            state = fam.step(state, top)
+        return state is not None
+
+    no_chain = not any(map(passes_horizon, members))
     return {"hereditary": hereditary, "spreading": spreading_ok, "compact_no_chain": no_chain}
 
 

@@ -201,7 +201,8 @@ def min_set(bt):
     the next block minima of the generators that have it.
 
     Either way the family has a right-stable gap; it need not be spreading,
-    so `is_maximal` probes every one-point extension up to the gap.  A bound
+    so `is_maximal` asks every gap of a set, each through the extensions of
+    the prefix below it, and scans no value up to the gap.  A bound
     is required to enumerate it but not to query it, and no answer is kept,
     so an enumeration holds only its current branch.
     """

@@ -392,10 +392,11 @@ def not_hereditary_oracle():
     return Oracle(members.__contains__, "not hereditary", right_stable_gap=4)
 
 
-def min_set_families():
-    """`min_set` families of seeded random spreading block trees, with a
-    right-stable gap, some of them not spreading."""
-    return [min_set(random_block_tree(random.Random(seed))) for seed in range(12)]
+def min_set_families(closure="spreading"):
+    """`min_set` families of seeded random spreading block trees, in the
+    given closure, with a right-stable gap, some of them not spreading."""
+    return [min_set(BlockTree(random_block_tree(random.Random(seed)).generators, closure))
+            for seed in range(12)]
 
 
 STRUCTURE_CASES = [
@@ -467,15 +468,19 @@ def test_explicit_maximal_only_matches_a_superset_scan(fam):
     Derived(Residual(Schreier(ONE), (2,))),
     Derived(Residual(Schreier(from_int(2)), (3,))),
     Derived(Schreier(from_int(2))),
-] + [fam for base in min_set_families() for fam in (base, Derived(base))],
+    Residual(Explicit([(2, 4, 6), (3, 5), (1, 7, 8)]), (2,)),
+    Residual(Explicit([(2, 3, 5), (1, 9)]), ()),
+] + [fam for base in min_set_families() for fam in (base, Derived(base))]
+  + [fam for base in min_set_families("explicit") for fam in (base, Derived(base))],
     ids=lambda f: f.descriptor())
 def test_maximal_gap_rule_agrees_with_one_point_extensions(fam):
     # the scan of a u {x} for x <= 40 reaches max(a) + gap, past which
-    # every x answers alike
+    # every x answers alike; it judges each set whole, through neither
+    # `extensions` nor `read`
+    member = whole_set_reading(fam)
     for a in enumerate_family(fam, 9):
         assert (a[-1] if a else 0) + fam.right_stable_gap <= 40
-        probe = any(fam.contains(tuple(sorted(a + (x,))))
-                    for x in range(1, 41) if x not in a)
+        probe = any(member(tuple(sorted(a + (x,)))) for x in range(1, 41) if x not in a)
         assert is_maximal(fam, a) is not probe, a
 
 
@@ -750,6 +755,16 @@ class TestNoScanToTheGap:
         assert list(enumerate_family(fam, 10 ** 12)) == [(), (1,), (1, 3000000)]
         assert len(calls) <= 3
 
+    @pytest.mark.parametrize("closure", ["spreading", "explicit"])
+    def test_maximality_reads_no_scan_to_the_gap(self, closure):
+        # max(a) + gap passes 6,000,000, and a scan of a u {n} for every n
+        # up to it made a membership query of each
+        fam = min_set(BlockTree([[(1,), (3000000,)]], closure))
+        calls = counted_calls(fam, ("step",))
+        assert is_maximal(fam, (1, 3000000))
+        assert not is_maximal(fam, (1,))
+        assert len(calls) < 100
+
     def test_residual_lists_through_its_base(self):
         base = Explicit([[1, 3000000]])
         fam = Residual(base, (1,))
@@ -831,6 +846,20 @@ class TestStructure:
                              ids=[case_id(fam) for fam, _ in STRUCTURE_CASES if fam.spreading])
     def test_spreading_flag_is_found(self, fam, bound):
         assert check_structure(fam, bound)["spreading"]
+
+    def test_reports_are_pinned(self):
+        # (hereditary, spreading, compact_no_chain) of each case in order.
+        # S_2 (fine:w^2 at bound 10, schreier:2 at bound 8) is compact, yet
+        # its greedy chain from the top passes the horizon
+        expected = ([(True, True, True)] * 5 + [(True, True, False)] * 2
+                    + [(True, True, True), (True, False, True), (True, False, True),
+                       (False, False, True)]
+                    + [(True, True, True)] * 3
+                    + [(True, spreading, True) for spreading in (
+                        True, False, True, False, True, False, True, True, False, False,
+                        False, False)])
+        got = [tuple(check_structure(fam, bound).values()) for fam, bound in STRUCTURE_CASES]
+        assert got == expected
 
     def test_cases_cover_both_verdicts(self):
         reports = [exhaustive_structure(fam, bound) for fam, bound in STRUCTURE_CASES]
