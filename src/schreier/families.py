@@ -17,12 +17,13 @@ equal states have the same completions, so the norm DP, pricing and
 enumeration merge them.  Membership is the fold of `step` over the set.
 Below w^w a fine state is one ordinal; a residual reads its base from the
 state after its prefix, a derivative keeps its base's state and probes a
-chain from it, and a min-set family of a block tree (`trees.min_set`)
-keeps each generator's greedy match position.  Explicit families, oracles
-and fine families from w^w on keep the prefix as their state and read a
-whole chain (`read`) in one membership query, and only limits from w^w on
-search their fundamental sequences.  Enumeration, maximality and greedy
-chains read through the same states and the handle's `extensions`.
+chain from it, and a spreading-closure min-set family (`trees.min_set`)
+keeps each generator's greedy match position.  Explicit families and
+explicit-closure min-sets are one member trie (`_Trie`), a state its node.
+Only oracles and fine families from w^w on keep the prefix as their state
+and read a whole chain (`read`) in one membership query.  Enumeration,
+maximality and greedy chains read through the states after each prefix
+(`states`) and `extensions`, whatever model the handle uses.
 """
 
 import functools
@@ -148,8 +149,8 @@ def is_successive(blocks):
 # descends through lam[n] while the ordinal is a limit, then steps to the
 # predecessor: the rest of the set must lie in F of that single ordinal.
 # `fs_member` and `FineSchreier.step` still search the fundamental sequences
-# of limits from w^w on (see `_below_omega_omega`); the one-ordinal reading
-# would be exact there too.
+# of limits from w^w on (see `_below_omega_omega`), with prefix states as an
+# oracle's; the one-ordinal reading would be exact there too.
 
 def _below_omega_omega(alpha):
     """True iff alpha < w^w, where a fine state is one ordinal."""
@@ -215,13 +216,20 @@ class FamilyHandle:
         return self.contains(tuple(a))
 
     def contains(self, a):
-        """Membership of `a`: the fold of `step` over its elements."""
-        return self.state_after(a) is not None
-
-    def state_after(self, a):
-        """The residual state after reading `a`, None if `a` is not a member."""
+        """Membership of `a`: the fold of `step` over its elements (`read`)."""
         state = self.initial_state()
-        return None if state is None else self.read(state, a)
+        return state is not None and self.read(state, a) is not None
+
+    def states(self, a):
+        """The residual states after each prefix of `a`, the empty prefix
+        first; None if `a` is not a member.  A prefix state is the prefix
+        itself, so one query answers for every prefix of a member."""
+        if self.prefix_states:
+            return [a[:i] for i in range(len(a) + 1)] if self.contains(a) else None
+        states = [self.initial_state()]
+        for n in a:
+            states.append(None if states[-1] is None else self.step(states[-1], n))
+        return None if states[-1] is None else states
 
     def initial_state(self):
         """Residual state of the empty prefix, None if the family is empty;
@@ -301,9 +309,7 @@ class FineSchreier(FamilyHandle):
         return () if self.prefix_states else self.alpha
 
     def step(self, state, n):
-        if self.prefix_states:
-            return super().step(state, n)
-        return _fine_step(state, n)
+        return super().step(state, n) if self.prefix_states else _fine_step(state, n)
 
     def descriptor(self):
         return "fine:%s" % self.alpha
@@ -328,10 +334,41 @@ class Schreier(FineSchreier):
         return "schreier:%s" % self.schreier_index
 
 
-class Explicit(FamilyHandle):
-    """A finite family stored fully materialized and downward closed, with
-    at most EXPLICIT_CAP members, named by its maximal members; no member
-    reaches its gap, 1 + its largest element."""
+class _Trie(FamilyHandle):
+    """The finite family of the prefix-closed `nodes` as a trie (Fredkin,
+    "Trie memory", 1960): a state is a node, a step one table lookup, and a
+    node's extensions a bisection of its sorted children.  No member
+    reaches the gap, 1 + the largest element of any node."""
+
+    prefix_states = False
+
+    def __init__(self, nodes, name):
+        self.name = name
+        self._children = {node: [] for node in nodes}
+        for node in sorted(self._children)[1:]:  # () sorts first
+            self._children[node[:-1]].append(node[-1])
+        self.right_stable_gap = 1 + max((m[-1] for m in self._children if m), default=0)
+
+    def initial_state(self):
+        return () if () in self._children else None
+
+    def step(self, state, n):
+        after = state + (n,)
+        return after if after in self._children else None
+
+    def extensions(self, prefix, state, bound):
+        # the table lists the extensions, so no n is scanned, however large
+        # the members' elements
+        table = self._children[state]
+        return [(n, state + (n,)) for n in table[:bisect_right(table, bound)]]
+
+    def descriptor(self):
+        return self.name
+
+
+class Explicit(_Trie):
+    """A finite family given by rows: the trie of their downward closure,
+    with at most EXPLICIT_CAP members, named by its maximal members."""
 
     def __init__(self, members):
         closed = {(): False}  # member -> is it a proper subset of a row?
@@ -346,15 +383,11 @@ class Explicit(FamilyHandle):
             if len(closed) > EXPLICIT_CAP:
                 raise FamilyError("the downward closure passes the cap of %d members"
                                   % EXPLICIT_CAP)
-        self.members = frozenset(closed)
-        self.right_stable_gap = 1 + max((m[-1] for m in closed if m), default=0)
-        # each member's one-point extensions at its end, in increasing order
-        self._extensions = {m: [] for m in closed}
-        for m in sorted(closed)[1:]:  # () sorts first
-            self._extensions[m[:-1]].append(m[-1])
         # a row is maximal iff no one-point extension of it lies in the
         # closure, that is iff it is a proper subset of no row
         self.maximal = frozenset(m for m, proper in closed.items() if not proper)
+        super().__init__(closed, "explicit:%s" % ";".join(
+            format_finset(m) for m in sorted(self.maximal)))
 
     @classmethod
     def from_json_file(cls, path):
@@ -364,18 +397,6 @@ class Explicit(FamilyHandle):
         ):
             raise FamilyError("explicit family file must be a JSON array of integer arrays")
         return cls(tuple(sorted(set(row))) for row in data)
-
-    def contains(self, a):
-        return a in self.members
-
-    def extensions(self, prefix, state, bound):
-        # the state is the prefix itself, and the table lists the extensions,
-        # so no n is scanned, however large the members' elements
-        table = self._extensions[prefix]
-        return [(n, prefix + (n,)) for n in table[:bisect_right(table, bound)]]
-
-    def descriptor(self):
-        return "explicit:%s" % ";".join(format_finset(m) for m in sorted(self.maximal))
 
 
 class Residual(FamilyHandle):
@@ -388,9 +409,10 @@ class Residual(FamilyHandle):
 
     def __init__(self, base, prefix):
         prefix = finset(prefix)
-        self.start = base.state_after(prefix)
-        if self.start is None:
+        states = base.states(prefix)
+        if states is None:
             raise FamilyError("residual prefix %s is not a member" % format_finset(prefix))
+        self.start = states[-1]
         self.base, self.prefix, self.spreading = base, prefix, base.spreading
         self.top = prefix[-1] if prefix else 0
         self.right_stable_gap = self.top + base.right_stable_gap
@@ -514,20 +536,14 @@ class Derived(FamilyHandle):
 def is_maximal(fam, a):
     """True iff `a` is a member with no proper superset in the family.
 
-    Judged inside N through the states of `a`'s prefixes (a prefix state
-    needs no query, as a member's prefixes are members): some n in a gap of
-    `a` must extend the prefix below it (`extensions`, up to max(a) + gap
-    past the end), and the rest of `a` read on from there.  A spreading
-    family spreads a u {n} to a u {max(a) + gap}, so it asks the last gap.
+    Judged inside N through the states of `a`'s prefixes (`states`): some n
+    in a gap of `a` must extend the prefix below it (`extensions`, up to
+    max(a) + gap past the end), and the rest of `a` read on from there.  A
+    spreading family spreads a u {n} to a u {max(a) + gap}: the last gap.
     """
     a = tuple(a)
-    if fam.prefix_states:
-        states = [a[:i] for i in range(len(a) + 1)] if fam.contains(a) else [None]
-    else:
-        states = list(itertools.accumulate(
-            a, lambda state, n: None if state is None else fam.step(state, n),
-            initial=fam.initial_state()))
-    if states[-1] is None:
+    states = fam.states(a)
+    if states is None:
         raise FamilyError("%s is not a member of %s" % (format_finset(a), fam.descriptor()))
     above = a + ((a[-1] if a else 0) + fam.right_stable_gap + 1,)  # the element past each gap
     return not any(fam.read(after, a[i:]) is not None
@@ -541,10 +557,10 @@ def enumerate_family(fam, bound, maximal_only=False, budget=1_000_000):
 
     Walks the member trie depth-first through the residual states; heredity
     makes pruning at non-members complete.  A member's children are the
-    family's `extensions` of it: a scan that stops at the family's gap, the
-    table of an explicit family or of the explicit closure of a block tree,
-    or from the least admissible element on in the spreading closure, so no
-    child is looked for past the gap, however far the bound.  The budget
+    family's `extensions` of it: a scan that stops at the family's gap, a
+    trie's table, or from the least admissible element on in a min-set
+    family's spreading closure, so no child is looked for past the gap,
+    however far the bound.  The budget
     counts visited members, and those visited before it runs out are
     yielded; the walk holds only its current branch.
     """
@@ -614,9 +630,7 @@ def check_structure(fam, bound, budget=2_000_000):
     horizon = bound + DEFAULT_HORIZON
 
     def passes_horizon(m):
-        # a listed member's prefix state is the member itself
-        state = m if fam.prefix_states else fam.state_after(m)
-        top = m[-1] if m else 0
+        state, top = fam.states(m)[-1], m[-1] if m else 0
         while state is not None and top <= horizon:
             top += 1
             state = fam.step(state, top)

@@ -6,20 +6,20 @@ representation stores generators and answers membership for every
 subsequence-spread, which is the smallest finite encoding in which "one
 extension implies infinitely many" is sound.
 
-Both membership questions, of a block sequence in the tree and of a set of
-minima in its min-set family, match their items into a subsequence of one
-generator, each item taking the first block left that fits it (`_embeds`);
-the min-set family makes that match one minimum at a time, as its residual
-state.  A block derivative drops the last block of every generator, so the
-block index is 1 + the longest generator.
+In the spreading closure both membership questions, of a block sequence in
+the tree and of a set of minima in its min-set family, match their items
+into a subsequence of one generator, each item taking the first block left
+that fits it (`_embeds`), the min-set family one minimum at a time as its
+residual state; an explicit closure's min-set family is a member trie.  A
+block derivative drops the last block of every generator, so the block
+index is 1 + the longest generator.
 """
-
-from bisect import bisect_right
 
 from . import SchreierError, read_json
 from .families import (
     FamilyHandle,
     FineSchreier,
+    _Trie,
     cb_derivative,
     enumerate_family,
     finset,
@@ -186,19 +186,20 @@ def min_set(bt):
     """The family { {min A_i} : (A_i) in bt } of a block tree, read through
     residual states.
 
-    In the spreading closure f_1 < ... < f_k is a member iff some generator
-    has a subsequence whose t-th block has a spread with minimum f_t inside
+    In the explicit closure f_1 < ... < f_k is a member iff it is the
+    minima of a prefix of some generator: the member trie of those minima
+    prefixes (`families._Trie`, as explicit families), gap 1 + the largest.
+
+    In the spreading closure it is a member iff some generator has a
+    subsequence whose t-th block has a spread with minimum f_t inside
     [f_t, f_(t+1)) (the last block has unbounded room); the family is
     hereditary, the tree being hereditary by construction of the closure.
     The state is, for each generator, the position `_embeds` has reached
     with the minima before the last, and the last minimum, whose block's
     room waits for the next element.  Every n above an admitted one is
     admitted too, so a member's one-point extensions run from the least
-    admitted n, found by bisection below the gap, to the bound.
-
-    In the explicit closure it is a member iff it is the minima of a prefix
-    of some generator; the state is that prefix, and its extensions are
-    the next block minima of the generators that have it.
+    admitted n, found by bisection below the gap and the bound, to the
+    bound.
 
     Either way the family has a right-stable gap; it need not be spreading,
     so `is_maximal` asks every gap of a set, each through the extensions of
@@ -206,48 +207,35 @@ def min_set(bt):
     is required to enumerate it but not to query it, and no answer is kept,
     so an enumeration holds only its current branch.
     """
-    return _MinSet(bt)
+    gens = bt.generators
+    blocks = ";".join("|".join(",".join(map(str, b)) for b in g) for g in gens)
+    if bt.closure == "explicit":
+        return _Trie({tuple(b[0] for b in g[:k]) for g in gens for k in range(len(g) + 1)},
+                     "minset(explicit:%s)" % blocks)
+    return _MinSet(gens, "minset(%s)" % blocks)
 
 
 class _MinSet(FamilyHandle):
     prefix_states = False
 
-    def __init__(self, bt):
-        gens = self.generators = bt.generators
-        self.explicit = bt.closure == "explicit"
-        self.name = "minset(%s%s)" % ("explicit:" if self.explicit else "", ";".join(
-            "|".join(",".join(map(str, b)) for b in g) for g in gens
-        ))
+    def __init__(self, gens, name):
+        self.generators, self.name = gens, name
         # Once a step clears every generator value and block size, every
         # block fits on either side of it: membership of F u {n} is the same
         # for all n >= max(F) + gap, and so is that of F followed by any
         # chain whose steps are all at least the gap, which makes the
         # derived families right-stable too.  (The family need not be
         # spreading: interior blocks require room between consecutive
-        # minima.)  In the explicit closure no n past every generator value
-        # is a block minimum.
+        # minima.)
         self.right_stable_gap = 1 + max(
             (max(max(b) for b in g) + sum(len(b) for b in g) for g in gens if g),
             default=1,
         )
-        # explicit closure: each minima prefix of a generator -> the minima
-        # that follow it in some generator, in increasing order
-        self._next = {}
-        for g in gens if self.explicit else ():
-            mins = tuple(b[0] for b in g)
-            for k in range(len(mins) + 1):
-                self._next.setdefault(mins[:k], set()).update(mins[k:k + 1])
-        self._next = {prefix: sorted(after) for prefix, after in self._next.items()}
 
     def initial_state(self):
-        if not self.generators:
-            return None
-        return () if self.explicit else ((0,) * len(self.generators), None)
+        return ((0,) * len(self.generators), None) if self.generators else None
 
     def step(self, state, n):
-        if self.explicit:
-            after = state + (n,)
-            return after if after in self._next else None
         positions, last = state
         after = []
         for g, pos in zip(self.generators, positions):
@@ -260,14 +248,10 @@ class _MinSet(FamilyHandle):
         return (tuple(after), n) if after.count(None) < len(after) else None
 
     def extensions(self, prefix, state, bound):
-        if self.explicit:
-            table = self._next[state]
-            yield from ((n, state + (n,)) for n in table[:bisect_right(table, bound)])
-            return
         lo = (prefix[-1] if prefix else 0) + 1
-        hi = lo - 1 + self.right_stable_gap
-        if self.step(state, hi) is None:
-            return  # refused at the gap, so below it too
+        hi = min(lo - 1 + self.right_stable_gap, bound)
+        if hi < lo or self.step(state, hi) is None:
+            return  # refused at the gap or the bound, so below it too
         while lo < hi:
             mid = (lo + hi) // 2
             if self.step(state, mid) is None:

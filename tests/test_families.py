@@ -126,6 +126,13 @@ def oracle_member(alpha, a):
     return any(oracle_member(fundamental_seq(alpha, n), a) for n in range(1, a[0] + 1))
 
 
+def explicit_closure(fam):
+    """The members of an explicit family: every subset of its maximal rows,
+    listed by `itertools.combinations`, sharing no code with its trie."""
+    return {sub for row in fam.maximal for r in range(len(row) + 1)
+            for sub in itertools.combinations(row, r)}
+
+
 def read_states(fam, a):
     """Membership of `a` by reading it through the family's residual states."""
     state = fam.initial_state()
@@ -183,14 +190,28 @@ class TestResidualStates:
                 for a in subsets(10, 5):
                     assert not oracle_member(low, a) or oracle_member(high, a), (lam, m, a)
 
-    def test_omega_omega_and_explicit_keep_prefix_states(self):
-        for fam in (Schreier(OMEGA), Explicit([(2, 5), (3,)])):
-            assert fam.initial_state() == ()
-            assert fam.step((), 2) == (2,)
-        assert Schreier(OMEGA).step((1,), 2) is None
-        assert Explicit([(2, 5)]).step((2,), 4) is None
+    def test_omega_omega_keeps_prefix_states(self):
+        fam = Schreier(OMEGA)
+        assert fam.initial_state() == ()
+        assert fam.step((), 2) == (2,)
+        assert fam.step((1,), 2) is None
+        assert fam.states((2, 5)) == [(), (2,), (2, 5)] and fam.states((1, 2)) is None
         for a in subsets(10, 5):
-            assert read_states(Schreier(OMEGA), a) == Schreier(OMEGA).contains(a)
+            assert read_states(fam, a) == fam.contains(a)
+
+    def test_explicit_states_are_trie_nodes(self):
+        # the step answers of the prefix states it kept before, each read
+        # from the trie's table: the node after a member is the member
+        fam = Explicit([(2, 5), (3,)])
+        assert fam.initial_state() == ()
+        assert fam.step((), 2) == (2,)
+        assert Explicit([(2, 5)]).step((2,), 4) is None
+        closure = explicit_closure(fam)
+        for node in closure:
+            for n in range((node[-1] if node else 0) + 1, fam.right_stable_gap + 2):
+                after = node + (n,)
+                assert fam.step(node, n) == (after if after in closure else None), after
+        assert fam.states((2, 5)) == [(), (2,), (2, 5)] and fam.states((3, 5)) is None
 
     def test_search_memo_is_bounded(self, monkeypatch):
         # at the cap the older half of the memo goes, in insertion order
@@ -277,9 +298,10 @@ class TestHandles:
         with pytest.raises(FamilyError, match="closure passes the cap"):
             Explicit([(i,) for i in range(1, EXPLICIT_CAP + 1)])
         # closures and closed dumps up to the cap still load
-        assert len(Explicit([tuple(range(1, 17))]).members) == EXPLICIT_CAP
+        full = Explicit([tuple(range(1, 17))])
+        assert sum(1 for _ in enumerate_family(full, 16)) == EXPLICIT_CAP
         dump = list(enumerate_family(Explicit([tuple(range(1, 13))]), 12))
-        assert Explicit(dump).members == frozenset(dump)
+        assert list(enumerate_family(Explicit(dump), 12)) == dump
 
     def test_explicit_named_by_maximal_members(self):
         row = tuple(range(1, 17))
@@ -331,8 +353,9 @@ class TestMaximal:
         for _ in range(30):
             fam = Explicit(tuple(sorted(rng.sample(range(1, 9), rng.randint(0, 4))))
                            for _ in range(rng.randint(0, 5)))
-            for a in fam.members:
-                probe = any(tuple(sorted(a + (x,))) in fam.members
+            members = explicit_closure(fam)
+            for a in members:
+                probe = any(tuple(sorted(a + (x,))) in members
                             for x in range(1, 9) if x not in a)
                 assert is_maximal(fam, a) is not probe, a
 
@@ -441,7 +464,7 @@ def case_id(fam):
     """A test id: the family's descriptor, except that an explicit family is
     named by every member of its closure, not only the maximal ones."""
     if isinstance(fam, Explicit):
-        return "explicit:" + ";".join(format_finset(m) for m in sorted(fam.members))
+        return "explicit:" + ";".join(format_finset(m) for m in sorted(explicit_closure(fam)))
     return fam.descriptor()
 
 
@@ -455,9 +478,9 @@ EXPLICIT_CASES = [fam for fam, _ in STRUCTURE_CASES if isinstance(fam, Explicit)
 @pytest.mark.parametrize("fam", EXPLICIT_CASES, ids=case_id)
 def test_explicit_maximal_only_matches_a_superset_scan(fam):
     members = list(enumerate_family(fam, 8))
-    assert members == sorted(fam.members)
+    assert members == sorted(explicit_closure(fam))
     maximal = [m for m in members
-               if not any(len(o) > len(m) and set(m) <= set(o) for o in fam.members)]
+               if not any(len(o) > len(m) and set(m) <= set(o) for o in members)]
     assert list(enumerate_family(fam, 8, maximal_only=True)) == maximal
 
 
@@ -534,7 +557,7 @@ class TestEnumerateEarlyStop:
         bounds = range(1, fam.right_stable_gap + 2)
         for bound in bounds:
             assert list(enumerate_family(fam, bound)) == scan_members(fam, bound)
-        for prefix in fam.members:
+        for prefix in explicit_closure(fam):
             for bound in bounds:
                 assert (list(fam.extensions(prefix, prefix, bound))
                         == list(FamilyHandle.extensions(fam, prefix, prefix, bound)))
@@ -600,8 +623,9 @@ def whole_set_reading(fam):
     base of the prefix and the set, a derivative asks its base of the set
     and the chained probe, and a min-set family matches the set's spans in
     one generator (spreading closure) or compares it with each generator's
-    first block minima (explicit closure).  Fine, explicit and oracle
-    handles answer through their own `contains`."""
+    first block minima (explicit closure, whose generators its descriptor
+    names), and an explicit family asks the downward closure of its maximal
+    rows.  Fine and oracle handles answer through their own `contains`."""
     if isinstance(fam, Residual):
         base = whole_set_reading(fam.base)
         return lambda a: not a or (a[0] > fam.top and base(fam.prefix + a))
@@ -615,10 +639,14 @@ def whole_set_reading(fam):
                 chain.append(x)
             return base(tuple(chain))
         return probe
+    if isinstance(fam, Explicit):
+        return explicit_closure(fam).__contains__
+    if fam.descriptor().startswith("minset(explicit:"):
+        gens = [[int(block.split(",")[0]) for block in g.split("|") if block]
+                for g in fam.descriptor()[len("minset(explicit:"):-1].split(";")]
+        return lambda a: any(tuple(g[:len(a)]) == a for g in gens)
     if isinstance(fam, trees._MinSet):
         gens = fam.generators
-        if fam.explicit:
-            return lambda a: any(tuple(b[0] for b in g[:len(a)]) == a for g in gens)
 
         def embeds(a):
             spans = tuple(zip(a, a[1:] + (None,)))
@@ -764,6 +792,34 @@ class TestNoScanToTheGap:
         assert is_maximal(fam, (1, 3000000))
         assert not is_maximal(fam, (1,))
         assert len(calls) < 100
+
+    def test_min_set_bisects_below_the_bound(self):
+        # the search for a gap's least admitted n stops at the set's next
+        # element, not at the family's gap: every n above an admitted one is
+        # admitted, so a refused bound refuses all below it.  Searched up to
+        # the gap, (1, 3000000) took 49 steps and (1,) took 48.
+        for a, maximal, steps in (((1, 3000000), True, 4), ((1,), False, 25)):
+            fam = min_set(BlockTree([[(1,), (3000000,)]]))
+            calls = counted_calls(fam, ("step",))
+            assert is_maximal(fam, a) is maximal
+            assert len(calls) == steps, a
+
+    @pytest.mark.parametrize("make", [
+        lambda: Explicit([(2, 4, 6), (3, 5), (1, 7, 8), (10 ** 12,)]),
+        lambda: min_set(BlockTree([[(1, 2), (4,), (6, 7)], [(2,), (3,), (5, 6)],
+                                   [(1,), (3000000,)]], "explicit")),
+    ], ids=["explicit", "minset-explicit"])
+    def test_tries_read_without_contains(self, make):
+        # reading, maximality and enumeration of a trie step through its
+        # table and list its extensions; none asks `contains`
+        fam = make()
+        members = list(enumerate_family(fam, 10 ** 12))
+        calls = counted_calls(fam, ("contains", "step", "extensions"))
+        assert all(fam.states(a)[-1] == a for a in members)
+        maximal = [a for a in members if is_maximal(fam, a)]
+        assert list(enumerate_family(fam, 10 ** 12)) == members
+        assert list(enumerate_family(fam, 10 ** 12, maximal_only=True)) == maximal
+        assert set(calls) == {"step", "extensions"}
 
     def test_residual_lists_through_its_base(self):
         base = Explicit([[1, 3000000]])
